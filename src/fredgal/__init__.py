@@ -7,10 +7,7 @@ from .errors import FredgalError
 from .exact import (
     BivarPoly,
     ExactProblem,
-    Rational,
-    bernstein_poly_exact,
     exact_assemble,
-    exact_solve,
     residual_poly,
     solve_rational_system,
 )
@@ -54,13 +51,11 @@ __all__ = [
     "GalerkinSystem",
     "LUFactors",
     "QuadratureRule",
-    "Rational",
     "Solution",
     "as_exact_problem",
     "assemble",
     "basis_integral",
     "basis_row",
-    "bernstein_poly_exact",
     "bernstein_to_monomial",
     "bernstein_value",
     "builtin",
@@ -71,7 +66,6 @@ __all__ = [
     "evaluate",
     "evaluate_solution",
     "exact_assemble",
-    "exact_solve",
     "format_problem",
     "gauss_legendre",
     "integrate_1d",

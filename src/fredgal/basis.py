@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDegree, InvalidInterval
-from .exact import bernstein_poly_exact
 
 # Gram matrices of this basis become numerically unusable well before
 # degree 50; refuse anything beyond rather than return garbage.
@@ -85,16 +84,19 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     if len(coeffs) != spec.n + 1:
         raise ValueError(f"expected {spec.n + 1} coefficients, got {len(coeffs)}")
     exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
-    fa, fb = Fraction(spec.a), Fraction(spec.b)
-    total = None
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = bernstein_poly_exact(i, spec.n, fa, fb, "x").scale(Fraction(c))
-        total = term if total is None else total + term
-    if total is None:
-        out = [Fraction(0)]
-    else:
-        out = total.coefficients_in_x()
-    out.extend([Fraction(0)] * (spec.n + 1 - len(out)))
-    return out if exact else [float(c) for c in out]
+    n, a = spec.n, Fraction(spec.a)
+    h = Fraction(spec.b) - a
+    c = [Fraction(v) for v in coeffs]
+    # power form in u = (x-a)/h: d_k = C(n,k)·Σ_{i<=k} (-1)^(k-i)·C(k,i)·c_i
+    # = C(n,k)·(k-th forward difference of c at 0), kept divided by h^k
+    d = []
+    for k in range(n + 1):
+        d.append(math.comb(n, k) * c[0] / h**k)
+        c = [right - left for left, right in zip(c, c[1:])]
+    # (x-a)^k = Σ_m C(k,m)·(-a)^(k-m)·x^m
+    shift = [(-a) ** e for e in range(n + 1)]
+    out = [
+        sum(d[k] * math.comb(k, m) * shift[k - m] for k in range(m, n + 1))
+        for m in range(n + 1)
+    ]
+    return out if exact else [float(v) for v in out]

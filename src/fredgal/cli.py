@@ -108,13 +108,14 @@ def _resolve_problem(args):
 
 
 def _default_grid(problem, step: float | None) -> list[float]:
-    width = problem.b - problem.a
+    a, b = float(problem.a), float(problem.b)
+    width = b - a
     h = width / 10.0 if step is None else step
     if h <= 0:
         raise UsageError("--grid-step must be positive")
     count = int(width / h + 1e-9)
-    grid = [problem.a + k * h for k in range(count + 1)]
-    grid[-1] = min(grid[-1], problem.b)
+    grid = [a + k * h for k in range(count + 1)]
+    grid[-1] = min(grid[-1], b)
     return grid
 
 

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    IndexOutOfRange,
     InvalidDegree,
     InvalidInterval,
     InvalidProblem,
     MissingBinding,
     SingularSystem,
 )
-
-Rational = Fraction
 
 MAX_TOTAL_DEGREE = 100
 MAX_EXACT_DEGREE = 20  # basis degree cap for exact assembly
@@ -169,30 +166,6 @@ class BivarPoly:
             out[key] = out.get(key, Fraction(0)) + contrib
         return BivarPoly(out)
 
-    def integrate_x(self, a, b) -> "BivarPoly":
-        """Definite integral over x in [a, b]; result depends on t only."""
-        a, b = Fraction(a), Fraction(b)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            contrib = c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
-            key = (0, j)
-            out[key] = out.get(key, Fraction(0)) + contrib
-        return BivarPoly(out)
-
-
-def bernstein_poly_exact(i: int, n: int, a, b, var: str = "x") -> BivarPoly:
-    """Degree-n Bernstein basis member i on [a, b], expanded into monomials
-    of the chosen variable with exact rational coefficients."""
-    if not 0 <= i <= n:
-        raise IndexOutOfRange(f"basis index {i} outside 0..{n}")
-    a, b = Fraction(a), Fraction(b)
-    if not b > a:
-        raise InvalidInterval(f"need b > a, got [{a}, {b}]")
-    v = BivarPoly.variable(var)
-    rising = (v - BivarPoly.const(a)) ** i
-    falling = (BivarPoly.const(b) - v) ** (n - i)
-    return (rising * falling).scale(Fraction(math.comb(n, i), 1) / (b - a) ** n)
-
 
 @dataclass(frozen=True)
 class ExactProblem:
@@ -212,6 +185,24 @@ class ExactProblem:
             raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
 
 
+def _moments(coeffs: list, a: Fraction, h: Fraction, m: int) -> list[Fraction]:
+    """[∫ p(x)·B_k^m(x) dx over [a, a+h] for k = 0..m], p = Σ coeffs[s]·x^s.
+
+    With x = a + h·u, p(x) = Σ q_r·u^r, and each power integrates in closed
+    form: ∫₀¹ u^r·B_k^m(u) du = C(m,k)·(k+r)!·(m-k)!/(m+r+1)!.
+    """
+    fact = math.factorial
+    shifted = [
+        h**r * sum(c * math.comb(s, r) * a ** (s - r) for s, c in enumerate(coeffs[r:], r))
+        for r in range(len(coeffs))
+    ]
+    return [
+        h * math.comb(m, k) * fact(m - k)
+        * sum(q * Fraction(fact(k + r), fact(m + r + 1)) for r, q in enumerate(shifted))
+        for k in range(m + 1)
+    ]
+
+
 def exact_assemble(
     problem: ExactProblem, n: int
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -221,23 +212,27 @@ def exact_assemble(
         raise InvalidDegree("degree must be nonnegative")
     if n > MAX_EXACT_DEGREE:
         raise InvalidDegree(f"exact assembly supports degrees 0..{MAX_EXACT_DEGREE}")
-    a, b = problem.a, problem.b
-    bx = [bernstein_poly_exact(i, n, a, b, "x") for i in range(n + 1)]
-    bt = [bernstein_poly_exact(i, n, a, b, "t") for i in range(n + 1)]
-
-    rows = []
-    for i in range(n + 1):
-        inner = (problem.kernel_poly * bt[i]).integrate_t(a, b)
-        rows.append(problem.a_poly * bx[i] + inner.scale(problem.lam))
+    a, h = problem.a, problem.b - problem.a
+    size = range(n + 1)
+    comb = math.comb
+    # B_i·B_j = C(n,i)·C(n,j)/C(2n,i+j)·B_{i+j}^{2n}
+    weighted = _moments(problem.a_poly.coefficients_in_x(), a, h, 2 * n)
     C = [
-        [(rows[i] * bx[j]).integrate_x(a, b).constant_value() for j in range(n + 1)]
-        for i in range(n + 1)
+        [Fraction(comb(n, i) * comb(n, j), comb(2 * n, i + j)) * weighted[i + j] for j in size]
+        for i in size
     ]
-    F = [
-        (problem.f_poly * bx[j]).integrate_x(a, b).constant_value()
-        for j in range(n + 1)
-    ]
-    return C, F
+    # kernel term c·x^p·t^q: its t-integral against trial member i is c·M[q][i]
+    # and its x-integral against test member j is M[p][j], M[d] = moments of x^d
+    power = {
+        d: _moments([0] * d + [1], a, h, n) for key in problem.kernel_poly.terms for d in key
+    }
+    trial = {}  # p -> lam·Σ_q c·M[q], summed first so C is swept once per p
+    for (p, q), c in problem.kernel_poly.terms.items():
+        previous = trial.get(p, [0] * (n + 1))
+        trial[p] = [r + problem.lam * c * v for r, v in zip(previous, power[q])]
+    for p, row in trial.items():
+        C = [[C[i][j] + row[i] * power[p][j] for j in size] for i in size]
+    return C, _moments(problem.f_poly.coefficients_in_x(), a, h, n)
 
 
 def solve_rational_system(
@@ -270,12 +265,6 @@ def solve_rational_system(
             acc -= aug[col][k] * coeffs[k]
         coeffs[col] = acc / aug[col][col]
     return coeffs
-
-
-def exact_solve(problem: ExactProblem, n: int) -> list[Fraction]:
-    """Exact expansion coefficients of the degree-n trial solution."""
-    C, F = exact_assemble(problem, n)
-    return solve_rational_system(C, F)
 
 
 def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:

@@ -52,15 +52,17 @@ class FredholmProblem:
 
     ``a_expr`` and ``f_expr`` may depend on x only; ``kernel_expr`` may use
     t and x.  ``exact_expr`` is an optional known solution used for error
-    reporting.
+    reporting.  ``lam``, ``a`` and ``b`` may be floats or exact Fractions
+    (problem files give Fractions): the exact path takes them as they are,
+    the float path converts them with ``float()``.
     """
 
     a_expr: Node
-    lam: float
+    lam: float | Fraction
     kernel_expr: Node
     f_expr: Node
-    a: float
-    b: float
+    a: float | Fraction
+    b: float | Fraction
     exact_expr: Node | None = None
 
     def __post_init__(self):
@@ -133,12 +135,14 @@ def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> Galerkin
     The kernel contribution needs the inner t-integral at every outer node,
     so the kernel is sampled on the full q-by-q tensor grid.
     """
-    spec = BasisSpec(n, problem.a, problem.b)
+    # Fraction * ndarray would give an object array: go to floats first
+    a, b, lam = float(problem.a), float(problem.b), float(problem.lam)
+    spec = BasisSpec(n, a, b)
     if q is None:
         q = default_quadrature_order(n)
     rule = gauss_legendre(q)
-    half = 0.5 * (problem.b - problem.a)
-    pts = half * rule.nodes + 0.5 * (problem.a + problem.b)
+    half = 0.5 * (b - a)
+    pts = half * rule.nodes + 0.5 * (a + b)
     w = half * rule.weights
 
     basis = np.array([basis_row(spec, x) for x in pts])  # (q, n+1)
@@ -147,7 +151,7 @@ def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> Galerkin
     kernel = _eval_grid(problem.kernel_expr, "kernel", pts, pts)  # [x, t]
 
     inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·B_i(t) dt
-    operator = a_vals[:, None] * basis + problem.lam * inner
+    operator = a_vals[:, None] * basis + lam * inner
     c_matrix = (operator * w[:, None]).T @ basis
     f_vec = (w * f_vals) @ basis
     if not (np.isfinite(c_matrix).all() and np.isfinite(f_vec).all()):
@@ -199,14 +203,12 @@ def solve(
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
 
     exact_view = None
-    if mode in ("auto", "exact"):
+    if mode == "exact" or (mode == "auto" and n <= MAX_EXACT_DEGREE):
         exact_view = as_exact_problem(problem)
         if mode == "exact" and exact_view is None:
             raise ExactPathUnavailable(
                 "exact mode requires polynomial data with rational coefficients"
             )
-        if mode == "auto" and n > MAX_EXACT_DEGREE:
-            exact_view = None
 
     if exact_view is not None:
         c_exact, f_exact = exact_assemble(exact_view, n)
@@ -291,7 +293,7 @@ def convergence_study(
     """Max error over a 101-point grid for each requested degree."""
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
-    grid = np.linspace(problem.a, problem.b, 101)
+    grid = np.linspace(float(problem.a), float(problem.b), 101)
     out = []
     for n in n_values:
         solution = solve(problem, n, mode=mode, q=q)

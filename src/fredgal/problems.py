@@ -4,10 +4,13 @@ problem-file format.
 File grammar: one ``key = value`` pair per line; blank lines and lines
 starting with ``#`` are ignored.  Keys: interval_a, interval_b, coefficient
 (expression for a(x)), lambda (number), kernel (expression in t and x),
-rhs (expression in x), and optional exact (expression in x).
+rhs (expression in x), and optional exact (expression in x).  Numbers are
+read exactly, so ``lambda = 0.1`` means 1/10 and ``lambda = 1/2`` is valid.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from . import expr
 from .errors import (
@@ -101,12 +104,18 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _number(pairs, key: str) -> float:
+def _number(pairs, key: str) -> Fraction:
+    """The exact value of a number key (integer, decimal or p/q); its float
+    view must be finite."""
     text, lineno = pairs[key]
     try:
-        return float(text)
-    except ValueError:
-        raise ExpressionError(f"invalid number for '{key}': {text!r}", lineno) from None
+        value = Fraction(text)
+        float(value)  # OverflowError beyond the float range
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ExpressionError(
+            f"invalid number for '{key}': {text!r} (need a finite number)", lineno
+        ) from None
+    return value
 
 
 def _expression(pairs, key: str, allowed: set[str]):
@@ -150,10 +159,10 @@ def load_problem(path) -> FredholmProblem:
 def format_problem(problem: FredholmProblem) -> str:
     """Problem-file text that loads back to an equivalent problem."""
     lines = [
-        f"interval_a = {problem.a!r}",
-        f"interval_b = {problem.b!r}",
+        f"interval_a = {Fraction(problem.a)}",
+        f"interval_b = {Fraction(problem.b)}",
         f"coefficient = {expr.to_text(problem.a_expr)}",
-        f"lambda = {problem.lam!r}",
+        f"lambda = {Fraction(problem.lam)}",
         f"kernel = {expr.to_text(problem.kernel_expr)}",
         f"rhs = {expr.to_text(problem.f_expr)}",
     ]

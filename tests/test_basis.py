@@ -189,3 +189,12 @@ def test_monomial_conversion_exact_mode_is_exact():
         )
         via_mono = sum(c * x**k for k, c in enumerate(mono))
         assert via_mono == direct
+
+
+def test_monomial_conversion_float_input_at_degree_forty():
+    # float input is converted exactly and rounded once at the end
+    rng = np.random.default_rng(31)
+    spec = BasisSpec(40, -0.3, 1.7)
+    coeffs = rng.uniform(-2.0, 2.0, size=41).tolist()
+    exact = bernstein_to_monomial([Fraction(c) for c in coeffs], spec)
+    assert bernstein_to_monomial(coeffs, spec) == [float(c) for c in exact]

@@ -188,3 +188,22 @@ def test_exit_code_solver_errors(capsys, tmp_path):
 def test_errors_never_print_tracebacks(capsys):
     _, _, err = run(capsys, "solve", "--builtin", "example4", "--degree", "3", "--mode", "exact")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("lambda = -1", "lambda = inf"),
+        ("lambda = -1", "lambda = nan"),
+        ("lambda = -1", "lambda = 1e400"),
+        ("interval_b = 1", "interval_b = inf"),
+    ],
+)
+def test_nonfinite_number_is_an_input_error(capsys, tmp_path, old, new):
+    path = tmp_path / "p.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -1\n"
+        "kernel = x*t\nrhs = x\n".replace(old, new)
+    )
+    code, _, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    assert code == 1 and "line" in err and "Traceback" not in err

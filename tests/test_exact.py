@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fredgal.basis import BasisSpec, bernstein_to_monomial
 from fredgal.errors import (
-    IndexOutOfRange,
     InvalidDegree,
     InvalidProblem,
     SingularSystem,
@@ -13,13 +13,12 @@ from fredgal.errors import (
 from fredgal.exact import (
     BivarPoly,
     ExactProblem,
-    bernstein_poly_exact,
     exact_assemble,
-    exact_solve,
     residual_poly,
+    solve_rational_system,
 )
 from fredgal.expr import parse, to_polynomial
-from fredgal.galerkin import as_exact_problem
+from fredgal.galerkin import FredholmProblem, as_exact_problem, assemble
 from fredgal.problems import builtin
 
 
@@ -29,6 +28,15 @@ def F(*args):
 
 def x_poly(*ascending):
     return BivarPoly({(k, 0): F(c) for k, c in enumerate(ascending)})
+
+
+def unit(i, n):
+    return [F(int(k == i)) for k in range(n + 1)]
+
+
+def phi_poly(coeffs, a, b):
+    n = len(coeffs) - 1
+    return x_poly(*bernstein_to_monomial(coeffs, BasisSpec(n, a, b)))
 
 
 def test_fraction_addition_matches_cross_multiplication():
@@ -68,38 +76,26 @@ def test_integrate_t_on_unit_interval():
     assert BivarPoly({(0, 1): F(1)}).integrate_t(0, 1) == BivarPoly.const(F(1, 2))
 
 
-def test_integrate_x_leaves_t():
-    p = BivarPoly({(2, 1): F(3)})
-    assert p.integrate_x(0, 1) == BivarPoly({(0, 1): F(1)})
-
-
 def test_bernstein_exact_linear():
-    assert bernstein_poly_exact(0, 1, 0, 1, "x") == x_poly(1, -1)
+    assert phi_poly(unit(0, 1), 0, 1) == x_poly(1, -1)
 
 
 def test_bernstein_exact_degree_ten_is_one_minus_x_to_the_tenth():
-    got = bernstein_poly_exact(0, 10, 0, 1, "x")
+    got = phi_poly(unit(0, 10), 0, 1)
     want = BivarPoly({(k, 0): F((-1) ** k * math.comb(10, k)) for k in range(11)})
     assert got == want
 
 
 def test_bernstein_exact_middle_of_quadratic_in_t():
-    got = bernstein_poly_exact(1, 2, -1, 1, "t")
+    got = phi_poly(unit(1, 2), -1, 1).swap_vars()
     assert got == BivarPoly({(0, 0): F(1, 2), (0, 2): F(-1, 2)})
-
-
-def test_bernstein_exact_index_range():
-    with pytest.raises(IndexOutOfRange):
-        bernstein_poly_exact(3, 2, 0, 1)
-    with pytest.raises(IndexOutOfRange):
-        bernstein_poly_exact(-1, 2, 0, 1)
 
 
 def test_partition_of_unity_is_exact_identity():
     for n in range(11):
         total = BivarPoly()
         for i in range(n + 1):
-            total = total + bernstein_poly_exact(i, n, F(-1, 3), F(7, 2), "x")
+            total = total + phi_poly(unit(i, n), F(-1, 3), F(7, 2))
         assert total == BivarPoly.const(1)
 
 
@@ -150,12 +146,14 @@ def test_assemble_degree_cap():
 
 def test_solve_even_quadratic_problem():
     problem = as_exact_problem(builtin("example1"))
-    assert exact_solve(problem, 3) == [F(19, 9), F(17, 27), F(17, 27), F(19, 9)]
+    got = solve_rational_system(*exact_assemble(problem, 3))
+    assert got == [F(19, 9), F(17, 27), F(17, 27), F(19, 9)]
 
 
 def test_solve_identity_solution_problem():
     problem = as_exact_problem(builtin("example2"))
-    assert exact_solve(problem, 3) == [F(-1), F(-1, 3), F(1, 3), F(1)]
+    got = solve_rational_system(*exact_assemble(problem, 3))
+    assert got == [F(-1), F(-1, 3), F(1, 3), F(1)]
 
 
 def elevate_to_bernstein(mono, n):
@@ -169,7 +167,7 @@ def elevate_to_bernstein(mono, n):
 
 def test_solve_mixed_quadratic_problem():
     problem = as_exact_problem(builtin("example3"))
-    got = exact_solve(problem, 3)
+    got = solve_rational_system(*exact_assemble(problem, 3))
     oracle = elevate_to_bernstein([F(0), F(180, 119), F(80, 119)], 3)
     assert oracle == [F(0), F(60, 119), F(440, 357), F(260, 119)]
     assert got == oracle
@@ -179,11 +177,42 @@ def test_solutions_have_zero_residual():
     for name in ("example1", "example2", "example3"):
         problem = as_exact_problem(builtin(name))
         for n in (3, 4, 5):
-            coeffs = exact_solve(problem, n)
-            phi = BivarPoly()
-            for i, c in enumerate(coeffs):
-                phi = phi + bernstein_poly_exact(i, n, problem.a, problem.b, "x").scale(c)
+            coeffs = solve_rational_system(*exact_assemble(problem, n))
+            phi = phi_poly(coeffs, problem.a, problem.b)
             assert residual_poly(problem, phi).is_zero, (name, n)
+
+
+def shifted_problem():
+    # non-constant a(x) on [1/2, 2]: a != 0 and b - a != 1; f is manufactured
+    # so that phi* = 2 - x + 3x^2 solves the equation
+    a_poly = to_polynomial(parse("1 + x"))
+    kernel = to_polynomial(parse("x*t - 2*t^2 + 1/3"))
+    lam, a, b = F(1, 3), F(1, 2), F(2)
+    phi_star = x_poly(2, -1, 3)
+    unforced = ExactProblem(a_poly, lam, kernel, BivarPoly(), a, b)
+    f_poly = residual_poly(unforced, phi_star)
+    return ExactProblem(a_poly, lam, kernel, f_poly, a, b), phi_star
+
+
+def test_shifted_interval_with_variable_coefficient_recovers_solution():
+    problem, phi_star = shifted_problem()
+    for n in (2, 3, 5):
+        coeffs = solve_rational_system(*exact_assemble(problem, n))
+        phi = phi_poly(coeffs, problem.a, problem.b)
+        assert phi == phi_star, n
+        assert residual_poly(problem, phi).is_zero, n
+
+
+def test_closed_form_assembly_matches_quadrature():
+    problem = FredholmProblem(
+        parse("1 + x"), F(1, 3), parse("x*t - 2*t^2 + 1/3"), parse("x^2 - 1"), F(1, 2), F(2)
+    )
+    exact_view = as_exact_problem(problem)
+    for n in (0, 4, 9):
+        C, rhs = exact_assemble(exact_view, n)
+        system = assemble(problem, n)
+        assert np.allclose(system.C, np.array(C, dtype=float), rtol=1e-12, atol=1e-14)
+        assert np.allclose(system.F, np.array(rhs, dtype=float), rtol=1e-12, atol=1e-14)
 
 
 def test_singular_operator_detected():
@@ -197,7 +226,7 @@ def test_singular_operator_detected():
         F(1),
     )
     with pytest.raises(SingularSystem):
-        exact_solve(problem, 2)
+        solve_rational_system(*exact_assemble(problem, 2))
 
 
 def test_problem_shape_validation():

@@ -14,7 +14,7 @@ from fredgal.errors import (
     OutOfInterval,
     SingularSystem,
 )
-from fredgal.exact import exact_assemble, exact_solve
+from fredgal.exact import exact_assemble, solve_rational_system
 from fredgal.expr import parse
 from fredgal.galerkin import (
     FredholmProblem,
@@ -86,7 +86,7 @@ def test_solve_exponential_problem_matches_reference_monomials():
 
 def test_float_solve_agrees_with_exact_path():
     problem = builtin("example1")
-    exact_coeffs = exact_solve(as_exact_problem(problem), 3)
+    exact_coeffs = solve_rational_system(*exact_assemble(as_exact_problem(problem), 3))
     float_solution = solve(problem, 3, mode="float")
     for got, want in zip(float_solution.coefficients, exact_coeffs):
         assert abs(got - float(want)) <= 1e-10

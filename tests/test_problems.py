@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from fredgal.errors import (
     UnknownKey,
 )
 from fredgal.expr import evaluate, parse
+from fredgal.galerkin import FredholmProblem, as_exact_problem, solve
 from fredgal.problems import (
     BUILTIN_NAMES,
     builtin,
@@ -171,3 +173,56 @@ def test_comments_and_blank_lines_ignored():
     text = "\n\n# header\n" + EXAMPLE1_TEXT + "\n   \n# trailing\n"
     problem = parse_problem(text)
     assert math.isclose(problem.b, 1.0)
+
+
+def test_numbers_are_read_exactly():
+    text = EXAMPLE1_TEXT.replace("lambda = -1", "lambda = 1/2").replace(
+        "interval_a = -1", "interval_a = -0.1"
+    )
+    problem = parse_problem(text)
+    assert problem.lam == Fraction(1, 2)
+    assert problem.a == Fraction(-1, 10)
+    assert as_exact_problem(problem).a == Fraction(-1, 10)
+    assert parse_problem(format_problem(problem)) == problem
+
+
+def test_decimal_lambda_reaches_exact_path_as_decimal():
+    # phi + 0.1·∫ phi = 1.1 on [0, 1] is solved by phi = 1, which needs
+    # lambda to be exactly 1/10
+    problem = parse_problem(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 0.1\n"
+        "kernel = 1\nrhs = 11/10\n"
+    )
+    assert solve(problem, 1, mode="exact").coefficients == (Fraction(1), Fraction(1))
+
+
+def test_decimal_numbers_leave_float_results_unchanged():
+    text = (
+        "interval_a = 0.1\ninterval_b = 1.3\ncoefficient = 1\nlambda = -0.3\n"
+        "kernel = exp(x*t)\nrhs = sin(x)\n"
+    )
+    exact_numbers = parse_problem(text)
+    float_numbers = FredholmProblem(
+        exact_numbers.a_expr, -0.3, exact_numbers.kernel_expr, exact_numbers.f_expr, 0.1, 1.3
+    )
+    got = solve(exact_numbers, 5)
+    want = solve(float_numbers, 5)
+    assert got.mode == "float"
+    assert got.coefficients == want.coefficients
+    assert got.condition == want.condition
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("lambda = -1", "lambda = inf", 5),
+        ("lambda = -1", "lambda = nan", 5),
+        ("lambda = -1", "lambda = 1e400", 5),
+        ("interval_b = 1", "interval_b = inf", 3),
+        ("lambda = -1", "lambda = 1/0", 5),
+    ],
+)
+def test_nonfinite_numbers_rejected(old, new, line):
+    with pytest.raises(ExpressionError) as err:
+        parse_problem(EXAMPLE1_TEXT.replace(old, new))
+    assert err.value.line == line
