@@ -49,21 +49,24 @@ def bernstein_value(i: int, spec: BasisSpec, x: float) -> float:
     return math.comb(spec.n, i) * u**i * (1.0 - u) ** (spec.n - i)
 
 
-def basis_row(spec: BasisSpec, x: float) -> np.ndarray:
-    """All n+1 member values at x.
+def basis_row(spec: BasisSpec, x) -> np.ndarray:
+    """All n+1 member values at x: a row for a number, a (len(x), n+1)
+    table for an array of points.
 
     Uses the de Casteljau-style pyramid on u = (x-a)/(b-a): no binomial
     coefficients, no cancellation, and exact rows at the endpoints.
     """
-    u = (x - spec.a) / (spec.b - spec.a)
+    # b - a before float(): Fraction endpoints give their width rounded once
+    u = (np.asarray(x, dtype=float) - float(spec.a)) / float(spec.b - spec.a)
     v = 1.0 - u
-    row = np.zeros(spec.n + 1)
-    row[0] = 1.0
+    row = np.zeros(u.shape + (spec.n + 1,))
+    row[..., 0] = 1.0
+    u, v = u[..., None], v[..., None]
     for level in range(1, spec.n + 1):
         # numpy materializes the right side before assigning, so the slice
         # still sees the previous level's values
-        row[1 : level + 1] = u * row[0:level] + v * row[1 : level + 1]
-        row[0] *= v
+        row[..., 1 : level + 1] = u * row[..., 0:level] + v * row[..., 1 : level + 1]
+        row[..., :1] *= v
     return row
 
 

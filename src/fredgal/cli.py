@@ -172,8 +172,8 @@ def emit_basis_samples(n: int, a: float, b: float, samples: int, out_path) -> No
     spec = BasisSpec(n, a, b)
     header = "x," + ",".join(f"B{i}" for i in range(n + 1))
     lines = [header]
-    for x in np.linspace(a, b, samples):
-        row = basis_row(spec, float(x))
+    xs = np.linspace(a, b, samples)
+    for x, row in zip(xs, basis_row(spec, xs)):
         lines.append(format(float(x), ".17g") + "," + ",".join(format(v, ".17g") for v in row))
     _emit("\n".join(lines) + "\n", out_path)
 

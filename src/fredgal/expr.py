@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
@@ -25,11 +27,11 @@ from .errors import (
 from .exact import BivarPoly
 
 FUNCTIONS = {
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "log": math.log,
-    "sqrt": math.sqrt,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "log": np.log,
+    "sqrt": np.sqrt,
 }
 CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("x", "t")
@@ -204,34 +206,66 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
-def evaluate(node: Node, x: float, t: float | None = None) -> float:
-    """Evaluate at a point.  Raises DomainError when the value leaves the
-    reals and MissingBinding when t is referenced but absent."""
+def evaluate(node: Node, x, t=None):
+    """Evaluate at a point or on a whole grid.
+
+    ``x`` and ``t`` are numbers or numpy arrays that broadcast together; the
+    tree is walked once per call, each node applied to the whole grid.  A
+    scalar input gives a Python float, an array input an array of the
+    broadcast shape.  Raises DomainError, naming the offending value at the
+    first bad point, when any value leaves the reals, and MissingBinding
+    when t is referenced but absent.
+    """
+    x = np.asarray(x, dtype=float)
+    if t is not None:
+        t = np.asarray(t, dtype=float)
+    shape = x.shape if t is None else np.broadcast_shapes(x.shape, t.shape)
+    with np.errstate(all="ignore"):
+        value = _eval(node, x, t)
+    if shape == ():
+        return float(value)
+    return np.array(np.broadcast_to(value, shape))
+
+
+def _check(bad, message: str, *operands) -> None:
+    """Raise DomainError if any point is flagged, with the operands' values
+    at the first flagged point (in C order) filled into ``message``."""
+    if np.any(bad):
+        bad, *operands = np.broadcast_arrays(bad, *operands)
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(message.format(*(float(v[at]) for v in operands)))
+
+
+def _eval(node: Node, x, t):
     if isinstance(node, Num):
         return float(node.text)
     if isinstance(node, Var):
         if node.name == "x":
-            return float(x)
+            return x
         if t is None:
             raise MissingBinding("expression references t but no t was given")
-        return float(t)
+        return t
     if isinstance(node, Const):
         return CONSTANTS[node.name]
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x, t)
+        return -_eval(node.operand, x, t)
     if isinstance(node, Call):
-        v = evaluate(node.arg, x, t)
-        if node.func == "log" and v <= 0.0:
-            raise DomainError(f"log of nonpositive value {v} (offset {node.pos})")
-        if node.func == "sqrt" and v < 0.0:
-            raise DomainError(f"sqrt of negative value {v} (offset {node.pos})")
-        try:
-            return FUNCTIONS[node.func](v)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{node.func}({v}) is undefined (offset {node.pos})") from exc
+        v = _eval(node.arg, x, t)
+        if node.func == "log":
+            _check(v <= 0.0, f"log of nonpositive value {{}} (offset {node.pos})", v)
+        if node.func == "sqrt":
+            _check(v < 0.0, f"sqrt of negative value {{}} (offset {node.pos})", v)
+        r = FUNCTIONS[node.func](v)
+        # what math.exp/sin/... reject: nan from a number, or overflow
+        _check(
+            (np.isnan(r) & ~np.isnan(v)) | (np.isinf(r) & np.isfinite(v)),
+            f"{node.func}({{}}) is undefined (offset {node.pos})",
+            v,
+        )
+        return r
     if isinstance(node, BinOp):
-        a = evaluate(node.left, x, t)
-        b = evaluate(node.right, x, t)
+        a = _eval(node.left, x, t)
+        b = _eval(node.right, x, t)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -239,13 +273,17 @@ def evaluate(node: Node, x: float, t: float | None = None) -> float:
         if node.op == "*":
             return a * b
         if node.op == "/":
-            if b == 0.0:
-                raise DomainError(f"division by zero (offset {node.pos})")
+            _check(b == 0.0, f"division of {{}} by zero (offset {node.pos})", a)
             return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{a} ^ {b} is undefined (offset {node.pos})") from exc
+        r = np.power(a, b)
+        # what math.pow rejects: a nonfinite result from finite operands
+        _check(
+            np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r),
+            f"{{}} ^ {{}} is undefined (offset {node.pos})",
+            a,
+            b,
+        )
+        return r
     raise TypeError(f"not an expression node: {node!r}")
 
 

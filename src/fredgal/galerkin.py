@@ -9,6 +9,7 @@ with its error against a known solution.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,13 @@ class FredholmProblem:
     exact_expr: Node | None = None
 
     def __post_init__(self):
+        for label, value in (("lam", self.lam), ("a", self.a), ("b", self.b)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # a Fraction too large for a float
+                finite = False
+            if not finite:
+                raise InvalidProblem(f"{label} must be finite, got {value}")
         if not self.b > self.a:
             raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
         for label, node in (
@@ -116,15 +124,11 @@ class ConvergenceRow(NamedTuple):
     condition: float
 
 
-def _eval_grid(node: Node, label: str, xs, ts=None) -> np.ndarray:
+def _eval_grid(node: Node, label: str, x, t=None) -> np.ndarray:
     """Evaluate an expression on a point grid, tagging DomainErrors with
-    which problem piece and point produced them."""
+    which problem piece produced them."""
     try:
-        if ts is None:
-            return np.array([evaluate(node, float(x)) for x in xs])
-        return np.array(
-            [[evaluate(node, float(x), float(t)) for t in ts] for x in xs]
-        )
+        return evaluate(node, x, t)
     except DomainError as exc:
         raise DomainError(f"{label} expression: {exc}") from exc
 
@@ -145,10 +149,10 @@ def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> Galerkin
     pts = half * rule.nodes + 0.5 * (a + b)
     w = half * rule.weights
 
-    basis = np.array([basis_row(spec, x) for x in pts])  # (q, n+1)
+    basis = basis_row(spec, pts)  # (q, n+1)
     a_vals = _eval_grid(problem.a_expr, "coefficient", pts)
     f_vals = _eval_grid(problem.f_expr, "rhs", pts)
-    kernel = _eval_grid(problem.kernel_expr, "kernel", pts, pts)  # [x, t]
+    kernel = _eval_grid(problem.kernel_expr, "kernel", pts[:, None], pts[None, :])  # [x, t]
 
     inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·B_i(t) dt
     operator = a_vals[:, None] * basis + lam * inner
@@ -262,26 +266,24 @@ def error_table(solution: Solution, exact: Node, grid) -> list[ErrorRow]:
     The error is |(exact - approx)/exact| except where the exact value
     vanishes, where the absolute difference is reported and flagged.
     """
-    rows = []
-    for x in grid:
-        x = float(x)
-        reference = evaluate(exact, x)
-        approx = evaluate_solution(solution, x)
-        if abs(reference) < ZERO_REFERENCE_TOL:
-            rows.append(
-                ErrorRow(x, reference, approx, abs(reference - approx), "absolute-at-zero")
-            )
-        else:
-            rows.append(
-                ErrorRow(
-                    x,
-                    reference,
-                    approx,
-                    abs((reference - approx) / reference),
-                    "relative",
-                )
-            )
-    return rows
+    spec = solution.spec
+    xs = np.array(grid, dtype=float)
+    # compared as floats, like the float grid, so a Fraction endpoint that
+    # rounds outward does not put its own float view outside the interval
+    outside = (xs < float(spec.a)) | (xs > float(spec.b))
+    if outside.any():
+        x = float(xs[np.argmax(outside)])
+        raise OutOfInterval(f"x={x} outside [{spec.a}, {spec.b}]")
+    reference = evaluate(exact, xs)
+    approx = basis_row(spec, xs) @ np.array([float(c) for c in solution.coefficients])
+    at_zero = np.abs(reference) < ZERO_REFERENCE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.abs((reference - approx) / reference)
+    error = np.where(at_zero, np.abs(reference - approx), relative)
+    return [
+        ErrorRow(float(x), float(r), float(p), float(e), "absolute-at-zero" if z else "relative")
+        for x, r, p, e, z in zip(xs, reference, approx, error, at_zero)
+    ]
 
 
 def convergence_study(

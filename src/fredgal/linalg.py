@@ -65,10 +65,14 @@ def lu_factor(matrix, pivot_tol: float | None = None) -> LUFactors:
 
 
 def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
-    """Forward/back substitution against the packed factors."""
+    """Forward/back substitution against the packed factors.
+
+    ``rhs`` is one right-hand side of shape (m,) or k of them as the
+    columns of an (m, k) array; the solution has the same shape.
+    """
     b = np.asarray(rhs, dtype=float)
     m = factors.size
-    if b.shape != (m,):
+    if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"right-hand side must have length {m}")
     lu = factors.lu
     y = b[factors.perm].copy()
@@ -82,8 +86,8 @@ def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
 def condition_1norm(matrix) -> float:
     """Exact 1-norm condition number ||A||_1 · ||A^-1||_1.
 
-    The inverse is built column by column from one factorization, which is
-    why the dimension is capped at 64.
+    The full inverse is built from one factorization and one solve against
+    the identity, which is why the dimension is capped at 64.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -91,12 +95,6 @@ def condition_1norm(matrix) -> float:
     m = a.shape[0]
     if m > MAX_CONDITION_DIM:
         raise ValueError(f"condition estimate capped at dimension {MAX_CONDITION_DIM}")
-    factors = lu_factor(a)
-    inv_col_sums = np.zeros(m)
-    unit = np.zeros(m)
-    for j in range(m):
-        unit[:] = 0.0
-        unit[j] = 1.0
-        inv_col_sums[j] = np.abs(lu_solve(factors, unit)).sum()
+    inverse = lu_solve(lu_factor(a), np.eye(m))
     norm_a = float(np.abs(a).sum(axis=0).max())
-    return norm_a * float(inv_col_sums.max())
+    return norm_a * float(np.abs(inverse).sum(axis=0).max())

@@ -12,7 +12,15 @@ from fredgal.basis import (
     bernstein_to_monomial,
     bernstein_value,
 )
-from fredgal.errors import IndexOutOfRange, InvalidDegree, InvalidInterval
+from fredgal.errors import IndexOutOfRange, InvalidDegree, InvalidInterval, OutOfInterval
+from fredgal.expr import evaluate, parse
+from fredgal.galerkin import (
+    ZERO_REFERENCE_TOL,
+    FredholmProblem,
+    error_table,
+    evaluate_solution,
+    solve,
+)
 
 
 def test_spec_validation():
@@ -81,6 +89,73 @@ def test_row_matches_direct_values():
         row = basis_row(spec, x)
         for i in range(n + 1):
             assert row[i] == pytest.approx(bernstein_value(i, spec, x), abs=1e-13)
+
+
+def test_table_equals_stacked_rows():
+    # the table runs the scalar sweep's operations per element, so == holds
+    rng = np.random.default_rng(17)
+    specs = [BasisSpec(0, 2.0, 5.0), BasisSpec(1, 0.0, 1.0), BasisSpec(50, -1.0, 1.0),
+             BasisSpec(7, Fraction(-1, 3), Fraction(7, 2)), BasisSpec(0, Fraction(1, 10), 1)]
+    for _ in range(20):
+        a = rng.uniform(-5.0, 5.0)
+        specs.append(BasisSpec(int(rng.integers(0, 21)), a, a + rng.uniform(0.1, 10.0)))
+    for spec in specs:
+        a, b = float(spec.a), float(spec.b)
+        xs = np.concatenate([[a, b], rng.uniform(a, b, size=30)])
+        table = basis_row(spec, xs)
+        assert table.shape == (32, spec.n + 1)
+        assert (table == np.stack([basis_row(spec, x) for x in xs])).all()
+
+
+def _per_point_rows(solution, exact, grid):
+    # one point at a time, the way the table was built before it was batched
+    rows = []
+    for x in grid:
+        x = float(x)
+        reference = evaluate(exact, x)
+        approx = evaluate_solution(solution, x)
+        if abs(reference) < ZERO_REFERENCE_TOL:
+            rows.append((x, reference, approx, abs(reference - approx), "absolute-at-zero"))
+        else:
+            rows.append((x, reference, approx, abs((reference - approx) / reference), "relative"))
+    return rows
+
+
+def test_error_table_matches_per_point_rows_on_exact_solution():
+    # phi = 2 - x + 3x^2 solves phi + 1/2·∫ x·t·phi(t) dt = f on [-1/3, 7/2];
+    # the exact path gives a Fraction spec
+    problem = FredholmProblem(
+        parse("1"), Fraction(1, 2), parse("x*t"), parse("2 - x + 3*x^2 + 572171/10368*x"),
+        Fraction(-1, 3), Fraction(7, 2), parse("2 - x + 3*x^2"),
+    )
+    solution = solve(problem, 3)
+    assert solution.mode == "exact" and isinstance(solution.spec.a, Fraction)
+    grid = np.linspace(-1 / 3, 3.5, 41)
+    rows = error_table(solution, problem.exact_expr, grid)
+    for row, old in zip(rows, _per_point_rows(solution, problem.exact_expr, grid), strict=True):
+        assert (row.x, row.exact, row.kind) == (old[0], old[1], old[4])
+        assert row.approx == pytest.approx(old[2], rel=1e-15)
+        assert row.error <= 1e-15
+
+
+def test_error_table_refuses_grid_outside_interval():
+    problem = FredholmProblem(parse("1"), 0.0, parse("x*t"), parse("x"), 0.0, 1.0, parse("x"))
+    solution = solve(problem, 2, mode="float")
+    with pytest.raises(OutOfInterval):
+        error_table(solution, problem.exact_expr, [0.0, 0.5, 1.0 + 1e-9])
+    with pytest.raises(OutOfInterval):
+        error_table(solution, problem.exact_expr, np.linspace(-0.1, 1.0, 12))
+
+
+def test_error_table_accepts_float_view_of_fraction_endpoint():
+    # float(1/10) lies just above 1/10; the grid the CLI builds ends there
+    problem = FredholmProblem(
+        parse("1"), Fraction(0), parse("x*t"), parse("x"), Fraction(0), Fraction(1, 10), parse("x")
+    )
+    solution = solve(problem, 2)
+    assert solution.mode == "exact"
+    rows = error_table(solution, problem.exact_expr, np.linspace(0.0, 0.1, 11))
+    assert rows[-1].x == 0.1 and rows[-1].error <= 1e-15
 
 
 def test_symmetry():

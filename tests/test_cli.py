@@ -127,6 +127,20 @@ def test_basis_degree_zero(capsys):
     assert all(line.split(",")[1] == "1" for line in lines[1:])
 
 
+def test_basis_samples_equal_per_point_rows(capsys):
+    from fredgal.basis import BasisSpec, basis_row
+
+    code, out, _ = run(capsys, "basis", "--degree", "13", "--interval-a", "-1.3",
+                       "--interval-b", "2.9", "--samples", "37")
+    assert code == 0
+    spec = BasisSpec(13, -1.3, 2.9)
+    expected = ["x," + ",".join(f"B{i}" for i in range(14))]
+    for x in np.linspace(-1.3, 2.9, 37):
+        row = basis_row(spec, float(x))
+        expected.append(format(float(x), ".17g") + "," + ",".join(format(v, ".17g") for v in row))
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_byte_stable_output(capsys, tmp_path):
     args = ("table", "--builtin", "example4", "--degree", "4")
     _, first, _ = run(capsys, *args)

@@ -239,3 +239,71 @@ def test_evaluation_is_deterministic():
     ast = parse("sin(x)*exp(t) - x^3/7")
     first = evaluate(ast, 0.37, 1.21)
     assert all(evaluate(ast, 0.37, 1.21) == first for _ in range(5))
+
+
+# a 2-D (x, t) grid on which every CORPUS expression is defined: x > 0, t != 0
+GRID_X = np.linspace(0.05, 1.9, 23)[:, None]
+GRID_T = np.linspace(-0.7, 0.9, 19)[None, :]
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_array_evaluation_matches_scalar_points(text):
+    ast = parse(text)
+    grid = evaluate(ast, GRID_X, GRID_T)
+    assert isinstance(grid, np.ndarray) and grid.shape == (23, 19)
+    points = np.array(
+        [[evaluate(ast, float(x), float(t)) for t in GRID_T[0]] for x in GRID_X[:, 0]]
+    )
+    assert (np.abs(grid - points) <= np.spacing(np.abs(points))).all(), text
+
+
+@pytest.mark.parametrize(
+    "text,bad,message",
+    [
+        ("log(x)", 0.0, "log of nonpositive value 0.0 (offset 0)"),
+        ("log(x)", -1.5, "log of nonpositive value -1.5 (offset 0)"),
+        ("sqrt(x)", -2.25, "sqrt of negative value -2.25 (offset 0)"),
+        ("x/(x - 1.5)", 1.5, "division of 1.5 by zero (offset 1)"),
+        ("exp(x)", 800.0, "exp(800.0) is undefined (offset 0)"),
+        ("x^(-1)", 0.0, "0.0 ^ -1.0 is undefined (offset 1)"),
+        ("x^0.5", -2.0, "-2.0 ^ 0.5 is undefined (offset 1)"),
+        ("x^2", 1e200, "1e+200 ^ 2.0 is undefined (offset 1)"),
+        ("sin(x*x)", 1e200, "sin(inf) is undefined (offset 0)"),
+        ("cos(-(x*x))", 1e200, "cos(-inf) is undefined (offset 0)"),
+    ],
+)
+def test_array_domain_errors_name_the_bad_point(text, bad, message):
+    ast = parse(text)
+    xs = np.array([0.25, 0.5, 0.75, bad, 1.0, 1.25])
+    with pytest.raises(DomainError) as err:
+        evaluate(ast, xs)
+    assert str(err.value) == message
+    # the same point evaluated alone fails the same way
+    with pytest.raises(DomainError) as err:
+        evaluate(ast, bad)
+    assert str(err.value) == message
+
+
+def test_array_domain_error_on_kernel_grid():
+    xs = np.array([0.0, 0.5, 1.0])[:, None]
+    ts = np.array([0.25, 0.75])[None, :]
+    with pytest.raises(DomainError) as err:
+        evaluate(parse("sqrt(t - x)"), xs, ts)
+    assert str(err.value) == "sqrt of negative value -0.25 (offset 0)"
+
+
+def test_scalar_input_gives_float_and_array_input_gives_broadcast_array():
+    for value in (evaluate(parse("x^2"), 3.0), evaluate(parse("pi"), np.float64(0.5)),
+                  evaluate(parse("x*t"), 2, 0.5)):
+        assert type(value) is float
+    grid = evaluate(parse("1"), np.zeros((4, 1)), np.zeros((1, 3)))
+    assert grid.shape == (4, 3) and (grid == 1.0).all()
+    xs = np.array([1.0, 2.0])
+    out = evaluate(parse("x"), xs)
+    out[0] = 5.0  # the result is a fresh array, never the caller's input
+    assert xs.tolist() == [1.0, 2.0]
+
+
+def test_missing_t_binding_for_arrays():
+    with pytest.raises(MissingBinding):
+        evaluate(parse("x*t"), np.linspace(0.0, 1.0, 5))

@@ -45,6 +45,16 @@ def test_problem_validation():
         FredholmProblem(one, -1.0, parse("x*t"), parse("t^2"), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("mode", ["auto", "exact", "float"])
+@pytest.mark.parametrize(
+    "lam,b",
+    [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (Fraction(10**400), 1.0)],
+)
+def test_nonfinite_problem_numbers_are_invalid(lam, b, mode):
+    with pytest.raises(InvalidProblem):
+        solve(FredholmProblem(parse("1"), lam, parse("x*t"), parse("x"), 0.0, b), 2, mode=mode)
+
+
 def test_assemble_rhs_constant_for_unit_rhs():
     system = assemble(builtin("example1"), 3)
     assert system.F == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-13)

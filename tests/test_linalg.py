@@ -71,6 +71,23 @@ def test_solve_identity_and_swap():
     assert lu_solve(lu_factor([[0.0, 1.0], [1.0, 0.0]]), b).tolist() == [9.0, 7.0]
 
 
+def test_solve_many_right_hand_sides_at_once():
+    rng = np.random.default_rng(103)
+    a = _random_well_conditioned(rng, 7)
+    rhs = rng.uniform(-5.0, 5.0, size=(7, 4))
+    factors = lu_factor(a)
+    x = lu_solve(factors, rhs)
+    assert x.shape == (7, 4)
+    for j in range(4):
+        assert x[:, j] == pytest.approx(lu_solve(factors, rhs[:, j]), rel=1e-13, abs=1e-13)
+    with pytest.raises(ValueError):
+        lu_solve(factors, np.ones(6))
+    with pytest.raises(ValueError):
+        lu_solve(factors, np.ones((6, 2)))
+    with pytest.raises(ValueError):
+        lu_solve(factors, np.ones((7, 2, 2)))
+
+
 def test_requires_square_and_finite():
     with pytest.raises(ValueError):
         lu_factor(np.ones((2, 3)))
