@@ -2,7 +2,7 @@
 on a Bernstein polynomial basis, with an exact rational path for polynomial
 problem data and a CSV-oriented CLI."""
 
-from .basis import BasisSpec, basis_integral, basis_row, bernstein_to_monomial, bernstein_value
+from .basis import BasisSpec, basis_row, bernstein_to_monomial
 from .errors import FredgalError
 from .exact import (
     BivarPoly,
@@ -35,7 +35,7 @@ from .problems import (
     parse_problem,
     write_problem,
 )
-from .quadrature import QuadratureRule, gauss_legendre, integrate_1d, integrate_2d
+from .quadrature import QuadratureRule, gauss_legendre
 
 __version__ = "0.1.0"
 
@@ -54,10 +54,8 @@ __all__ = [
     "Solution",
     "as_exact_problem",
     "assemble",
-    "basis_integral",
     "basis_row",
     "bernstein_to_monomial",
-    "bernstein_value",
     "builtin",
     "condition_1norm",
     "convergence_study",
@@ -68,8 +66,6 @@ __all__ = [
     "exact_assemble",
     "format_problem",
     "gauss_legendre",
-    "integrate_1d",
-    "integrate_2d",
     "load_problem",
     "lu_factor",
     "lu_solve",

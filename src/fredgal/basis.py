@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidDegree, InvalidInterval
+from .errors import InvalidDegree, InvalidInterval
 
 # Gram matrices of this basis become numerically unusable well before
 # degree 50; refuse anything beyond rather than return garbage.
@@ -41,14 +41,6 @@ class BasisSpec:
         return self.n + 1
 
 
-def bernstein_value(i: int, spec: BasisSpec, x: float) -> float:
-    """Member i at x: C(n,i)·(x-a)^i·(b-x)^(n-i)/(b-a)^n, zero outside 0..n."""
-    if i < 0 or i > spec.n:
-        return 0.0
-    u = (x - spec.a) / (spec.b - spec.a)
-    return math.comb(spec.n, i) * u**i * (1.0 - u) ** (spec.n - i)
-
-
 def basis_row(spec: BasisSpec, x) -> np.ndarray:
     """All n+1 member values at x: a row for a number, a (len(x), n+1)
     table for an array of points.
@@ -68,13 +60,6 @@ def basis_row(spec: BasisSpec, x) -> np.ndarray:
         row[..., 1 : level + 1] = u * row[..., 0:level] + v * row[..., 1 : level + 1]
         row[..., :1] *= v
     return row
-
-
-def basis_integral(i: int, spec: BasisSpec) -> float:
-    """Integral of member i over [a, b]; every member encloses (b-a)/(n+1)."""
-    if not 0 <= i <= spec.n:
-        raise IndexOutOfRange(f"basis index {i} outside 0..{spec.n}")
-    return (spec.b - spec.a) / (spec.n + 1)
 
 
 def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:

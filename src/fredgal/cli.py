@@ -9,6 +9,7 @@ degrees), basis (CSV of sampled basis functions).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     ProblemFileError,
     UnknownBuiltin,
 )
-from .galerkin import convergence_study, evaluate_solution, error_table, solve
+from .galerkin import convergence_study, error_table, solve
 from .problems import BUILTIN_NAMES, builtin, load_problem
 
 
@@ -193,6 +194,8 @@ def _parse_degrees(text: str) -> list[int]:
     return values
 
 
+# built once per process: argparse set-up costs about ten times a parse
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fredgal",

@@ -39,10 +39,6 @@ class InvalidProblem(FredgalError):
     coefficient or right-hand side, or a missing exact solution)."""
 
 
-class IndexOutOfRange(FredgalError):
-    """Basis index i outside 0..n where the operation requires it."""
-
-
 class OrderOutOfRange(FredgalError):
     """Quadrature order outside the supported 1..128 range."""
 

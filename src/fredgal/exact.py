@@ -16,7 +16,6 @@ from .errors import (
     InvalidDegree,
     InvalidInterval,
     InvalidProblem,
-    MissingBinding,
     SingularSystem,
 )
 
@@ -141,18 +140,6 @@ class BivarPoly:
     def swap_vars(self) -> "BivarPoly":
         """Exchange the roles of x and t."""
         return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
-
-    def __call__(self, x, t=None):
-        """Evaluate; exact with Fraction arguments, float with floats."""
-        total = 0
-        for (i, j), c in self.terms.items():
-            if j and t is None:
-                raise MissingBinding("polynomial references t but no t was given")
-            term = c * x**i
-            if j:
-                term = term * t**j
-            total = total + term
-        return total
 
     # -- calculus --------------------------------------------------------
 

@@ -166,11 +166,15 @@ def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> Galerkin
 def as_exact_problem(problem: FredholmProblem) -> ExactProblem | None:
     """Rational-polynomial view of the problem, or None when any expression
     falls outside the polynomial fragment."""
-    a_poly = to_polynomial(problem.a_expr)
-    kernel_poly = to_polynomial(problem.kernel_expr)
-    f_poly = to_polynomial(problem.f_expr)
-    if a_poly is None or kernel_poly is None or f_poly is None:
-        return None
+    # the kernel first: it is the piece most often not a polynomial, and
+    # expanding a(x) and f(x) is wasted work once any piece fails
+    pieces = []
+    for node in (problem.kernel_expr, problem.a_expr, problem.f_expr):
+        poly = to_polynomial(node)
+        if poly is None:
+            return None
+        pieces.append(poly)
+    kernel_poly, a_poly, f_poly = pieces
     return ExactProblem(
         a_poly,
         Fraction(problem.lam),
@@ -246,13 +250,22 @@ def solve(
     )
 
 
-def evaluate_solution(solution: Solution, x: float) -> float:
-    """Value of the expansion at x in [a, b]; extrapolation is refused."""
+def evaluate_solution(solution: Solution, x):
+    """Value of the expansion at x in [a, b]: a float for a number, an array
+    for an array of points.  Extrapolation is refused.
+
+    x is compared with the endpoints as floats, like the float grids, so a
+    Fraction endpoint that rounds outward does not put its own float view
+    outside the interval.
+    """
     spec = solution.spec
-    if x < spec.a or x > spec.b:
+    xs = np.asarray(x, dtype=float)
+    outside = (xs < float(spec.a)) | (xs > float(spec.b))
+    if outside.any():
+        x = float(xs.flat[np.argmax(outside)])
         raise OutOfInterval(f"x={x} outside [{spec.a}, {spec.b}]")
-    row = basis_row(spec, x)
-    return float(row @ np.array([float(c) for c in solution.coefficients]))
+    values = basis_row(spec, xs) @ np.array([float(c) for c in solution.coefficients])
+    return float(values) if values.ndim == 0 else values
 
 
 # Below this, a reference value counts as zero and the error switches from
@@ -266,16 +279,9 @@ def error_table(solution: Solution, exact: Node, grid) -> list[ErrorRow]:
     The error is |(exact - approx)/exact| except where the exact value
     vanishes, where the absolute difference is reported and flagged.
     """
-    spec = solution.spec
     xs = np.array(grid, dtype=float)
-    # compared as floats, like the float grid, so a Fraction endpoint that
-    # rounds outward does not put its own float view outside the interval
-    outside = (xs < float(spec.a)) | (xs > float(spec.b))
-    if outside.any():
-        x = float(xs[np.argmax(outside)])
-        raise OutOfInterval(f"x={x} outside [{spec.a}, {spec.b}]")
+    approx = evaluate_solution(solution, xs)
     reference = evaluate(exact, xs)
-    approx = basis_row(spec, xs) @ np.array([float(c) for c in solution.coefficients])
     at_zero = np.abs(reference) < ZERO_REFERENCE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.abs((reference - approx) / reference)

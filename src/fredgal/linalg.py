@@ -3,39 +3,32 @@ Galerkin assembly produces."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMatrix
 
-DEFAULT_PIVOT_REL_TOL = 1e-13
-MAX_CONDITION_DIM = 64
+PIVOT_REL_TOL = 1e-13
 
 
 @dataclass
 class LUFactors:
     """Packed unit-lower/upper factors of the row-permuted matrix.
 
-    Row i of ``lu`` corresponds to row ``perm[i]`` of the original matrix;
-    ``parity`` is the sign of that permutation.
+    Row i of ``lu`` corresponds to row ``perm[i]`` of the original matrix.
     """
 
     lu: np.ndarray
     perm: np.ndarray
-    parity: int
-
-    @property
-    def size(self) -> int:
-        return self.lu.shape[0]
 
 
-def lu_factor(matrix, pivot_tol: float | None = None) -> LUFactors:
+def lu_factor(matrix) -> LUFactors:
     """Factor P·A = L·U, pivoting on the largest remaining column entry.
 
     Raises SingularMatrix (with the failing column) when the best available
-    pivot is at or below ``pivot_tol``; the default tolerance scales with
-    the matrix infinity norm.
+    pivot is at or below ``PIVOT_REL_TOL`` times the matrix infinity norm.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -43,14 +36,9 @@ def lu_factor(matrix, pivot_tol: float | None = None) -> LUFactors:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     m = a.shape[0]
-    if pivot_tol is None:
-        norm_inf = float(np.abs(a).sum(axis=1).max()) if m else 0.0
-        pivot_tol = DEFAULT_PIVOT_REL_TOL * norm_inf
-    if pivot_tol < 0:
-        raise ValueError("pivot_tol must be nonnegative")
+    pivot_tol = PIVOT_REL_TOL * float(np.abs(a).sum(axis=1).max()) if m else 0.0
 
     perm = np.arange(m)
-    parity = 1
     for k in range(m):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[p, k]) <= pivot_tol:
@@ -58,10 +46,9 @@ def lu_factor(matrix, pivot_tol: float | None = None) -> LUFactors:
         if p != k:
             a[[k, p]] = a[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            parity = -parity
         a[k + 1 :, k] /= a[k, k]
         a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return LUFactors(a, perm, parity)
+    return LUFactors(a, perm)
 
 
 def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
@@ -71,10 +58,10 @@ def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
     columns of an (m, k) array; the solution has the same shape.
     """
     b = np.asarray(rhs, dtype=float)
-    m = factors.size
+    lu = factors.lu
+    m = lu.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"right-hand side must have length {m}")
-    lu = factors.lu
     y = b[factors.perm].copy()
     for i in range(1, m):
         y[i] -= lu[i, :i] @ y[:i]
@@ -87,14 +74,16 @@ def condition_1norm(matrix) -> float:
     """Exact 1-norm condition number ||A||_1 · ||A^-1||_1.
 
     The full inverse is built from one factorization and one solve against
-    the identity, which is why the dimension is capped at 64.
+    the identity.  A matrix that ``lu_factor`` refuses as singular to working
+    precision has condition ``inf``.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    if m > MAX_CONDITION_DIM:
-        raise ValueError(f"condition estimate capped at dimension {MAX_CONDITION_DIM}")
-    inverse = lu_solve(lu_factor(a), np.eye(m))
+    try:
+        factors = lu_factor(a)
+    except SingularMatrix:
+        return math.inf
+    inverse = lu_solve(factors, np.eye(a.shape[0]))
     norm_a = float(np.abs(a).sum(axis=0).max())
     return norm_a * float(np.abs(inverse).sum(axis=0).max())

@@ -1,5 +1,5 @@
-"""Gauss-Legendre quadrature: rule generation plus 1-d and tensor-product
-integration over a finite interval."""
+"""Gauss-Legendre quadrature rules on [-1, 1]; callers map the nodes onto
+their interval."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInterval, OrderOutOfRange
+from .errors import OrderOutOfRange
 
 MAX_ORDER = 128
 _NEWTON_TOL = 1e-15
@@ -65,28 +65,3 @@ def gauss_legendre(q: int) -> QuadratureRule:
         nodes[mid] = 0.0
         weights[mid] = 2.0 / (dp * dp)
     return QuadratureRule(q, nodes, weights)
-
-
-def integrate_1d(f, a: float, b: float, rule: QuadratureRule) -> float:
-    """Apply the rule to f over [a, b] by the affine node map."""
-    if not b > a:
-        raise InvalidInterval(f"need b > a, got [{a}, {b}]")
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * math.fsum(
-        w * f(half * z + mid) for z, w in zip(rule.nodes, rule.weights)
-    )
-
-
-def integrate_2d(g, a: float, b: float, rule: QuadratureRule) -> float:
-    """Tensor-product rule for g(t, x) over [a, b] x [a, b]."""
-    if not b > a:
-        raise InvalidInterval(f"need b > a, got [{a}, {b}]")
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = half * rule.nodes + mid
-    return half * half * math.fsum(
-        wt * wx * g(t, x)
-        for t, wt in zip(pts, rule.weights)
-        for x, wx in zip(pts, rule.weights)
-    )

@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fredgal.basis import (
-    BasisSpec,
-    basis_integral,
-    basis_row,
-    bernstein_to_monomial,
-    bernstein_value,
-)
-from fredgal.errors import IndexOutOfRange, InvalidDegree, InvalidInterval, OutOfInterval
+from fredgal.basis import BasisSpec, basis_row, bernstein_to_monomial
+from fredgal.errors import InvalidDegree, InvalidInterval, OutOfInterval
 from fredgal.expr import evaluate, parse
 from fredgal.galerkin import (
     ZERO_REFERENCE_TOL,
@@ -21,6 +15,13 @@ from fredgal.galerkin import (
     evaluate_solution,
     solve,
 )
+from fredgal.quadrature import gauss_legendre
+
+
+def bernstein_value(i, spec, x):
+    """Reference closed form of member i: C(n,i)·u^i·(1-u)^(n-i), u = (x-a)/(b-a)."""
+    u = (x - spec.a) / (spec.b - spec.a)
+    return math.comb(spec.n, i) * u**i * (1.0 - u) ** (spec.n - i)
 
 
 def test_spec_validation():
@@ -37,19 +38,13 @@ def test_spec_validation():
 
 def test_value_midpoint_degree_ten():
     spec = BasisSpec(10, 0.0, 1.0)
-    assert bernstein_value(0, spec, 0.5) == 0.5**10  # 0.0009765625
+    assert basis_row(spec, 0.5)[0] == 0.5**10  # 0.0009765625
 
 
 def test_value_vanishes_at_left_endpoint_for_interior_index():
     spec = BasisSpec(5, -3.0, 4.0)
-    assert bernstein_value(2, spec, -3.0) == 0.0
-    assert bernstein_value(2, spec, 4.0) == 0.0
-
-
-def test_value_zero_outside_index_range():
-    spec = BasisSpec(4, 0.0, 1.0)
-    assert bernstein_value(-1, spec, 0.3) == 0.0
-    assert bernstein_value(5, spec, 0.3) == 0.0
+    assert basis_row(spec, -3.0)[2] == 0.0
+    assert basis_row(spec, 4.0)[2] == 0.0
 
 
 def test_row_linear_case():
@@ -156,6 +151,21 @@ def test_error_table_accepts_float_view_of_fraction_endpoint():
     assert solution.mode == "exact"
     rows = error_table(solution, problem.exact_expr, np.linspace(0.0, 0.1, 11))
     assert rows[-1].x == 0.1 and rows[-1].error <= 1e-15
+    assert evaluate_solution(solution, 0.1) == rows[-1].approx
+
+
+def test_evaluate_solution_on_a_grid_is_the_error_table_approx_column():
+    problem = FredholmProblem(
+        parse("1"), Fraction(1, 2), parse("x*t"), parse("2 - x + 3*x^2 + 572171/10368*x"),
+        Fraction(-1, 3), Fraction(7, 2), parse("2 - x + 3*x^2"),
+    )
+    grid = np.linspace(-1 / 3, 3.5, 41)
+    for mode in ("exact", "float"):
+        solution = solve(problem, 3, mode=mode)
+        approx = [row.approx for row in error_table(solution, problem.exact_expr, grid)]
+        values = evaluate_solution(solution, grid)
+        assert isinstance(values, np.ndarray) and values.shape == (41,)
+        assert values.tolist() == approx
 
 
 def test_symmetry():
@@ -164,36 +174,36 @@ def test_symmetry():
     for _ in range(200):
         s = rng.uniform(0.0, spec.b - spec.a)
         for i in range(spec.n + 1):
-            left = bernstein_value(i, spec, spec.a + s)
-            right = bernstein_value(spec.n - i, spec, spec.b - s)
+            left = basis_row(spec, spec.a + s)[i]
+            right = basis_row(spec, spec.b - s)[spec.n - i]
             assert abs(left - right) <= 1e-12
+
+
+def member_integrals(spec):
+    """Gauss-Legendre integrals of all n+1 members over [a, b]."""
+    rule = gauss_legendre(spec.n + 1)  # exact through degree 2n+1
+    half = 0.5 * (spec.b - spec.a)
+    return half * (rule.weights @ basis_row(spec, half * rule.nodes + 0.5 * (spec.a + spec.b)))
 
 
 def test_integral_closed_form_against_quadrature():
     spec = BasisSpec(3, -1.0, 1.0)
+    integrals = member_integrals(spec)
     for i in range(4):
-        assert basis_integral(i, spec) == 0.5
-        oracle, _ = quad(lambda x: bernstein_value(i, spec, x), -1.0, 1.0)
-        assert basis_integral(i, spec) == pytest.approx(oracle, rel=1e-10)
+        assert integrals[i] == pytest.approx(0.5, rel=1e-14)
+        oracle, _ = quad(lambda x: basis_row(spec, x)[i], -1.0, 1.0)
+        assert integrals[i] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_integral_degree_zero():
-    assert basis_integral(0, BasisSpec(0, 0.0, 1.0)) == 1.0
+    assert member_integrals(BasisSpec(0, 0.0, 1.0)).tolist() == [1.0]
 
 
 def test_integral_degree_ten():
     spec = BasisSpec(10, 0.0, 1.0)
-    assert basis_integral(4, spec) == pytest.approx(1.0 / 11.0, rel=1e-15)
-    oracle, _ = quad(lambda x: bernstein_value(4, spec, x), 0.0, 1.0)
+    assert member_integrals(spec) == pytest.approx([1.0 / 11.0] * 11, rel=1e-13)
+    oracle, _ = quad(lambda x: basis_row(spec, x)[4], 0.0, 1.0)
     assert oracle == pytest.approx(1.0 / 11.0, rel=1e-10)
-
-
-def test_integral_index_check():
-    spec = BasisSpec(3, 0.0, 1.0)
-    with pytest.raises(IndexOutOfRange):
-        basis_integral(-1, spec)
-    with pytest.raises(IndexOutOfRange):
-        basis_integral(4, spec)
 
 
 def test_monomial_conversion_even_quadratic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fredgal.cli import fmt10, format_polynomial, main
+from fredgal.errors import IllConditionedWarning
 from fredgal.problems import builtin, write_problem
 
 EXACT_COLUMN_DEGREE5 = [
@@ -197,6 +198,22 @@ def test_exit_code_solver_errors(capsys, tmp_path):
     )
     code, _, err = run(capsys, "solve", "--problem", str(singular), "--degree", "2")
     assert code == 2 and err != ""
+
+
+def test_exact_solve_reports_infinite_condition_of_float_singular_system(capsys, tmp_path):
+    # exactly read, lambda leaves the system regular; as a float it is -1.0
+    path = tmp_path / "near.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -0.99999999999999999\n"
+        "kernel = 1\nrhs = 1\n"
+    )
+    with pytest.warns(IllConditionedWarning):
+        code, out, _ = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    assert code == 0
+    assert "coefficients: 100000000000000000 100000000000000000 100000000000000000\n" in out
+    assert "condition: inf\n" in out
+    code, _, err = run(capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", "float")
+    assert code == 2 and "singular" in err
 
 
 def test_errors_never_print_tracebacks(capsys):

@@ -130,9 +130,27 @@ def test_degenerate_operator_is_singular():
         solve(problem, 2)  # exact route hits the same wall
 
 
+def test_exact_solve_of_a_float_singular_system_reports_infinite_condition():
+    # lam = -1 + 2^-50 leaves the exact system regular (phi = 2^50) while its
+    # float view rounds to the singular lam = -1 system above
+    problem = FredholmProblem(
+        parse("1"), Fraction(-1) + Fraction(1, 2**50), parse("1"), parse("1"), 0.0, 1.0
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solution = solve(problem, 2, mode="exact")
+    assert solution.coefficients == (Fraction(2**50),) * 3
+    assert solution.condition == math.inf
+    assert any(issubclass(w.category, IllConditionedWarning) for w in caught)
+    with pytest.raises(SingularSystem):
+        solve(problem, 2, mode="float")
+
+
 def test_evaluate_solution_identity_problem():
     solution = solve(builtin("example2"), 3, mode="float")
-    assert abs(evaluate_solution(solution, 0.5) - 0.5) <= 1e-12
+    value = evaluate_solution(solution, 0.5)
+    assert type(value) is float
+    assert abs(value - 0.5) <= 1e-12
 
 
 def test_evaluate_solution_left_endpoint_is_first_coefficient():
@@ -153,6 +171,8 @@ def test_evaluate_solution_refuses_extrapolation():
         evaluate_solution(solution, 1.0 + 1e-9)
     with pytest.raises(OutOfInterval):
         evaluate_solution(solution, -0.1)
+    with pytest.raises(OutOfInterval, match=r"x=1\.25 outside"):
+        evaluate_solution(solution, np.array([0.0, 0.5, 1.25, 1.0]))
 
 
 def grid_11(problem):

@@ -16,34 +16,15 @@ def reconstruct(factors):
     return lower @ upper
 
 
-def permutation_parity(perm):
-    seen = [False] * len(perm)
-    parity = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
-
-
 def test_identity():
     factors = lu_factor(np.eye(3))
     assert (factors.lu == np.eye(3)).all()
     assert factors.perm.tolist() == [0, 1, 2]
-    assert factors.parity == 1
 
 
 def test_pure_row_swap():
     factors = lu_factor([[0.0, 1.0], [1.0, 0.0]])
     assert factors.perm.tolist() == [1, 0]
-    assert factors.parity == -1
     assert (factors.lu == np.eye(2)).all()
 
 
@@ -118,8 +99,6 @@ def test_reconstruction_and_residual_on_random_systems():
         bound = 1e-10 * (norm_inf * np.abs(x).max() + np.abs(b).max())
         assert residual <= bound
 
-        assert factors.parity == permutation_parity(factors.perm.tolist())
-
 
 def test_condition_identity():
     assert condition_1norm(np.eye(5)) == 1.0
@@ -149,20 +128,15 @@ def test_condition_of_bernstein_gram_against_inverse_oracle():
     assert got == pytest.approx(oracle, rel=1e-6)
 
 
-def test_condition_dimension_cap():
-    with pytest.raises(ValueError):
-        condition_1norm(np.eye(65))
-    assert condition_1norm(np.eye(64)) == 1.0
-
-
 def test_singular_condition():
-    with pytest.raises(SingularMatrix):
-        condition_1norm([[1.0, 2.0], [2.0, 4.0]])
+    # singular to working precision: no inverse, so no finite condition
+    assert condition_1norm([[1.0, 2.0], [2.0, 4.0]]) == math.inf
+    assert condition_1norm([[1e-20, 1.0], [0.0, 1.0]]) == math.inf
 
 
-def test_tiny_pivot_respects_custom_tolerance():
-    nearly = [[1e-20, 1.0], [0.0, 1.0]]
+def test_tiny_pivot_is_singular_relative_to_the_norm():
     with pytest.raises(SingularMatrix):
-        lu_factor(nearly)  # default tolerance scales with the norm
-    factors = lu_factor(nearly, pivot_tol=0.0)  # explicit zero lets it pass
+        lu_factor([[1e-20, 1.0], [0.0, 1.0]])
+    # the same pivot passes when the rest of the matrix is as small
+    factors = lu_factor([[1e-20, 0.0], [0.0, 1e-20]])
     assert factors.perm.tolist() == [0, 1]
