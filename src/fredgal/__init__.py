@@ -16,7 +16,6 @@ from .galerkin import (
     ConvergenceRow,
     ErrorRow,
     FredholmProblem,
-    GalerkinSystem,
     Solution,
     as_exact_problem,
     assemble,
@@ -48,7 +47,6 @@ __all__ = [
     "ExactProblem",
     "FredgalError",
     "FredholmProblem",
-    "GalerkinSystem",
     "LUFactors",
     "QuadratureRule",
     "Solution",

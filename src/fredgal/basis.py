@@ -33,12 +33,14 @@ class BasisSpec:
             raise InvalidDegree("degree must be nonnegative")
         if self.n > MAX_DEGREE:
             raise InvalidDegree(f"degree {self.n} exceeds the cap of {MAX_DEGREE}")
+        try:
+            finite = math.isfinite(self.a) and math.isfinite(self.b)
+        except OverflowError:  # a Fraction too large for a float
+            finite = False
+        if not finite:
+            raise InvalidInterval(f"endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.b > self.a:
             raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
-
-    @property
-    def size(self) -> int:
-        return self.n + 1
 
 
 def basis_row(spec: BasisSpec, x) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -112,8 +113,8 @@ def _default_grid(problem, step: float | None) -> list[float]:
     a, b = float(problem.a), float(problem.b)
     width = b - a
     h = width / 10.0 if step is None else step
-    if h <= 0:
-        raise UsageError("--grid-step must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise UsageError(f"--grid-step must be a finite positive number, got {h}")
     count = int(width / h + 1e-9)
     grid = [a + k * h for k in range(count + 1)]
     grid[-1] = min(grid[-1], b)

@@ -109,4 +109,4 @@ class UnknownBuiltin(FredgalError):
 
 
 class IllConditionedWarning(UserWarning):
-    """System condition estimate exceeds the reliability threshold."""
+    """System condition number exceeds the reliability threshold."""

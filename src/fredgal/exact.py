@@ -193,8 +193,8 @@ def _moments(coeffs: list, a: Fraction, h: Fraction, m: int) -> list[Fraction]:
 def exact_assemble(
     problem: ExactProblem, n: int
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational system entries: C[i][j] pairs trial member i with test member
-    j, F[j] is the projected right-hand side."""
+    """Rational system A·coefficients = F: A[j][i] pairs test member j with
+    trial member i, F[j] is the projected right-hand side."""
     if n < 0:
         raise InvalidDegree("degree must be nonnegative")
     if n > MAX_EXACT_DEGREE:
@@ -204,32 +204,31 @@ def exact_assemble(
     comb = math.comb
     # B_i·B_j = C(n,i)·C(n,j)/C(2n,i+j)·B_{i+j}^{2n}
     weighted = _moments(problem.a_poly.coefficients_in_x(), a, h, 2 * n)
-    C = [
-        [Fraction(comb(n, i) * comb(n, j), comb(2 * n, i + j)) * weighted[i + j] for j in size]
-        for i in size
+    A = [
+        [Fraction(comb(n, i) * comb(n, j), comb(2 * n, i + j)) * weighted[i + j] for i in size]
+        for j in size
     ]
     # kernel term c·x^p·t^q: its t-integral against trial member i is c·M[q][i]
     # and its x-integral against test member j is M[p][j], M[d] = moments of x^d
     power = {
         d: _moments([0] * d + [1], a, h, n) for key in problem.kernel_poly.terms for d in key
     }
-    trial = {}  # p -> lam·Σ_q c·M[q], summed first so C is swept once per p
+    trial = {}  # p -> lam·Σ_q c·M[q], summed first so A is swept once per p
     for (p, q), c in problem.kernel_poly.terms.items():
         previous = trial.get(p, [0] * (n + 1))
         trial[p] = [r + problem.lam * c * v for r, v in zip(previous, power[q])]
     for p, row in trial.items():
-        C = [[C[i][j] + row[i] * power[p][j] for j in size] for i in size]
-    return C, _moments(problem.f_poly.coefficients_in_x(), a, h, n)
+        A = [[A[j][i] + row[i] * power[p][j] for i in size] for j in size]
+    return A, _moments(problem.f_poly.coefficients_in_x(), a, h, n)
 
 
 def solve_rational_system(
-    C: list[list[Fraction]], F: list[Fraction]
+    A: list[list[Fraction]], F: list[Fraction]
 ) -> list[Fraction]:
-    """Solve sum_i coeff_i·C[i][j] = F[j] by fraction-exact Gaussian
-    elimination with first-nonzero pivoting."""
+    """Solve A·coefficients = F by fraction-exact Gaussian elimination with
+    first-nonzero pivoting."""
     m = len(F)
-    # equations indexed by j, unknowns by i
-    aug = [[C[i][j] for i in range(m)] + [F[j]] for j in range(m)]
+    aug = [[*row, f] for row, f in zip(A, F)]
     for col in range(m):
         pivot_row = next(
             (r for r in range(col, m) if aug[r][col] != 0),

@@ -86,20 +86,6 @@ class FredholmProblem:
 
 
 @dataclass(frozen=True)
-class GalerkinSystem:
-    """Assembled projection system.
-
-    ``C[i, j]`` pairs trial member i with test member j, so the linear
-    system reads C.T @ coefficients = F.
-    """
-
-    C: np.ndarray
-    F: np.ndarray
-    spec: BasisSpec
-    quadrature_order: int
-
-
-@dataclass(frozen=True)
 class Solution:
     """Expansion coefficients plus provenance of how they were obtained."""
 
@@ -133,8 +119,11 @@ def _eval_grid(node: Node, label: str, x, t=None) -> np.ndarray:
         raise DomainError(f"{label} expression: {exc}") from exc
 
 
-def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> GalerkinSystem:
-    """Build C and F by Gauss-Legendre quadrature of order q.
+def assemble(
+    problem: FredholmProblem, n: int, q: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build A and F of A @ coefficients = F by Gauss-Legendre quadrature of
+    order q: A[j, i] pairs test member j with trial member i.
 
     The kernel contribution needs the inner t-integral at every outer node,
     so the kernel is sampled on the full q-by-q tensor grid.
@@ -142,9 +131,7 @@ def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> Galerkin
     # Fraction * ndarray would give an object array: go to floats first
     a, b, lam = float(problem.a), float(problem.b), float(problem.lam)
     spec = BasisSpec(n, a, b)
-    if q is None:
-        q = default_quadrature_order(n)
-    rule = gauss_legendre(q)
+    rule = gauss_legendre(default_quadrature_order(n) if q is None else q)
     half = 0.5 * (b - a)
     pts = half * rule.nodes + 0.5 * (a + b)
     w = half * rule.weights
@@ -156,11 +143,13 @@ def assemble(problem: FredholmProblem, n: int, q: int | None = None) -> Galerkin
 
     inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·B_i(t) dt
     operator = a_vals[:, None] * basis + lam * inner
-    c_matrix = (operator * w[:, None]).T @ basis
+    # A[j, i] = Σ_m w_m·B_j(x_m)·operator[m, i], stored column-major: the LU
+    # keeps its input's layout, and the layout fixes how its dot products round
+    matrix = ((operator * w[:, None]).T @ basis).T
     f_vec = (w * f_vals) @ basis
-    if not (np.isfinite(c_matrix).all() and np.isfinite(f_vec).all()):
+    if not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
         raise DomainError("assembled system contains nonfinite entries")
-    return GalerkinSystem(c_matrix, f_vec, spec, q)
+    return matrix, f_vec
 
 
 def as_exact_problem(problem: FredholmProblem) -> ExactProblem | None:
@@ -219,35 +208,32 @@ def solve(
             )
 
     if exact_view is not None:
-        c_exact, f_exact = exact_assemble(exact_view, n)
-        coeffs = solve_rational_system(c_exact, f_exact)
-        system_matrix = np.array(
-            [[float(c_exact[i][j]) for i in range(n + 1)] for j in range(n + 1)]
-        )
-        cond = condition_1norm(system_matrix)
+        A, F = exact_assemble(exact_view, n)
+        coeffs = solve_rational_system(A, F)
+        try:
+            cond = condition_1norm(lu_factor(np.array(A, dtype=float)))
+        except (SingularMatrix, OverflowError):
+            # the float view is singular, or an entry is beyond the float range
+            cond = math.inf
         _warn_if_ill_conditioned(cond)
         spec = BasisSpec(n, problem.a, problem.b)
         return Solution(spec, tuple(coeffs), "exact", None, cond)
 
-    system = assemble(problem, n, q)
-    matrix = system.C.T
+    if q is None:
+        q = default_quadrature_order(n)
+    A, F = assemble(problem, n, q)
     try:
-        factors = lu_factor(matrix)
+        factors = lu_factor(A)
     except SingularMatrix as exc:
         raise SingularSystem(
             f"projection system is singular ({exc}); the operator likely "
             "annihilates part of the trial space"
         ) from exc
-    coeffs = lu_solve(factors, system.F)
-    cond = condition_1norm(matrix)
+    coeffs = lu_solve(factors, F)
+    cond = condition_1norm(factors)
     _warn_if_ill_conditioned(cond)
-    return Solution(
-        system.spec,
-        tuple(float(c) for c in coeffs),
-        "float",
-        system.quadrature_order,
-        cond,
-    )
+    spec = BasisSpec(n, float(problem.a), float(problem.b))
+    return Solution(spec, tuple(float(c) for c in coeffs), "float", q, cond)
 
 
 def evaluate_solution(solution: Solution, x):

@@ -3,7 +3,6 @@ Galerkin assembly produces."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +16,13 @@ PIVOT_REL_TOL = 1e-13
 class LUFactors:
     """Packed unit-lower/upper factors of the row-permuted matrix.
 
-    Row i of ``lu`` corresponds to row ``perm[i]`` of the original matrix.
+    Row i of ``lu`` corresponds to row ``perm[i]`` of the original matrix,
+    and ``norm_1`` is that matrix's 1-norm (largest column sum).
     """
 
     lu: np.ndarray
     perm: np.ndarray
+    norm_1: float
 
 
 def lu_factor(matrix) -> LUFactors:
@@ -37,6 +38,7 @@ def lu_factor(matrix) -> LUFactors:
         raise ValueError("matrix entries must be finite")
     m = a.shape[0]
     pivot_tol = PIVOT_REL_TOL * float(np.abs(a).sum(axis=1).max()) if m else 0.0
+    norm_1 = float(np.abs(a).sum(axis=0).max()) if m else 0.0
 
     perm = np.arange(m)
     for k in range(m):
@@ -48,7 +50,7 @@ def lu_factor(matrix) -> LUFactors:
             perm[[k, p]] = perm[[p, k]]
         a[k + 1 :, k] /= a[k, k]
         a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return LUFactors(a, perm)
+    return LUFactors(a, perm, norm_1)
 
 
 def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
@@ -70,20 +72,8 @@ def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
     return y
 
 
-def condition_1norm(matrix) -> float:
-    """Exact 1-norm condition number ||A||_1 · ||A^-1||_1.
-
-    The full inverse is built from one factorization and one solve against
-    the identity.  A matrix that ``lu_factor`` refuses as singular to working
-    precision has condition ``inf``.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        factors = lu_factor(a)
-    except SingularMatrix:
-        return math.inf
-    inverse = lu_solve(factors, np.eye(a.shape[0]))
-    norm_a = float(np.abs(a).sum(axis=0).max())
-    return norm_a * float(np.abs(inverse).sum(axis=0).max())
+def condition_1norm(factors: LUFactors) -> float:
+    """Exact 1-norm condition number ||A||_1 · ||A^-1||_1 of the factored
+    matrix, its full inverse built by one solve against the identity."""
+    inverse = lu_solve(factors, np.eye(factors.lu.shape[0]))
+    return factors.norm_1 * float(np.abs(inverse).sum(axis=0).max())

@@ -1,8 +1,11 @@
 """The package's public surface: each exported name resolves and is listed
-once, and names removed from the package are neither exported nor left
-behind on their modules."""
+once, names removed from the package are neither exported nor left behind
+on their modules, and every name the benchmark's tracer wraps still
+resolves."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ REMOVED = [
     ("fredgal.basis", "basis_integral"),
     ("fredgal.errors", "IndexOutOfRange"),
     ("fredgal.linalg", "MAX_CONDITION_DIM"),
+    ("fredgal.galerkin", "GalerkinSystem"),
+    ("fredgal.basis", "BasisSpec.size"),
 ]
 
 
@@ -28,4 +33,28 @@ def test_every_exported_name_resolves_once():
 def test_removed_name_is_gone(module, name):
     assert name not in fredgal.__all__
     assert not hasattr(fredgal, name)
-    assert not hasattr(importlib.import_module(module), name)
+    *owners, attr = name.split(".")
+    owner = importlib.import_module(module)
+    for part in owners:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, attr)
+
+
+def test_benchmark_tracer_targets_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    galerkin = importlib.import_module("fredgal.galerkin")
+    original = galerkin.lu_factor
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert galerkin.lu_factor is not original
+        assert tracer.missing == [
+            "fredgal.exact.bernstein_poly_exact",
+            "fredgal.basis.bernstein_poly_exact",
+        ]
+    finally:
+        tracer.uninstall()
+    assert galerkin.lu_factor is original

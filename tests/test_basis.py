@@ -33,7 +33,15 @@ def test_spec_validation():
         BasisSpec(-1, 0.0, 1.0)
     with pytest.raises(InvalidDegree):
         BasisSpec(51, 0.0, 1.0)
-    assert BasisSpec(50, 0.0, 1.0).size == 51
+    assert BasisSpec(50, 0.0, 1.0).n == 50
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, Fraction(10**400))]
+)
+def test_spec_rejects_nonfinite_endpoints(a, b):
+    with pytest.raises(InvalidInterval):
+        BasisSpec(2, a, b)
 
 
 def test_value_midpoint_degree_ten():

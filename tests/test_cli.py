@@ -238,3 +238,34 @@ def test_nonfinite_number_is_an_input_error(capsys, tmp_path, old, new):
     )
     code, _, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
     assert code == 1 and "line" in err and "Traceback" not in err
+
+
+def test_exact_solve_reports_infinite_condition_of_system_beyond_float_range(capsys, tmp_path):
+    path = tmp_path / "huge.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -1\n"
+        "kernel = 1e400*x*t\nrhs = x\n"
+    )
+    with pytest.warns(IllConditionedWarning):
+        code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    assert code == 0 and "Traceback" not in err
+    assert "mode: exact\n" in out and "condition: inf\n" in out
+    with np.errstate(invalid="ignore"):
+        code, _, err = run(
+            capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", "float"
+        )
+    assert code == 2 and "nonfinite" in err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0"])
+def test_grid_step_must_be_finite_and_positive(capsys, step):
+    code, out, err = run(
+        capsys, "table", "--builtin", "example4", "--degree", "3", f"--grid-step={step}"
+    )
+    assert code == 1 and out == "" and "--grid-step" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("endpoint", ["--interval-b=inf", "--interval-a=-inf", "--interval-b=nan"])
+def test_basis_rejects_nonfinite_endpoints(capsys, endpoint):
+    code, out, err = run(capsys, "basis", "--degree", "2", "--samples", "3", endpoint)
+    assert code == 1 and out == "" and "finite" in err

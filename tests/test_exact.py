@@ -107,18 +107,19 @@ def test_assemble_rhs_is_constant_for_unit_rhs():
 
 def test_assemble_degree_zero_quartic_difference_kernel():
     problem = as_exact_problem(builtin("example2"))
-    C, rhs = exact_assemble(problem, 0)
-    assert C == [[F(2)]]
+    A, rhs = exact_assemble(problem, 0)
+    assert A == [[F(2)]]
     assert rhs == [F(0)]
 
 
-def test_assemble_orientation_is_trial_by_test():
+def test_assemble_orientation_is_test_by_trial():
     # antisymmetric kernel x^4 - t^4 at n=2 on [-1,1]; entries worked out
-    # by hand from the Gram matrix and the moments of t^4
+    # by hand from the Gram matrix and the moments of t^4: row j is test
+    # member j, column i trial member i
     problem = as_exact_problem(builtin("example2"))
-    C, _ = exact_assemble(problem, 2)
-    assert C[0][1] == F(29, 105)
-    assert C[1][0] == F(13, 105)
+    A, _ = exact_assemble(problem, 2)
+    assert A[1][0] == F(29, 105)
+    assert A[0][1] == F(13, 105)
 
 
 def test_assemble_without_kernel_term_gives_symmetric_gram():
@@ -130,12 +131,12 @@ def test_assemble_without_kernel_term_gives_symmetric_gram():
         F(0),
         F(1),
     )
-    C, _ = exact_assemble(problem, 3)
+    A, _ = exact_assemble(problem, 3)
     for i in range(4):
         for j in range(4):
-            assert C[i][j] == C[j][i]
+            assert A[i][j] == A[j][i]
             want = F(math.comb(3, i) * math.comb(3, j), 7 * math.comb(6, i + j))
-            assert C[i][j] == want
+            assert A[i][j] == want
 
 
 def test_assemble_degree_cap():
@@ -209,10 +210,10 @@ def test_closed_form_assembly_matches_quadrature():
     )
     exact_view = as_exact_problem(problem)
     for n in (0, 4, 9):
-        C, rhs = exact_assemble(exact_view, n)
-        system = assemble(problem, n)
-        assert np.allclose(system.C, np.array(C, dtype=float), rtol=1e-12, atol=1e-14)
-        assert np.allclose(system.F, np.array(rhs, dtype=float), rtol=1e-12, atol=1e-14)
+        A, rhs = exact_assemble(exact_view, n)
+        float_A, float_rhs = assemble(problem, n)
+        assert np.allclose(float_A, np.array(A, dtype=float), rtol=1e-12, atol=1e-14)
+        assert np.allclose(float_rhs, np.array(rhs, dtype=float), rtol=1e-12, atol=1e-14)
 
 
 def test_singular_operator_detected():

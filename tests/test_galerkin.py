@@ -26,6 +26,7 @@ from fredgal.galerkin import (
     evaluate_solution,
     solve,
 )
+from fredgal.linalg import lu_factor
 from fredgal.problems import builtin
 
 
@@ -56,31 +57,31 @@ def test_nonfinite_problem_numbers_are_invalid(lam, b, mode):
 
 
 def test_assemble_rhs_constant_for_unit_rhs():
-    system = assemble(builtin("example1"), 3)
-    assert system.F == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-13)
+    _, F = assemble(builtin("example1"), 3)
+    assert F == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-13)
 
 
 def test_assemble_exponential_rhs_first_entry():
     # integral of e^x (1-x)^3 over [0,1] = 6e - 16, by parts
-    system = assemble(builtin("example4"), 3)
-    assert abs(system.F[0] - (6.0 * math.e - 16.0)) <= 1e-12
+    _, F = assemble(builtin("example4"), 3)
+    assert abs(F[0] - (6.0 * math.e - 16.0)) <= 1e-12
 
 
 def test_assemble_gram_when_kernel_disabled():
     problem = FredholmProblem(parse("1"), 0.0, parse("exp(x*t)"), parse("1"), 0.0, 1.0)
-    system = assemble(problem, 4)
-    assert np.abs(system.C - system.C.T).max() <= 1e-14
-    assert (np.linalg.eigvalsh(system.C) > 0.0).all()
+    A, _ = assemble(problem, 4)
+    assert np.abs(A - A.T).max() <= 1e-14
+    assert (np.linalg.eigvalsh(A) > 0.0).all()
 
 
 def test_assemble_matches_exact_entries():
     problem = builtin("example2")
-    exact_C, exact_F = exact_assemble(as_exact_problem(problem), 2)
-    system = assemble(problem, 2)
-    for i in range(3):
-        assert abs(system.F[i] - float(exact_F[i])) <= 1e-14
-        for j in range(3):
-            assert abs(system.C[i, j] - float(exact_C[i][j])) <= 1e-14
+    exact_A, exact_F = exact_assemble(as_exact_problem(problem), 2)
+    A, F = assemble(problem, 2)
+    for j in range(3):
+        assert abs(F[j] - float(exact_F[j])) <= 1e-14
+        for i in range(3):
+            assert abs(A[j, i] - float(exact_A[j][i])) <= 1e-14
 
 
 def test_solve_exponential_problem_matches_reference_monomials():
@@ -242,10 +243,10 @@ def test_exact_representability_across_degrees():
 def test_residual_orthogonality():
     problem = builtin("example4")
     for n in range(3, 7):
-        system = assemble(problem, n, 32)
+        A, F = assemble(problem, n, 32)
         solution = solve(problem, n, q=32)
-        residual = system.C.T @ np.array(solution.coefficients) - system.F
-        assert np.abs(residual).max() <= 1e-8 * np.abs(system.F).max()
+        residual = A @ np.array(solution.coefficients) - F
+        assert np.abs(residual).max() <= 1e-8 * np.abs(F).max()
 
 
 def test_quadrature_order_stability():
@@ -283,3 +284,31 @@ def test_domain_error_names_offending_piece():
     with pytest.raises(DomainError) as err:
         assemble(problem, 2)
     assert "kernel" in str(err.value)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_each_solve_factors_its_matrix_once(monkeypatch, mode):
+    import fredgal.galerkin
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return lu_factor(matrix)
+
+    monkeypatch.setattr(fredgal.galerkin, "lu_factor", counting)
+    solution = solve(builtin("example1"), 3, mode=mode)
+    assert solution.condition > 1.0
+    assert calls == [(4, 4)]
+
+
+def test_exact_solve_with_an_entry_beyond_float_range():
+    problem = FredholmProblem(parse("1"), -1, parse("1e400*x*t"), parse("x"), 0, 1)
+    with pytest.warns(IllConditionedWarning):
+        solution = solve(problem, 2)
+    assert solution.mode == "exact" and solution.condition == math.inf
+    # the coefficients still solve the rational system
+    A, F = exact_assemble(as_exact_problem(problem), 2)
+    assert [sum(a * c for a, c in zip(row, solution.coefficients)) for row in A] == F
+    with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+        solve(problem, 2, mode="float")

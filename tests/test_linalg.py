@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fredgal.errors import SingularMatrix
+from fredgal.errors import IllConditionedWarning, SingularMatrix
+from fredgal.expr import parse
+from fredgal.galerkin import FredholmProblem, solve
 from fredgal.linalg import condition_1norm, lu_factor, lu_solve
 
 
@@ -101,11 +103,11 @@ def test_reconstruction_and_residual_on_random_systems():
 
 
 def test_condition_identity():
-    assert condition_1norm(np.eye(5)) == 1.0
+    assert condition_1norm(lu_factor(np.eye(5))) == 1.0
 
 
 def test_condition_diagonal():
-    assert condition_1norm(np.diag([1.0, 1000.0])) == pytest.approx(1000.0, rel=1e-12)
+    assert condition_1norm(lu_factor(np.diag([1.0, 1000.0]))) == pytest.approx(1000.0, rel=1e-12)
 
 
 def bernstein_gram(n):
@@ -122,16 +124,21 @@ def bernstein_gram(n):
 
 def test_condition_of_bernstein_gram_against_inverse_oracle():
     g = bernstein_gram(3)
-    got = condition_1norm(g)
+    got = condition_1norm(lu_factor(g))
     oracle = np.abs(g).sum(axis=0).max() * np.abs(np.linalg.inv(g)).sum(axis=0).max()
     assert got > 1.0
     assert got == pytest.approx(oracle, rel=1e-6)
 
 
 def test_singular_condition():
+    # read exactly, lambda leaves the system regular, but its float view is
     # singular to working precision: no inverse, so no finite condition
-    assert condition_1norm([[1.0, 2.0], [2.0, 4.0]]) == math.inf
-    assert condition_1norm([[1e-20, 1.0], [0.0, 1.0]]) == math.inf
+    lam = Fraction(-(10**17) + 1, 10**17)
+    near = FredholmProblem(parse("1"), lam, parse("1"), parse("1"), 0, 1)
+    with pytest.warns(IllConditionedWarning):
+        solution = solve(near, 2, mode="exact")
+    assert solution.condition == math.inf
+    assert solution.coefficients == (Fraction(10**17),) * 3
 
 
 def test_tiny_pivot_is_singular_relative_to_the_norm():
@@ -140,3 +147,9 @@ def test_tiny_pivot_is_singular_relative_to_the_norm():
     # the same pivot passes when the rest of the matrix is as small
     factors = lu_factor([[1e-20, 0.0], [0.0, 1e-20]])
     assert factors.perm.tolist() == [0, 1]
+
+
+def test_condition_of_nonsymmetric_matrix_uses_column_sums():
+    rng = np.random.default_rng(107)
+    a = _random_well_conditioned(rng, 6)
+    assert condition_1norm(lu_factor(a)) == pytest.approx(np.linalg.cond(a, 1), rel=1e-10)
