@@ -8,7 +8,6 @@ from .exact import (
     BivarPoly,
     ExactProblem,
     exact_assemble,
-    residual_poly,
     solve_rational_system,
 )
 from .expr import evaluate, parse, to_polynomial, to_text, variables
@@ -69,7 +68,6 @@ __all__ = [
     "lu_solve",
     "parse",
     "parse_problem",
-    "residual_poly",
     "solve",
     "solve_rational_system",
     "to_polynomial",

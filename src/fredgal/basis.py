@@ -68,8 +68,12 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     """Monomial coefficients c_0..c_n with sum(coeffs[i]·B_i) = sum(c_k·x^k).
 
     Fraction (or int) inputs come back as exact Fractions; float inputs come
-    back as floats.  The expansion itself runs in rational arithmetic either
-    way, so no accuracy is lost to intermediate rounding.
+    back as floats.  Either way the expansion runs on Python integers: the
+    coefficients and the endpoints a = an/ad, h = b - a = hn/hd are put over
+    one denominator, and each output is one exact quotient, reduced once to
+    a Fraction or rounded once to the nearest float (±inf beyond the float
+    range).  So float outputs carry a single rounding and no intermediate
+    one.
     """
     if len(coeffs) != spec.n + 1:
         raise ValueError(f"expected {spec.n + 1} coefficients, got {len(coeffs)}")
@@ -77,16 +81,34 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     n, a = spec.n, Fraction(spec.a)
     h = Fraction(spec.b) - a
     c = [Fraction(v) for v in coeffs]
-    # power form in u = (x-a)/h: d_k = C(n,k)·Σ_{i<=k} (-1)^(k-i)·C(k,i)·c_i
-    # = C(n,k)·(k-th forward difference of c at 0), kept divided by h^k
-    d = []
+    common = math.lcm(*(v.denominator for v in c))
+    diff = [v.numerator * (common // v.denominator) for v in c]
+    # power form in u = (x-a)/h: the u^k coefficient is C(n,k)·Δ^k c_0 / h^k
+    # (forward difference at 0).  Over den = common·hn^n·ad^n it is e_k, the
+    # coefficient of (ad·x - an)^k
+    e = []
     for k in range(n + 1):
-        d.append(math.comb(n, k) * c[0] / h**k)
-        c = [right - left for left, right in zip(c, c[1:])]
-    # (x-a)^k = Σ_m C(k,m)·(-a)^(k-m)·x^m
-    shift = [(-a) ** e for e in range(n + 1)]
-    out = [
-        sum(d[k] * math.comb(k, m) * shift[k - m] for k in range(m, n + 1))
-        for m in range(n + 1)
-    ]
-    return out if exact else [float(v) for v in out]
+        e.append(
+            math.comb(n, k) * diff[0] * h.denominator**k
+            * (h.numerator * a.denominator) ** (n - k)
+        )
+        diff = [right - left for left, right in zip(diff, diff[1:])]
+    # Taylor shift by -an, one Horner step per entry: Σ e_k·(y - an)^k
+    # becomes Σ e_m·y^m, and y^m = ad^m·x^m
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            e[j] -= a.numerator * e[j + 1]
+    den = common * (h.numerator * a.denominator) ** n
+    out = [v * a.denominator**m for m, v in enumerate(e)]
+    if exact:
+        return [Fraction(v, den) for v in out]
+    return [_nearest_float(v, den) for v in out]
+
+
+def _nearest_float(numerator: int, denominator: int) -> float:
+    """numerator/denominator (denominator > 0) rounded once, to ±inf past
+    the float range as float arithmetic would."""
+    try:
+        return numerator / denominator  # int/int division is correctly rounded
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf

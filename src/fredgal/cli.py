@@ -31,6 +31,11 @@ from .galerkin import convergence_study, error_table, solve
 from .problems import BUILTIN_NAMES, builtin, load_problem
 
 
+# most points a table grid or a basis sample may have, checked before any
+# point is built
+MAX_GRID_POINTS = 10**6
+
+
 class UsageError(Exception):
     pass
 
@@ -115,7 +120,10 @@ def _default_grid(problem, step: float | None) -> list[float]:
     h = width / 10.0 if step is None else step
     if not (h > 0 and math.isfinite(h)):
         raise UsageError(f"--grid-step must be a finite positive number, got {h}")
-    count = int(width / h + 1e-9)
+    steps = width / h + 1e-9  # the grid has int(steps) + 1 points
+    if not steps < MAX_GRID_POINTS:
+        raise UsageError(f"--grid-step {h} gives more than {MAX_GRID_POINTS} grid points")
+    count = int(steps)
     grid = [a + k * h for k in range(count + 1)]
     grid[-1] = min(grid[-1], b)
     return grid
@@ -142,8 +150,8 @@ def _cmd_table(args) -> str:
     problem = _resolve_problem(args)
     if problem.exact_expr is None:
         raise UsageError("problem has no exact solution; 'table' requires one")
-    solution = solve(problem, args.degree, mode=args.mode, q=args.quadrature)
     grid = _default_grid(problem, args.grid_step)
+    solution = solve(problem, args.degree, mode=args.mode, q=args.quadrature)
     rows = error_table(solution, problem.exact_expr, grid)
     lines = ["x,exact,approx,E,E_kind"]
     for row in rows:
@@ -171,6 +179,8 @@ def emit_basis_samples(n: int, a: float, b: float, samples: int, out_path) -> No
     """
     if samples < 2:
         raise UsageError("--samples must be at least 2")
+    if samples > MAX_GRID_POINTS:
+        raise UsageError(f"--samples must be at most {MAX_GRID_POINTS}")
     spec = BasisSpec(n, a, b)
     header = "x," + ",".join(f"B{i}" for i in range(n + 1))
     lines = [header]

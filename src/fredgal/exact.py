@@ -137,22 +137,6 @@ class BivarPoly:
             out[i] = c
         return out
 
-    def swap_vars(self) -> "BivarPoly":
-        """Exchange the roles of x and t."""
-        return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
-
-    # -- calculus --------------------------------------------------------
-
-    def integrate_t(self, a, b) -> "BivarPoly":
-        """Definite integral over t in [a, b]; result depends on x only."""
-        a, b = Fraction(a), Fraction(b)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            contrib = c * (b ** (j + 1) - a ** (j + 1)) / (j + 1)
-            key = (i, 0)
-            out[key] = out.get(key, Fraction(0)) + contrib
-        return BivarPoly(out)
-
 
 @dataclass(frozen=True)
 class ExactProblem:
@@ -252,14 +236,3 @@ def solve_rational_system(
         coeffs[col] = acc / aug[col][col]
     return coeffs
 
-
-def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:
-    """a·phi + lam·∫ k·phi(t) dt - f for a candidate solution phi(x).
-
-    Identically zero exactly when phi solves the equation.
-    """
-    if phi.degree_t:
-        raise ValueError("candidate solution must be a polynomial in x only")
-    phi_t = phi.swap_vars()
-    integral = (problem.kernel_poly * phi_t).integrate_t(problem.a, problem.b)
-    return problem.a_poly * phi + integral.scale(problem.lam) - problem.f_poly

@@ -177,7 +177,7 @@ def as_exact_problem(problem: FredholmProblem) -> ExactProblem | None:
 def _warn_if_ill_conditioned(cond: float) -> None:
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
-            f"system condition estimate {cond:.3e} exceeds "
+            f"system condition number {cond:.3e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be unreliable",
             IllConditionedWarning,
             stacklevel=3,

@@ -12,12 +12,14 @@ import numpy as np
 
 from fredgal.basis import BasisSpec, basis_row, bernstein_to_monomial
 from fredgal.cli import main
-from fredgal.exact import BivarPoly, residual_poly
+from fredgal.exact import BivarPoly
 from fredgal.expr import parse, to_text
 from fredgal.galerkin import as_exact_problem, assemble, convergence_study, evaluate_solution, solve
 from fredgal.linalg import lu_factor, lu_solve
 from fredgal.problems import builtin
 from fredgal.quadrature import gauss_legendre
+
+from exact_oracle import residual_poly
 
 F = Fraction
 

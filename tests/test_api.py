@@ -20,6 +20,9 @@ REMOVED = [
     ("fredgal.linalg", "MAX_CONDITION_DIM"),
     ("fredgal.galerkin", "GalerkinSystem"),
     ("fredgal.basis", "BasisSpec.size"),
+    ("fredgal.exact", "residual_poly"),
+    ("fredgal.exact", "BivarPoly.swap_vars"),
+    ("fredgal.exact", "BivarPoly.integrate_t"),
 ]
 
 

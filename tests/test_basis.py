@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -291,3 +292,99 @@ def test_monomial_conversion_float_input_at_degree_forty():
     coeffs = rng.uniform(-2.0, 2.0, size=41).tolist()
     exact = bernstein_to_monomial([Fraction(c) for c in coeffs], spec)
     assert bernstein_to_monomial(coeffs, spec) == [float(c) for c in exact]
+
+
+def rational_monomial_reference(coeffs, spec):
+    """The Fraction-per-step conversion the integer kernel replaced, kept as
+    its reference: forward differences and the shift (x-a)^k, each step a
+    normalised Fraction, rounded to float at the end for float input."""
+    exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
+    n, a = spec.n, Fraction(spec.a)
+    h = Fraction(spec.b) - a
+    c = [Fraction(v) for v in coeffs]
+    d = []
+    for k in range(n + 1):
+        d.append(math.comb(n, k) * c[0] / h**k)
+        c = [right - left for left, right in zip(c, c[1:])]
+    shift = [(-a) ** e for e in range(n + 1)]
+    out = [
+        sum(d[k] * math.comb(k, m) * shift[k - m] for k in range(m, n + 1))
+        for m in range(n + 1)
+    ]
+    return out if exact else [float(v) for v in out]
+
+
+def assert_identical(got, want):
+    # == plus element type, and for floats the same bits (the sign of zero too)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert got == want
+    for g, w in zip(got, want):
+        if isinstance(w, float):
+            assert struct.pack("<d", g) == struct.pack("<d", w)
+
+
+KINDS = ("float", "fraction", "mixed")
+
+
+def draw_coefficients(rng, n, kind):
+    if kind == "float":
+        return (rng.uniform(-2.0, 2.0, size=n + 1) * 10.0 ** rng.integers(-4, 5)).tolist()
+    if kind == "fraction":
+        return [Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 100))) for _ in range(n + 1)]
+    pick = [
+        lambda: int(rng.integers(-5, 6)),
+        lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))),
+        lambda: float(rng.uniform(-2.0, 2.0)),
+    ]
+    return [pick[int(rng.integers(0, 3))]() for _ in range(n + 1)]
+
+
+INTERVALS = [
+    (0.0, 1.0),
+    (0.1, 1.1),
+    (-0.3, 1.7),
+    (0.1, 0.1 + 1e-8),
+    (-1.0, 1.0),
+    (Fraction(-1, 3), Fraction(7, 2)),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("interval", range(len(INTERVALS)))
+def test_monomial_conversion_is_identical_to_the_rational_reference(kind, interval):
+    # the intervals share out the degrees 0..50 between them, and each also
+    # takes the top degree
+    a, b = INTERVALS[interval]
+    rng = np.random.default_rng([51, KINDS.index(kind), interval])
+    for n in sorted({*range(interval, 51, len(INTERVALS)), 50}):
+        spec = BasisSpec(n, a, b)
+        coeffs = draw_coefficients(rng, n, kind)
+        try:
+            want = rational_monomial_reference(coeffs, spec)
+        except OverflowError:  # the reference cannot round past the float range
+            continue
+        assert_identical(bernstein_to_monomial(coeffs, spec), want)
+
+
+def test_monomial_conversion_keeps_the_sign_of_zero():
+    # zero inputs give +0.0; on [0, 1e300] the slope -1e-300/1e300 underflows to -0.0
+    for coeffs, spec in (
+        ([0.0] * 4, BasisSpec(3, 0.0, 1.0)),
+        ([-0.0] * 4, BasisSpec(3, 0.0, 1.0)),
+        ([0.0, -1e-300], BasisSpec(1, 0.0, 1e300)),
+    ):
+        got = bernstein_to_monomial(coeffs, spec)
+        assert_identical(got, rational_monomial_reference(coeffs, spec))
+    assert math.copysign(1.0, got[1]) == -1.0
+
+
+def test_monomial_conversion_rounds_past_the_float_range_to_infinity():
+    # on [0, 1e-10] the degree-one member x/1e-10 scales 1e300 to 1e310
+    spec = BasisSpec(1, 0.0, 1e-10)
+    assert bernstein_to_monomial([0.0, 1e300], spec) == [0.0, math.inf]
+    assert bernstein_to_monomial([0.0, -1e300], spec) == [0.0, -math.inf]
+    with pytest.raises(OverflowError):
+        rational_monomial_reference([0.0, 1e300], spec)
+    # exact input has no float range to leave
+    exact = bernstein_to_monomial([Fraction(0), Fraction(10**300)], spec)
+    assert exact[1] == Fraction(10**300) / Fraction(1e-10)

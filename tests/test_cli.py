@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fredgal.cli import fmt10, format_polynomial, main
+from fredgal.cli import MAX_GRID_POINTS, fmt10, format_polynomial, main
 from fredgal.errors import IllConditionedWarning
 from fredgal.problems import builtin, write_problem
 
@@ -269,3 +271,38 @@ def test_grid_step_must_be_finite_and_positive(capsys, step):
 def test_basis_rejects_nonfinite_endpoints(capsys, endpoint):
     code, out, err = run(capsys, "basis", "--degree", "2", "--samples", "3", endpoint)
     assert code == 1 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324", "1e-6"])
+def test_grid_step_beyond_the_point_cap_is_refused_before_any_point_is_built(capsys, step):
+    # example4 is on [0, 1]: step 1e-6 asks for 10^6 + 1 points, one past the cap
+    code, out, err = run(
+        capsys, "table", "--builtin", "example4", "--degree", "3", f"--grid-step={step}"
+    )
+    assert code == 1 and out == "" and "--grid-step" in err and "Traceback" not in err
+    assert str(MAX_GRID_POINTS) in err
+
+
+@pytest.mark.parametrize("samples", [MAX_GRID_POINTS + 1, 10**12])
+def test_basis_samples_beyond_the_point_cap_are_refused(capsys, samples):
+    code, out, err = run(capsys, "basis", "--degree", "2", "--samples", str(samples))
+    assert code == 1 and out == "" and "--samples" in err and "Traceback" not in err
+
+
+def test_float_solve_prints_out_of_range_monomial_coefficients_as_infinities(capsys, tmp_path):
+    # finite Bernstein coefficients near 1e307 whose monomial form leaves the
+    # float range: the conversion rounds those coefficients to +-inf
+    path = tmp_path / "huge_rhs.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 1\n"
+        "kernel = exp(x*t)\nrhs = 1e307*exp(x)\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)  # condition near 1e12
+        code, out, err = run(
+            capsys, "solve", "--problem", str(path), "--degree", "20", "--mode", "float"
+        )
+    assert code == 0 and "Traceback" not in err
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert all(np.isfinite(float(c)) for c in lines["coefficients"].split())
+    assert "- inf*x^7 + inf*x^8" in lines["monomial"]

@@ -14,12 +14,13 @@ from fredgal.exact import (
     BivarPoly,
     ExactProblem,
     exact_assemble,
-    residual_poly,
     solve_rational_system,
 )
 from fredgal.expr import parse, to_polynomial
 from fredgal.galerkin import FredholmProblem, as_exact_problem, assemble
 from fredgal.problems import builtin
+
+from exact_oracle import residual_poly
 
 
 def F(*args):
@@ -63,19 +64,6 @@ def test_poly_pow_cap():
         BivarPoly({(60, 0): F(1)}) * BivarPoly({(60, 0): F(1)})
 
 
-def test_integrate_t_even_power():
-    assert BivarPoly({(0, 2): F(1)}).integrate_t(-1, 1) == BivarPoly.const(F(2, 3))
-
-
-def test_integrate_t_mixed_kernel():
-    kernel = to_polynomial(parse("x*t + x^2*t^2"))
-    assert kernel.integrate_t(-1, 1) == BivarPoly({(2, 0): F(2, 3)})
-
-
-def test_integrate_t_on_unit_interval():
-    assert BivarPoly({(0, 1): F(1)}).integrate_t(0, 1) == BivarPoly.const(F(1, 2))
-
-
 def test_bernstein_exact_linear():
     assert phi_poly(unit(0, 1), 0, 1) == x_poly(1, -1)
 
@@ -87,8 +75,8 @@ def test_bernstein_exact_degree_ten_is_one_minus_x_to_the_tenth():
 
 
 def test_bernstein_exact_middle_of_quadratic_in_t():
-    got = phi_poly(unit(1, 2), -1, 1).swap_vars()
-    assert got == BivarPoly({(0, 0): F(1, 2), (0, 2): F(-1, 2)})
+    got = phi_poly(unit(1, 2), -1, 1)
+    assert got == BivarPoly({(0, 0): F(1, 2), (2, 0): F(-1, 2)})
 
 
 def test_partition_of_unity_is_exact_identity():
@@ -245,3 +233,16 @@ def test_problem_shape_validation():
 def test_residual_poly_flags_nonsolutions():
     problem = as_exact_problem(builtin("example1"))
     assert not residual_poly(problem, x_poly(1)).is_zero
+
+
+def test_residual_poly_integrates_the_kernel_over_t():
+    # with a = 0, lam = 1 and f = 0 the residual of phi is ∫ k(t,x)·phi(t) dt
+    def integral(kernel, phi, a, b):
+        problem = ExactProblem(BivarPoly(), F(1), to_polynomial(parse(kernel)), BivarPoly(), a, b)
+        return residual_poly(problem, phi)
+
+    assert integral("t^2", x_poly(1), F(-1), F(1)) == BivarPoly.const(F(2, 3))
+    assert integral("x*t + x^2*t^2", x_poly(1), F(-1), F(1)) == x_poly(0, 0, F(2, 3))
+    assert integral("t", x_poly(1), F(0), F(1)) == BivarPoly.const(F(1, 2))
+    # phi(t) = t against the kernel x: ∫ x·t dt over [0, 2] is 2x
+    assert integral("x", x_poly(0, 1), F(0), F(2)) == x_poly(0, 2)

@@ -272,6 +272,14 @@ def test_condition_warning_on_high_degree():
     assert any(issubclass(w.category, IllConditionedWarning) for w in caught)
 
 
+def test_condition_warning_names_the_condition_number():
+    # the figure is the exact 1-norm condition number of the system, not an estimate
+    problem = FredholmProblem(parse("1"), 0.0, parse("x*t"), parse("1"), 0.0, 1.0)
+    pattern = r"^system condition number \d\.\d{3}e\+\d+ exceeds 1e\+12; coefficients may"
+    with pytest.warns(IllConditionedWarning, match=pattern):
+        solve(problem, 22, mode="float")
+
+
 def test_no_warning_on_well_conditioned_solve():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
