@@ -24,7 +24,6 @@ from .galerkin import (
     evaluate_solution,
     solve,
 )
-from .linalg import LUFactors, condition_1norm, lu_factor, lu_solve
 from .problems import (
     BUILTIN_NAMES,
     builtin,
@@ -46,7 +45,6 @@ __all__ = [
     "ExactProblem",
     "FredgalError",
     "FredholmProblem",
-    "LUFactors",
     "QuadratureRule",
     "Solution",
     "as_exact_problem",
@@ -54,7 +52,6 @@ __all__ = [
     "basis_row",
     "bernstein_to_monomial",
     "builtin",
-    "condition_1norm",
     "convergence_study",
     "default_quadrature_order",
     "error_table",
@@ -64,8 +61,6 @@ __all__ = [
     "format_problem",
     "gauss_legendre",
     "load_problem",
-    "lu_factor",
-    "lu_solve",
     "parse",
     "parse_problem",
     "solve",

@@ -3,6 +3,10 @@
 The n+1 members are nonnegative on the interval, sum to one, and
 interpolate at the endpoints, which makes the first/last expansion
 coefficients equal to the represented function's endpoint values.
+
+The float solve writes its system in the orthonormal shifted-Legendre basis
+of the same space (``legendre_row``) and maps the result back through
+``legendre_to_bernstein``.
 """
 
 from __future__ import annotations
@@ -10,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidDegree, InvalidInterval
 
-# Gram matrices of this basis become numerically unusable well before
-# degree 50; refuse anything beyond rather than return garbage.
+# Bernstein coefficients amplify errors in the solved system by up to
+# ||legendre_to_bernstein(n)||_inf, about 1.3e15 at degree 50: refuse
+# anything beyond rather than return garbage.
 MAX_DEGREE = 50
 
 
@@ -50,8 +56,7 @@ def basis_row(spec: BasisSpec, x) -> np.ndarray:
     Uses the de Casteljau-style pyramid on u = (x-a)/(b-a): no binomial
     coefficients, no cancellation, and exact rows at the endpoints.
     """
-    # b - a before float(): Fraction endpoints give their width rounded once
-    u = (np.asarray(x, dtype=float) - float(spec.a)) / float(spec.b - spec.a)
+    u = _unit(spec, x)
     v = 1.0 - u
     row = np.zeros(u.shape + (spec.n + 1,))
     row[..., 0] = 1.0
@@ -62,6 +67,54 @@ def basis_row(spec: BasisSpec, x) -> np.ndarray:
         row[..., 1 : level + 1] = u * row[..., 0:level] + v * row[..., 1 : level + 1]
         row[..., :1] *= v
     return row
+
+
+def legendre_row(spec: BasisSpec, x) -> np.ndarray:
+    """The orthonormal members sqrt(2k+1)·P_k(2u-1), k = 0..n, at x, laid
+    out like ``basis_row``.
+
+    Built by the three-term Legendre recurrence on the same u = (x-a)/(b-a);
+    the members are orthonormal over u in [0, 1].
+    """
+    s = 2.0 * _unit(spec, x) - 1.0
+    row = np.empty(s.shape + (spec.n + 1,))
+    row[..., 0] = 1.0
+    if spec.n:
+        row[..., 1] = s
+    for k in range(1, spec.n):
+        row[..., k + 1] = ((2 * k + 1) * s * row[..., k] - k * row[..., k - 1]) / (k + 1)
+    return row * np.sqrt(2.0 * np.arange(spec.n + 1) + 1.0)
+
+
+@lru_cache(maxsize=None)
+def legendre_to_bernstein(n: int) -> np.ndarray:
+    """T with ``basis_row(spec, x) @ T == legendre_row(spec, x)`` for every
+    degree-n spec: column k holds the Bernstein coefficients of member k.
+
+    Closed form (Farouki, J. Comput. Appl. Math. 119 (2000) 145-160):
+    T[i, k] = sqrt(2k+1)·Σ_j (-1)^(k+j)·C(k,j)²·C(n-k,i-j) / C(n,i), the sum
+    in integers, its quotient by C(n,i) rounded once to a float and then
+    scaled.  Built on first use and cached per degree, read-only.
+    """
+    pascal = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    t = np.empty((n + 1, n + 1))
+    for k in range(n + 1):
+        scale = math.sqrt(2 * k + 1)
+        ck, rest = pascal[k], pascal[n - k]
+        for i in range(n + 1):
+            total = 0
+            for j in range(max(0, i + k - n), min(i, k) + 1):
+                term = ck[j] * ck[j] * rest[i - j]
+                total += -term if (k + j) % 2 else term
+            t[i, k] = total / pascal[n][i] * scale
+    t.flags.writeable = False
+    return t
+
+
+def _unit(spec: BasisSpec, x) -> np.ndarray:
+    """u = (x-a)/(b-a) as floats."""
+    # b - a before float(): Fraction endpoints give their width rounded once
+    return (np.asarray(x, dtype=float) - float(spec.a)) / float(spec.b - spec.a)
 
 
 def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:

@@ -40,15 +40,8 @@ class InvalidProblem(FredgalError):
 
 
 class OrderOutOfRange(FredgalError):
-    """Quadrature order outside the supported 1..128 range."""
-
-
-class SingularMatrix(FredgalError):
-    """No usable pivot during LU factorization."""
-
-    def __init__(self, column: int, message: str | None = None):
-        super().__init__(message or f"matrix is singular at column {column}")
-        self.column = column
+    """Quadrature order outside the supported 1..128 range, or too small for
+    the degree it is asked to solve."""
 
 
 class SingularSystem(FredgalError):

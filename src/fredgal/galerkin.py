@@ -1,10 +1,14 @@
 """Weighted-residual pipeline for a(x)·phi(x) + lam·∫ k(t,x)·phi(t) dt = f(x).
 
-The trial solution is a degree-n Bernstein expansion.  Projecting the
-residual onto each basis member gives an (n+1)-square linear system; this
-module assembles it by Gauss-Legendre quadrature, solves it (routing to the
-exact rational path when the data allows), and evaluates the result along
-with its error against a known solution.
+The trial solution is a degree-n polynomial, reported as its Bernstein
+coefficients.  Projecting the residual onto every polynomial of degree <= n
+gives an (n+1)-square linear system.  The float path assembles it by
+Gauss-Legendre quadrature in the orthonormal shifted-Legendre basis, whose
+system is as well conditioned as the operator itself, solves it with
+numpy.linalg and maps the result to Bernstein coefficients; the exact path
+assembles and solves the Bernstein system in rationals.  Both report the
+1-norm condition of the orthonormal system.  The module also evaluates a
+solution and its error against a known solution.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSpec, basis_row
+from .basis import BasisSpec, basis_row, legendre_row, legendre_to_bernstein
 from .errors import (
     DomainError,
     ExactPathUnavailable,
     IllConditionedWarning,
     InvalidInterval,
     InvalidProblem,
+    OrderOutOfRange,
     OutOfInterval,
-    SingularMatrix,
     SingularSystem,
 )
 from .exact import (
@@ -35,10 +39,11 @@ from .exact import (
     solve_rational_system,
 )
 from .expr import Node, evaluate, to_polynomial, variables
-from .linalg import condition_1norm, lu_factor, lu_solve
 from .quadrature import gauss_legendre
 
 CONDITION_WARN_THRESHOLD = 1e12
+# beyond this 1-norm condition the system counts as singular
+SINGULAR_CONDITION = 1e13
 
 
 def default_quadrature_order(n: int) -> int:
@@ -122,8 +127,11 @@ def _eval_grid(node: Node, label: str, x, t=None) -> np.ndarray:
 def assemble(
     problem: FredholmProblem, n: int, q: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build A and F of A @ coefficients = F by Gauss-Legendre quadrature of
-    order q: A[j, i] pairs test member j with trial member i.
+    """Build A and F of A @ coefficients = F in the orthonormal basis
+    ``legendre_row`` by Gauss-Legendre quadrature of order q: A[j, i] pairs
+    test member j with trial member i.  With T = legendre_to_bernstein(n),
+    A and F are T.T @ A_B @ T and T.T @ F_B for the Bernstein system (A_B, F_B),
+    and T @ coefficients are the Bernstein coefficients.
 
     The kernel contribution needs the inner t-integral at every outer node,
     so the kernel is sampled on the full q-by-q tensor grid.
@@ -136,16 +144,14 @@ def assemble(
     pts = half * rule.nodes + 0.5 * (a + b)
     w = half * rule.weights
 
-    basis = basis_row(spec, pts)  # (q, n+1)
+    basis = legendre_row(spec, pts)  # (q, n+1)
     a_vals = _eval_grid(problem.a_expr, "coefficient", pts)
     f_vals = _eval_grid(problem.f_expr, "rhs", pts)
     kernel = _eval_grid(problem.kernel_expr, "kernel", pts[:, None], pts[None, :])  # [x, t]
 
-    inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·B_i(t) dt
+    inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·L_i(t) dt
     operator = a_vals[:, None] * basis + lam * inner
-    # A[j, i] = Σ_m w_m·B_j(x_m)·operator[m, i], stored column-major: the LU
-    # keeps its input's layout, and the layout fixes how its dot products round
-    matrix = ((operator * w[:, None]).T @ basis).T
+    matrix = (basis * w[:, None]).T @ operator  # Σ_m w_m·L_j(x_m)·operator[m, i]
     f_vec = (w * f_vals) @ basis
     if not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
         raise DomainError("assembled system contains nonfinite entries")
@@ -174,6 +180,29 @@ def as_exact_problem(problem: FredholmProblem) -> ExactProblem | None:
     )
 
 
+def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The inverse of an orthonormal-basis system matrix and its 1-norm
+    condition ||A||_1·||A^-1||_1.
+
+    Raises SingularSystem when the matrix is singular to working precision:
+    not finite, not invertible, or conditioned beyond SINGULAR_CONDITION.
+    """
+    cond = math.inf
+    if np.isfinite(matrix).all():
+        try:
+            inverse = np.linalg.inv(matrix)
+            cond = float(np.linalg.norm(matrix, 1)) * float(np.linalg.norm(inverse, 1))
+        except np.linalg.LinAlgError:
+            pass
+    if not cond <= SINGULAR_CONDITION:
+        raise SingularSystem(
+            f"projection system is singular (condition {cond:.3e} beyond "
+            f"{SINGULAR_CONDITION:.0e}); the operator likely annihilates part "
+            "of the trial space"
+        )
+    return inverse, cond
+
+
 def _warn_if_ill_conditioned(cond: float) -> None:
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -193,8 +222,10 @@ def solve(
     """Solve for the degree-n expansion coefficients.
 
     mode "exact" demands rational-polynomial data and returns Fractions;
-    "float" always goes through quadrature and LU; "auto" prefers exact
-    when the data allows it (and the degree is within the exact cap).
+    "float" always goes through quadrature and numpy.linalg; "auto" prefers
+    exact when the data allows it (and the degree is within the exact cap).
+    The float path needs a quadrature order q above n: with q <= n nodes the
+    system has rank at most q and is always singular.
     """
     if mode not in ("auto", "float", "exact"):
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
@@ -210,9 +241,11 @@ def solve(
     if exact_view is not None:
         A, F = exact_assemble(exact_view, n)
         coeffs = solve_rational_system(A, F)
+        T = legendre_to_bernstein(n)
         try:
-            cond = condition_1norm(lu_factor(np.array(A, dtype=float)))
-        except (SingularMatrix, OverflowError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, cond = _invert(T.T @ np.array(A, dtype=float) @ T)
+        except (SingularSystem, OverflowError):
             # the float view is singular, or an entry is beyond the float range
             cond = math.inf
         _warn_if_ill_conditioned(cond)
@@ -221,16 +254,14 @@ def solve(
 
     if q is None:
         q = default_quadrature_order(n)
+    if q <= n:
+        raise OrderOutOfRange(
+            f"quadrature order {q} must exceed the degree {n}: with q <= n "
+            "nodes the projection system is singular"
+        )
     A, F = assemble(problem, n, q)
-    try:
-        factors = lu_factor(A)
-    except SingularMatrix as exc:
-        raise SingularSystem(
-            f"projection system is singular ({exc}); the operator likely "
-            "annihilates part of the trial space"
-        ) from exc
-    coeffs = lu_solve(factors, F)
-    cond = condition_1norm(factors)
+    inverse, cond = _invert(A)
+    coeffs = legendre_to_bernstein(n) @ (inverse @ F)
     _warn_if_ill_conditioned(cond)
     spec = BasisSpec(n, float(problem.a), float(problem.b))
     return Solution(spec, tuple(float(c) for c in coeffs), "float", q, cond)

@@ -10,12 +10,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from fredgal.basis import BasisSpec, basis_row, bernstein_to_monomial
+from fredgal.basis import (
+    BasisSpec,
+    basis_row,
+    bernstein_to_monomial,
+    legendre_row,
+    legendre_to_bernstein,
+)
 from fredgal.cli import main
 from fredgal.exact import BivarPoly
 from fredgal.expr import parse, to_text
 from fredgal.galerkin import as_exact_problem, assemble, convergence_study, evaluate_solution, solve
-from fredgal.linalg import lu_factor, lu_solve
 from fredgal.problems import builtin
 from fredgal.quadrature import gauss_legendre
 
@@ -153,24 +158,17 @@ def test_criterion_7_property_suites():
             gauss_ok &= abs(got - 1.0 / (d + 1)) <= 1e-12 * max(1.0, 1.0 / (d + 1))
     crit.check("quadrature exactness", gauss_ok)
 
-    # LU reconstruction and solve residuals on 100 random systems
-    lu_ok = True
-    for _ in range(100):
-        m = int(rng.integers(1, 13))
-        matrix = rng.uniform(-1.0, 1.0, size=(m, m))
-        if np.linalg.cond(matrix) > 1e6:
-            continue
-        rhs = rng.uniform(-3.0, 3.0, size=m)
-        factors = lu_factor(matrix)
-        lower = np.tril(factors.lu, -1) + np.eye(m)
-        upper = np.triu(factors.lu)
-        norm = np.abs(matrix).sum(axis=1).max()
-        lu_ok &= np.abs(lower @ upper - matrix[factors.perm]).max() <= 1e-12 * norm
-        x = lu_solve(factors, rhs)
-        lu_ok &= np.abs(matrix @ x - rhs).max() <= 1e-10 * (
-            norm * np.abs(x).max() + np.abs(rhs).max()
-        )
-    crit.check("LU reconstruction and residuals", lu_ok)
+    # the Legendre-to-Bernstein map reproduces the orthonormal table, on
+    # random intervals for every degree up to the cap
+    map_ok = True
+    for n in range(51):
+        a = rng.uniform(-5.0, 5.0)
+        spec = BasisSpec(n, a, a + rng.uniform(0.1, 10.0))
+        x = rng.uniform(spec.a, spec.b, size=17)
+        T = legendre_to_bernstein(n)
+        scale = np.abs(T).sum(axis=1).max()
+        map_ok &= np.abs(basis_row(spec, x) @ T - legendre_row(spec, x)).max() <= 1e-15 * scale
+    crit.check("Legendre-to-Bernstein map", map_ok)
 
     # residual orthogonality for the exponential benchmark
     problem = builtin("example4")
@@ -178,7 +176,7 @@ def test_criterion_7_property_suites():
     for n in range(3, 7):
         A, F = assemble(problem, n, 32)
         coeffs = np.array(solve(problem, n, q=32).coefficients)
-        residual = A @ coeffs - F
+        residual = A @ np.linalg.solve(legendre_to_bernstein(n), coeffs) - F
         ortho_ok &= np.abs(residual).max() <= 1e-8 * np.abs(F).max()
     crit.check("residual orthogonality", ortho_ok)
 

@@ -1,10 +1,12 @@
 """The package's public surface: each exported name resolves and is listed
 once, names removed from the package are neither exported nor left behind
-on their modules, and every name the benchmark's tracer wraps still
-resolves."""
+on their modules, every name the benchmark's tracer wraps still resolves,
+and the package needs nothing beyond the standard library and numpy."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,12 @@ REMOVED = [
     ("fredgal.exact", "residual_poly"),
     ("fredgal.exact", "BivarPoly.swap_vars"),
     ("fredgal.exact", "BivarPoly.integrate_t"),
+    ("fredgal.linalg", "LUFactors"),
+    ("fredgal.linalg", "lu_factor"),
+    ("fredgal.linalg", "lu_solve"),
+    ("fredgal.linalg", "condition_1norm"),
+    ("fredgal.linalg", "PIVOT_REL_TOL"),
+    ("fredgal.errors", "SingularMatrix"),
 ]
 
 
@@ -32,10 +40,28 @@ def test_every_exported_name_resolves_once():
         assert getattr(fredgal, name, None) is not None, name
 
 
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; scipy is for the tests only
+    src = Path(fredgal.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
 @pytest.mark.parametrize("module, name", REMOVED)
 def test_removed_name_is_gone(module, name):
     assert name not in fredgal.__all__
     assert not hasattr(fredgal, name)
+    if importlib.util.find_spec(module) is None:
+        return  # the whole module is gone
     *owners, attr = name.split(".")
     owner = importlib.import_module(module)
     for part in owners:
@@ -49,15 +75,20 @@ def test_benchmark_tracer_targets_resolve():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     galerkin = importlib.import_module("fredgal.galerkin")
-    original = galerkin.lu_factor
+    original = galerkin.assemble
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert galerkin.lu_factor is not original
+        assert galerkin.assemble is not original
         assert tracer.missing == [
             "fredgal.exact.bernstein_poly_exact",
             "fredgal.basis.bernstein_poly_exact",
+            "fredgal.galerkin.lu_factor",
+            "fredgal.galerkin.lu_solve",
+            "fredgal.galerkin.condition_1norm",
+            "fredgal.linalg.lu_factor",
+            "fredgal.linalg.lu_solve",
         ]
     finally:
         tracer.uninstall()
-    assert galerkin.lu_factor is original
+    assert galerkin.assemble is original

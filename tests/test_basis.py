@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fredgal.basis import BasisSpec, basis_row, bernstein_to_monomial
+from fredgal.basis import (
+    BasisSpec,
+    basis_row,
+    bernstein_to_monomial,
+    legendre_row,
+    legendre_to_bernstein,
+)
 from fredgal.errors import InvalidDegree, InvalidInterval, OutOfInterval
 from fredgal.expr import evaluate, parse
 from fredgal.galerkin import (
@@ -17,6 +23,8 @@ from fredgal.galerkin import (
     solve,
 )
 from fredgal.quadrature import gauss_legendre
+
+from exact_oracle import legendre_in_bernstein
 
 
 def bernstein_value(i, spec, x):
@@ -213,6 +221,40 @@ def test_integral_degree_ten():
     assert member_integrals(spec) == pytest.approx([1.0 / 11.0] * 11, rel=1e-13)
     oracle, _ = quad(lambda x: basis_row(spec, x)[4], 0.0, 1.0)
     assert oracle == pytest.approx(1.0 / 11.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 50])
+def test_legendre_row_matches_numpy_legendre_series(n):
+    spec = BasisSpec(n, -2.0, 3.0)
+    x = np.linspace(-2.0, 3.0, 23)
+    table = legendre_row(spec, x)
+    assert table.shape == (23, n + 1)
+    s = 2.0 * (x + 2.0) / 5.0 - 1.0
+    for k in range(n + 1):
+        want = math.sqrt(2 * k + 1) * np.polynomial.legendre.legval(s, [0] * k + [1])
+        assert table[:, k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert legendre_row(spec, 0.5).shape == (n + 1,)
+
+
+def test_legendre_row_is_orthonormal():
+    spec = BasisSpec(12, 1.0, 4.0)
+    rule = gauss_legendre(13)  # exact through degree 25
+    u = 0.5 * rule.nodes + 0.5
+    table = legendre_row(spec, spec.a + 3.0 * u)
+    gram = (table * (0.5 * rule.weights)[:, None]).T @ table
+    assert np.abs(gram - np.eye(13)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 37, 50])
+def test_legendre_to_bernstein_is_the_rounded_rational_map(n):
+    # an independent rational construction, through the power form
+    scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+    want = np.array(legendre_in_bernstein(n), dtype=float) * scale
+    T = legendre_to_bernstein(n)
+    assert T.shape == (n + 1, n + 1)
+    assert np.abs(T - want).max() <= 2e-16 * np.abs(T).max()
+    assert legendre_to_bernstein(n) is T  # built once per degree
+    assert not T.flags.writeable
 
 
 def test_monomial_conversion_even_quadratic():

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -202,6 +200,16 @@ def test_exit_code_solver_errors(capsys, tmp_path):
     assert code == 2 and err != ""
 
 
+def test_quadrature_order_not_above_the_degree_is_an_input_error(capsys):
+    # q <= n nodes always give a singular system: the order is at fault, not the operator
+    code, out, err = run(
+        capsys, "solve", "--builtin", "example4", "--degree", "3", "--quadrature", "3"
+    )
+    assert code == 1 and out == "" and "quadrature order 3 must exceed the degree 3" in err
+    code, _, _ = run(capsys, "solve", "--builtin", "example4", "--degree", "3", "--quadrature", "4")
+    assert code == 0
+
+
 def test_exact_solve_reports_infinite_condition_of_float_singular_system(capsys, tmp_path):
     # exactly read, lambda leaves the system regular; as a float it is -1.0
     path = tmp_path / "near.fie"
@@ -290,19 +298,19 @@ def test_basis_samples_beyond_the_point_cap_are_refused(capsys, samples):
 
 
 def test_float_solve_prints_out_of_range_monomial_coefficients_as_infinities(capsys, tmp_path):
-    # finite Bernstein coefficients near 1e307 whose monomial form leaves the
-    # float range: the conversion rounds those coefficients to +-inf
+    # phi is close to 1e300·(2x - 1)^30: Bernstein coefficients near ±1e300,
+    # monomial coefficients 1e300·C(30,k)·2^k, past the float range from
+    # k = 7 on.  The conversion rounds those coefficients to ±inf
     path = tmp_path / "huge_rhs.fie"
     path.write_text(
         "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 1\n"
-        "kernel = exp(x*t)\nrhs = 1e307*exp(x)\n"
+        "kernel = exp(x*t)\nrhs = 1e300*(2*x - 1)^30\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)  # condition near 1e12
-        code, out, err = run(
-            capsys, "solve", "--problem", str(path), "--degree", "20", "--mode", "float"
-        )
+    code, out, err = run(
+        capsys, "solve", "--problem", str(path), "--degree", "30", "--mode", "float"
+    )
     assert code == 0 and "Traceback" not in err
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert all(np.isfinite(float(c)) for c in lines["coefficients"].split())
-    assert "- inf*x^7 + inf*x^8" in lines["monomial"]
+    assert "*x^6 - inf*x^7 + inf*x^8" in lines["monomial"]
+    assert lines["monomial"].endswith("- inf*x^29 + inf*x^30")

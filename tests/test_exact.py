@@ -20,7 +20,7 @@ from fredgal.expr import parse, to_polynomial
 from fredgal.galerkin import FredholmProblem, as_exact_problem, assemble
 from fredgal.problems import builtin
 
-from exact_oracle import residual_poly
+from exact_oracle import legendre_system, residual_poly
 
 
 def F(*args):
@@ -196,12 +196,14 @@ def test_closed_form_assembly_matches_quadrature():
     problem = FredholmProblem(
         parse("1 + x"), F(1, 3), parse("x*t - 2*t^2 + 1/3"), parse("x^2 - 1"), F(1, 2), F(2)
     )
+    # the float path's Legendre system is T.T @ A_B @ T, T.T @ F_B of the
+    # closed-form Bernstein system
     exact_view = as_exact_problem(problem)
     for n in (0, 4, 9):
-        A, rhs = exact_assemble(exact_view, n)
+        want_A, want_rhs = legendre_system(*exact_assemble(exact_view, n))
         float_A, float_rhs = assemble(problem, n)
-        assert np.allclose(float_A, np.array(A, dtype=float), rtol=1e-12, atol=1e-14)
-        assert np.allclose(float_rhs, np.array(rhs, dtype=float), rtol=1e-12, atol=1e-14)
+        assert np.allclose(float_A, want_A, rtol=1e-12, atol=1e-14)
+        assert np.allclose(float_rhs, want_rhs, rtol=1e-12, atol=1e-14)
 
 
 def test_singular_operator_detected():

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fredgal.basis import legendre_to_bernstein
 from fredgal.errors import (
     DomainError,
     ExactPathUnavailable,
     IllConditionedWarning,
     InvalidInterval,
     InvalidProblem,
+    OrderOutOfRange,
     OutOfInterval,
     SingularSystem,
 )
@@ -26,8 +28,9 @@ from fredgal.galerkin import (
     evaluate_solution,
     solve,
 )
-from fredgal.linalg import lu_factor
 from fredgal.problems import builtin
+
+from exact_oracle import legendre_system
 
 
 def test_default_quadrature_order():
@@ -57,31 +60,44 @@ def test_nonfinite_problem_numbers_are_invalid(lam, b, mode):
 
 
 def test_assemble_rhs_constant_for_unit_rhs():
+    # the Bernstein rhs of f = 1 on [-1, 1] is constant; in the orthonormal
+    # basis only the constant member sees it: ∫ L_0 = b - a
+    exact_A, exact_F = exact_assemble(as_exact_problem(builtin("example1")), 3)
+    assert exact_F == [Fraction(1, 2)] * 4
     _, F = assemble(builtin("example1"), 3)
-    assert F == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-13)
+    assert F == pytest.approx(legendre_system(exact_A, exact_F)[1], abs=1e-13)
+    assert F == pytest.approx([2.0, 0.0, 0.0, 0.0], abs=1e-13)
 
 
 def test_assemble_exponential_rhs_first_entry():
-    # integral of e^x (1-x)^3 over [0,1] = 6e - 16, by parts
     _, F = assemble(builtin("example4"), 3)
-    assert abs(F[0] - (6.0 * math.e - 16.0)) <= 1e-12
+    # ∫ e^x·L_0 = e - 1 and ∫ e^x·sqrt(3)·(2x - 1) = sqrt(3)·(3 - e) over [0, 1]
+    assert abs(F[0] - (math.e - 1.0)) <= 1e-13
+    assert abs(F[1] - math.sqrt(3.0) * (3.0 - math.e)) <= 1e-13
+    # back in Bernstein form, F = T.T @ F_B: the first entry is the integral
+    # of e^x (1-x)^3 over [0,1] = 6e - 16, by parts
+    bernstein_F = np.linalg.solve(legendre_to_bernstein(3).T, F)
+    assert abs(bernstein_F[0] - (6.0 * math.e - 16.0)) <= 1e-12
 
 
 def test_assemble_gram_when_kernel_disabled():
+    # the Gram matrix of an orthonormal basis on [0, 1] is the identity
     problem = FredholmProblem(parse("1"), 0.0, parse("exp(x*t)"), parse("1"), 0.0, 1.0)
     A, _ = assemble(problem, 4)
     assert np.abs(A - A.T).max() <= 1e-14
     assert (np.linalg.eigvalsh(A) > 0.0).all()
+    assert np.abs(A - np.eye(5)).max() <= 1e-14
 
 
 def test_assemble_matches_exact_entries():
+    # float A, F are T.T @ A_B @ T and T.T @ F_B of the rational Bernstein system
     problem = builtin("example2")
-    exact_A, exact_F = exact_assemble(as_exact_problem(problem), 2)
+    want_A, want_F = legendre_system(*exact_assemble(as_exact_problem(problem), 2))
     A, F = assemble(problem, 2)
     for j in range(3):
-        assert abs(F[j] - float(exact_F[j])) <= 1e-14
+        assert abs(F[j] - want_F[j]) <= 1e-14
         for i in range(3):
-            assert abs(A[j, i] - float(exact_A[j][i])) <= 1e-14
+            assert abs(A[j, i] - want_A[j, i]) <= 1e-14
 
 
 def test_solve_exponential_problem_matches_reference_monomials():
@@ -245,7 +261,8 @@ def test_residual_orthogonality():
     for n in range(3, 7):
         A, F = assemble(problem, n, 32)
         solution = solve(problem, n, q=32)
-        residual = A @ np.array(solution.coefficients) - F
+        legendre = np.linalg.solve(legendre_to_bernstein(n), solution.coefficients)
+        residual = A @ legendre - F
         assert np.abs(residual).max() <= 1e-8 * np.abs(F).max()
 
 
@@ -263,21 +280,79 @@ def test_refining_degree_never_hurts_converged_error():
     assert all(first >= second for first, second in zip(errors, errors[1:]))
 
 
+def near_singular(lam):
+    # phi + lam·∫ phi on [0, 1]: the constants scale by 1 + lam, everything
+    # orthogonal to them by 1, so the condition is 1/(1 + lam)
+    return FredholmProblem(parse("1"), lam, parse("1"), parse("1"), 0.0, 1.0)
+
+
 def test_condition_warning_on_high_degree():
-    problem = FredholmProblem(parse("1"), 0.0, parse("x*t"), parse("1"), 0.0, 1.0)
+    # the condition measures the operator, not the basis: the Gram system at
+    # degree 22 reads 1 and does not warn, a near-singular operator does
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        solution = solve(problem, 22, mode="float")
-    assert solution.condition > 1e12
-    assert any(issubclass(w.category, IllConditionedWarning) for w in caught)
+        gram = solve(near_singular(0.0), 22, mode="float")
+    assert gram.condition == pytest.approx(1.0, rel=1e-12)
+    assert not any(issubclass(w.category, IllConditionedWarning) for w in caught)
+    with pytest.warns(IllConditionedWarning):
+        solution = solve(near_singular(-1.0 + 2e-13), 22, mode="float")
+    assert solution.condition == pytest.approx(5.0e12, rel=1e-2)
+    assert all(c == pytest.approx(5.0e12, rel=1e-2) for c in solution.coefficients)
 
 
 def test_condition_warning_names_the_condition_number():
     # the figure is the exact 1-norm condition number of the system, not an estimate
-    problem = FredholmProblem(parse("1"), 0.0, parse("x*t"), parse("1"), 0.0, 1.0)
-    pattern = r"^system condition number \d\.\d{3}e\+\d+ exceeds 1e\+12; coefficients may"
+    pattern = r"^system condition number \d\.\d{3}e\+12 exceeds 1e\+12; coefficients may"
     with pytest.warns(IllConditionedWarning, match=pattern):
-        solve(problem, 22, mode="float")
+        solve(near_singular(-1.0 + 2e-13), 2, mode="float")
+
+
+def test_condition_beyond_the_singular_bound_is_singular():
+    problem = near_singular(-1.0 + 1e-14)  # condition about 1e14
+    with pytest.raises(SingularSystem, match="condition"):
+        solve(problem, 2, mode="float")
+    with pytest.warns(IllConditionedWarning):
+        solution = solve(problem, 2, mode="exact")
+    assert solution.condition == math.inf
+    assert solution.coefficients == (1 / (1 + Fraction(problem.lam)),) * 3
+
+
+@pytest.mark.parametrize(
+    "name, modes, condition",
+    [("example1", ("float", "exact"), 3.0629514607), ("example4", ("float",), 8.418864)],
+)
+def test_condition_measures_the_operator_at_every_degree(name, modes, condition):
+    # once the trial space resolves the operator, its condition no longer
+    # depends on n (the Bernstein system's grew past 1e12 by n = 22)
+    problem = builtin(name)
+    for mode in modes:
+        for n in (6, 14, 20):
+            assert solve(problem, n, mode=mode).condition == pytest.approx(condition, rel=1e-6)
+    if "float" in modes:
+        assert solve(problem, 50, mode="float").condition == pytest.approx(condition, rel=1e-6)
+
+
+def test_quadrature_order_must_exceed_the_degree():
+    # with q <= n nodes the projection system has rank at most q < n + 1
+    problem = builtin("example4")
+    with pytest.raises(OrderOutOfRange, match="must exceed the degree 3"):
+        solve(problem, 3, q=3)
+    with pytest.raises(OrderOutOfRange):
+        convergence_study(problem, [3, 4], q=4)
+    assert solve(problem, 3, q=4).quadrature_order == 4
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_float_coefficients_match_exact_ones_at_degree_20(name):
+    problem = builtin(name)
+    exact = solve(problem, 20, mode="exact").coefficients
+    approx = solve(problem, 20, mode="float").coefficients
+    assert max(abs(f - float(e)) for f, e in zip(approx, exact)) <= 1e-9
+
+
+def test_exponential_error_does_not_rise_with_degree():
+    rows = convergence_study(builtin("example4"), range(14, 51))
+    assert max(r.max_error for r in rows) <= 1e-12
 
 
 def test_no_warning_on_well_conditioned_solve():
@@ -299,12 +374,13 @@ def test_each_solve_factors_its_matrix_once(monkeypatch, mode):
     import fredgal.galerkin
 
     calls = []
+    inv = np.linalg.inv
 
     def counting(matrix):
         calls.append(np.shape(matrix))
-        return lu_factor(matrix)
+        return inv(matrix)
 
-    monkeypatch.setattr(fredgal.galerkin, "lu_factor", counting)
+    monkeypatch.setattr(fredgal.galerkin.np.linalg, "inv", counting)
     solution = solve(builtin("example1"), 3, mode=mode)
     assert solution.condition > 1.0
     assert calls == [(4, 4)]

@@ -1,113 +1,70 @@
+"""The linear algebra of a solve: numpy.linalg on the orthonormal-basis
+system, the 1-norm condition number both paths report, and the rule that
+calls a system singular."""
+
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fredgal.errors import IllConditionedWarning, SingularMatrix
+from fredgal.basis import legendre_to_bernstein
+from fredgal.errors import IllConditionedWarning, SingularSystem
 from fredgal.expr import parse
-from fredgal.galerkin import FredholmProblem, solve
-from fredgal.linalg import condition_1norm, lu_factor, lu_solve
+from fredgal.galerkin import FredholmProblem, assemble, solve
 
 
-def reconstruct(factors):
-    lu = factors.lu
-    m = lu.shape[0]
-    lower = np.tril(lu, -1) + np.eye(m)
-    upper = np.triu(lu)
-    return lower @ upper
+def operator_problem(lam, a="1", kernel="1", rhs="1", interval=(0.0, 1.0)):
+    return FredholmProblem(parse(a), lam, parse(kernel), parse(rhs), *interval)
 
 
 def test_identity():
-    factors = lu_factor(np.eye(3))
-    assert (factors.lu == np.eye(3)).all()
-    assert factors.perm.tolist() == [0, 1, 2]
-
-
-def test_pure_row_swap():
-    factors = lu_factor([[0.0, 1.0], [1.0, 0.0]])
-    assert factors.perm.tolist() == [1, 0]
-    assert (factors.lu == np.eye(2)).all()
-
-
-def test_rank_one_matrix_reports_failing_column():
-    with pytest.raises(SingularMatrix) as err:
-        lu_factor([[1.0, 2.0], [2.0, 4.0]])
-    assert err.value.column == 1
-
-
-def test_zero_matrix_fails_at_first_column():
-    with pytest.raises(SingularMatrix) as err:
-        lu_factor(np.zeros((3, 3)))
-    assert err.value.column == 0
+    # with lam = 0 the operator is the identity and phi = f
+    solution = solve(operator_problem(0.0, rhs="1 + x"), 3, mode="float")
+    assert solution.coefficients == pytest.approx([1.0, 4 / 3, 5 / 3, 2.0], abs=1e-14)
 
 
 def test_solve_two_by_two():
-    factors = lu_factor([[2.0, 1.0], [1.0, 3.0]])
-    x = lu_solve(factors, [5.0, 10.0])
-    assert x == pytest.approx([1.0, 3.0], abs=1e-13)
-
-
-def test_solve_identity_and_swap():
-    b = np.array([7.0, 9.0])
-    assert (lu_solve(lu_factor(np.eye(2)), b) == b).all()
-    assert lu_solve(lu_factor([[0.0, 1.0], [1.0, 0.0]]), b).tolist() == [9.0, 7.0]
-
-
-def test_solve_many_right_hand_sides_at_once():
-    rng = np.random.default_rng(103)
-    a = _random_well_conditioned(rng, 7)
-    rhs = rng.uniform(-5.0, 5.0, size=(7, 4))
-    factors = lu_factor(a)
-    x = lu_solve(factors, rhs)
-    assert x.shape == (7, 4)
-    for j in range(4):
-        assert x[:, j] == pytest.approx(lu_solve(factors, rhs[:, j]), rel=1e-13, abs=1e-13)
-    with pytest.raises(ValueError):
-        lu_solve(factors, np.ones(6))
-    with pytest.raises(ValueError):
-        lu_solve(factors, np.ones((6, 2)))
-    with pytest.raises(ValueError):
-        lu_solve(factors, np.ones((7, 2, 2)))
-
-
-def test_requires_square_and_finite():
-    with pytest.raises(ValueError):
-        lu_factor(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        lu_factor([[1.0, np.nan], [0.0, 1.0]])
-
-
-def _random_well_conditioned(rng, m):
-    while True:
-        a = rng.uniform(-1.0, 1.0, size=(m, m))
-        if np.linalg.cond(a) < 1e6:
-            return a
+    # phi - x·∫ t·phi = 2x/3 has phi = x: Bernstein coefficients 0, 1 at degree 1
+    problem = operator_problem(-1.0, kernel="x*t", rhs="2/3*x")
+    solution = solve(problem, 1, mode="float")
+    assert solution.coefficients == pytest.approx([0.0, 1.0], abs=1e-14)
 
 
 def test_reconstruction_and_residual_on_random_systems():
+    # random polynomial problems: the float solve reconstructs the exact
+    # path's coefficients and leaves a small residual in the Legendre system
     rng = np.random.default_rng(101)
-    for _ in range(100):
-        m = int(rng.integers(1, 13))
-        a = _random_well_conditioned(rng, m)
-        b = rng.uniform(-5.0, 5.0, size=m)
-        factors = lu_factor(a)
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        a = Fraction(int(rng.integers(-8, 8)), 4)
+        b = a + Fraction(int(rng.integers(1, 12)), 4)
+        p, q = (int(v) for v in rng.integers(0, 4, size=2))
+        lam = Fraction(int(rng.integers(-9, 10)), 10)
+        problem = operator_problem(
+            lam, a=f"2 + x^2/{1 + abs(a) + abs(b)}", kernel=f"x^{p}*t^{q}", rhs="1 - x^3",
+            interval=(a, b),
+        )
+        exact = np.array(solve(problem, n, mode="exact").coefficients, dtype=float)
+        approx = np.array(solve(problem, n, mode="float").coefficients)
+        assert np.abs(approx - exact).max() <= 1e-10 * np.abs(exact).max()
 
-        norm_inf = np.abs(a).sum(axis=1).max()
-        assert np.abs(reconstruct(factors) - a[factors.perm]).max() <= 1e-12 * norm_inf
-
-        x = lu_solve(factors, b)
-        residual = np.abs(a @ x - b).max()
-        bound = 1e-10 * (norm_inf * np.abs(x).max() + np.abs(b).max())
-        assert residual <= bound
+        A, F = assemble(problem, n)
+        residual = A @ np.linalg.solve(legendre_to_bernstein(n), approx) - F
+        assert np.abs(residual).max() <= 1e-12 * (np.abs(A).max() + np.abs(F).max())
 
 
 def test_condition_identity():
-    assert condition_1norm(lu_factor(np.eye(5))) == 1.0
+    for mode in ("float", "exact"):
+        solution = solve(operator_problem(0, rhs="x^2"), 5, mode=mode)
+        assert solution.condition == pytest.approx(1.0, rel=1e-12)
 
 
 def test_condition_diagonal():
-    assert condition_1norm(lu_factor(np.diag([1.0, 1000.0]))) == pytest.approx(1000.0, rel=1e-12)
+    # lam = 999 scales the constants by 1000 and leaves the rest alone
+    for mode in ("float", "exact"):
+        solution = solve(operator_problem(999), 4, mode=mode)
+        assert solution.condition == pytest.approx(1000.0, rel=1e-12)
 
 
 def bernstein_gram(n):
@@ -123,11 +80,15 @@ def bernstein_gram(n):
 
 
 def test_condition_of_bernstein_gram_against_inverse_oracle():
+    # the exact path reports the condition of its Bernstein Gram system in
+    # the orthonormal basis, T.T @ G @ T, which is the identity
     g = bernstein_gram(3)
-    got = condition_1norm(lu_factor(g))
-    oracle = np.abs(g).sum(axis=0).max() * np.abs(np.linalg.inv(g)).sum(axis=0).max()
-    assert got > 1.0
-    assert got == pytest.approx(oracle, rel=1e-6)
+    T = legendre_to_bernstein(3)
+    oracle = np.linalg.cond(T.T @ g @ T, 1)
+    got = solve(operator_problem(0), 3, mode="exact").condition
+    assert np.linalg.cond(g, 1) > 40.0
+    assert got == pytest.approx(oracle, rel=1e-12)
+    assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_singular_condition():
@@ -142,14 +103,23 @@ def test_singular_condition():
 
 
 def test_tiny_pivot_is_singular_relative_to_the_norm():
-    with pytest.raises(SingularMatrix):
-        lu_factor([[1e-20, 1.0], [0.0, 1.0]])
-    # the same pivot passes when the rest of the matrix is as small
-    factors = lu_factor([[1e-20, 0.0], [0.0, 1e-20]])
-    assert factors.perm.tolist() == [0, 1]
+    # a system scaled by 1e-20 is as regular as the unscaled one; a constant
+    # mode 1e-14 times smaller than the rest is singular, at either scale
+    for scale in (1.0, 1e-20):
+        tiny = operator_problem(0.0, a=f"{scale}")
+        assert solve(tiny, 3, mode="float").coefficients == pytest.approx([1 / scale] * 4)
+        with pytest.raises(SingularSystem):
+            solve(operator_problem(-scale * (1 - 1e-14), a=f"{scale}"), 3, mode="float")
 
 
 def test_condition_of_nonsymmetric_matrix_uses_column_sums():
-    rng = np.random.default_rng(107)
-    a = _random_well_conditioned(rng, 6)
-    assert condition_1norm(lu_factor(a)) == pytest.approx(np.linalg.cond(a, 1), rel=1e-10)
+    # the kernel x^3 + t makes the system nonsymmetric, so its row sums
+    # (the infinity norm) give another condition number
+    problem = operator_problem(-1.0, kernel="x^3 + t")
+    A, _ = assemble(problem, 6)
+    assert np.abs(A - A.T).max() > 0.1
+    want = np.linalg.cond(A, 1)
+    assert want == pytest.approx(10.2395, rel=1e-4)
+    assert np.linalg.cond(A, np.inf) == pytest.approx(9.2770, rel=1e-4)
+    for mode in ("float", "exact"):
+        assert solve(problem, 6, mode=mode).condition == pytest.approx(want, rel=1e-10)
