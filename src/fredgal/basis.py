@@ -87,28 +87,64 @@ def legendre_row(spec: BasisSpec, x) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def legendre_to_bernstein(n: int) -> np.ndarray:
-    """T with ``basis_row(spec, x) @ T == legendre_row(spec, x)`` for every
-    degree-n spec: column k holds the Bernstein coefficients of member k.
+def _legendre_numerators(n: int) -> tuple[tuple[int, ...], ...]:
+    """N with P_k(2u-1) = Σ_i N[i][k] / C(n,i) · B_i^n(u), in integers.
 
     Closed form (Farouki, J. Comput. Appl. Math. 119 (2000) 145-160):
-    T[i, k] = sqrt(2k+1)·Σ_j (-1)^(k+j)·C(k,j)²·C(n-k,i-j) / C(n,i), the sum
-    in integers, its quotient by C(n,i) rounded once to a float and then
-    scaled.  Built on first use and cached per degree, read-only.
+    N[i][k] = Σ_j (-1)^(k+j)·C(k,j)²·C(n-k,i-j).  Built on first use and
+    cached per degree.
     """
     pascal = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
-    t = np.empty((n + 1, n + 1))
+    table = [[0] * (n + 1) for _ in range(n + 1)]
     for k in range(n + 1):
-        scale = math.sqrt(2 * k + 1)
         ck, rest = pascal[k], pascal[n - k]
         for i in range(n + 1):
             total = 0
             for j in range(max(0, i + k - n), min(i, k) + 1):
                 term = ck[j] * ck[j] * rest[i - j]
                 total += -term if (k + j) % 2 else term
-            t[i, k] = total / pascal[n][i] * scale
+            table[i][k] = total
+    return tuple(map(tuple, table))
+
+
+@lru_cache(maxsize=None)
+def legendre_to_bernstein(n: int) -> np.ndarray:
+    """T with ``basis_row(spec, x) @ T == legendre_row(spec, x)`` for every
+    degree-n spec: column k holds the Bernstein coefficients of member k.
+
+    T[i, k] = sqrt(2k+1)·N[i][k] / C(n,i) for the integer table N of
+    ``_legendre_numerators``, the quotient rounded once to a float and then
+    scaled.  Built on first use and cached per degree, read-only.
+    """
+    t = np.empty((n + 1, n + 1))
+    for i, row in enumerate(_legendre_numerators(n)):
+        binom = math.comb(n, i)
+        for k, total in enumerate(row):
+            t[i, k] = total / binom * math.sqrt(2 * k + 1)
     t.flags.writeable = False
     return t
+
+
+def legendre_to_bernstein_exact(coeffs) -> list[Fraction]:
+    """The degree-n Bernstein coefficients of Σ_k coeffs[k]·P_k(2u-1),
+    n = len(coeffs) - 1, as exact Fractions.
+
+    The sums run on Python integers: the coefficients are put over one
+    common denominator and each output is one quotient, reduced once.
+    """
+    n = len(coeffs) - 1
+    nums, common = _numerators([Fraction(v) for v in coeffs])
+    terms = [(k, v) for k, v in enumerate(nums) if v]
+    return [
+        Fraction(sum(row[k] * v for k, v in terms), common * math.comb(n, i))
+        for i, row in enumerate(_legendre_numerators(n))
+    ]
+
+
+def _numerators(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integers nums and common with values[s] == nums[s] / common."""
+    common = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def _unit(spec: BasisSpec, x) -> np.ndarray:
@@ -133,9 +169,7 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
     n, a = spec.n, Fraction(spec.a)
     h = Fraction(spec.b) - a
-    c = [Fraction(v) for v in coeffs]
-    common = math.lcm(*(v.denominator for v in c))
-    diff = [v.numerator * (common // v.denominator) for v in c]
+    diff, common = _numerators([Fraction(v) for v in coeffs])
     # power form in u = (x-a)/h: the u^k coefficient is C(n,k)·Δ^k c_0 / h^k
     # (forward difference at 0).  Over den = common·hn^n·ad^n it is e_k, the
     # coefficient of (ad·x - an)^k

@@ -6,9 +6,10 @@ gives an (n+1)-square linear system.  The float path assembles it by
 Gauss-Legendre quadrature in the orthonormal shifted-Legendre basis, whose
 system is as well conditioned as the operator itself, solves it with
 numpy.linalg and maps the result to Bernstein coefficients; the exact path
-assembles and solves the Bernstein system in rationals.  Both report the
-1-norm condition of the orthonormal system.  The module also evaluates a
-solution and its error against a known solution.
+assembles and solves the same system in rationals, in the unnormalised
+members P_k(2u-1) where it is sparse, and maps the result back exactly.
+Both report the 1-norm condition of the orthonormal system.  The module
+also evaluates a solution and its error against a known solution.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSpec, basis_row, legendre_row, legendre_to_bernstein
+from .basis import (
+    BasisSpec,
+    basis_row,
+    legendre_row,
+    legendre_to_bernstein,
+    legendre_to_bernstein_exact,
+)
 from .errors import (
     DomainError,
     ExactPathUnavailable,
@@ -32,12 +39,7 @@ from .errors import (
     OutOfInterval,
     SingularSystem,
 )
-from .exact import (
-    MAX_EXACT_DEGREE,
-    ExactProblem,
-    exact_assemble,
-    solve_rational_system,
-)
+from .exact import ExactProblem, exact_assemble, solve_rational_system
 from .expr import Node, evaluate, to_polynomial, variables
 from .quadrature import gauss_legendre
 
@@ -223,7 +225,7 @@ def solve(
 
     mode "exact" demands rational-polynomial data and returns Fractions;
     "float" always goes through quadrature and numpy.linalg; "auto" prefers
-    exact when the data allows it (and the degree is within the exact cap).
+    exact when the data allows it.
     The float path needs a quadrature order q above n: with q <= n nodes the
     system has rank at most q and is always singular.
     """
@@ -231,7 +233,7 @@ def solve(
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
 
     exact_view = None
-    if mode == "exact" or (mode == "auto" and n <= MAX_EXACT_DEGREE):
+    if mode != "float":
         exact_view = as_exact_problem(problem)
         if mode == "exact" and exact_view is None:
             raise ExactPathUnavailable(
@@ -240,11 +242,12 @@ def solve(
 
     if exact_view is not None:
         A, F = exact_assemble(exact_view, n)
-        coeffs = solve_rational_system(A, F)
-        T = legendre_to_bernstein(n)
+        coeffs = legendre_to_bernstein_exact(solve_rational_system(A, F))
+        # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
+        scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                _, cond = _invert(T.T @ np.array(A, dtype=float) @ T)
+                _, cond = _invert(np.array(A, dtype=float) * np.outer(scale, scale))
         except (SingularSystem, OverflowError):
             # the float view is singular, or an entry is beyond the float range
             cond = math.inf
@@ -264,7 +267,7 @@ def solve(
     coeffs = legendre_to_bernstein(n) @ (inverse @ F)
     _warn_if_ill_conditioned(cond)
     spec = BasisSpec(n, float(problem.a), float(problem.b))
-    return Solution(spec, tuple(float(c) for c in coeffs), "float", q, cond)
+    return Solution(spec, tuple(coeffs.tolist()), "float", q, cond)
 
 
 def evaluate_solution(solution: Solution, x):

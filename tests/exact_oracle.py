@@ -1,14 +1,16 @@
 """Exact oracles the tests check the solver against: the residual of a
-candidate solution, independent of the Galerkin projection, and the
-Legendre form of a rational Bernstein system, independent of the closed
-form ``fredgal.basis.legendre_to_bernstein`` uses."""
+candidate solution, independent of the Galerkin projection; the paper's
+Galerkin system in the Bernstein basis, assembled in closed form and
+independent of the Legendre assembly the solver uses; and the Legendre form
+of a rational Bernstein system, independent of the closed form
+``fredgal.basis`` uses."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from fredgal.exact import BivarPoly, ExactProblem
+from fredgal.exact import BivarPoly, ExactProblem, solve_rational_system
 
 
 def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:
@@ -27,6 +29,61 @@ def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:
             e = q + s + 1
             integral[(p, 0)] = integral.get((p, 0), 0) + c * d * (b**e - a**e) / e
     return problem.a_poly * phi + BivarPoly(integral).scale(problem.lam) - problem.f_poly
+
+
+def _bernstein_moments(coeffs: list, a: Fraction, h: Fraction, m: int) -> list[Fraction]:
+    """[∫ p(x)·B_k^m(x) dx over [a, a+h] for k = 0..m], p = Σ coeffs[s]·x^s.
+
+    With x = a + h·u, p(x) = Σ q_r·u^r, and each power integrates in closed
+    form: ∫₀¹ u^r·B_k^m(u) du = C(m,k)·(k+r)!·(m-k)!/(m+r+1)!.
+    """
+    fact = math.factorial
+    shifted = [
+        h**r * sum(c * math.comb(s, r) * a ** (s - r) for s, c in enumerate(coeffs[r:], r))
+        for r in range(len(coeffs))
+    ]
+    return [
+        h * math.comb(m, k) * fact(m - k)
+        * sum(q * Fraction(fact(k + r), fact(m + r + 1)) for r, q in enumerate(shifted))
+        for k in range(m + 1)
+    ]
+
+
+def bernstein_system(
+    problem: ExactProblem, n: int
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The paper's rational Galerkin system A_B·c = F_B in the degree-n
+    Bernstein basis: A_B[j][i] pairs test member j with trial member i, and c
+    are the Bernstein coefficients of the solution."""
+    a, h = problem.a, problem.b - problem.a
+    size = range(n + 1)
+    comb = math.comb
+    # B_i·B_j = C(n,i)·C(n,j)/C(2n,i+j)·B_{i+j}^{2n}
+    weighted = _bernstein_moments(problem.a_poly.coefficients_in_x(), a, h, 2 * n)
+    A = [
+        [Fraction(comb(n, i) * comb(n, j), comb(2 * n, i + j)) * weighted[i + j] for i in size]
+        for j in size
+    ]
+    # kernel term c·x^p·t^q: its t-integral against trial member i is c·M[q][i]
+    # and its x-integral against test member j is M[p][j], M[d] = moments of x^d
+    power = {
+        d: _bernstein_moments([0] * d + [1], a, h, n)
+        for key in problem.kernel_poly.terms
+        for d in key
+    }
+    trial = {}  # p -> lam·Σ_q c·M[q], summed first so A is swept once per p
+    for (p, q), c in problem.kernel_poly.terms.items():
+        previous = trial.get(p, [0] * (n + 1))
+        trial[p] = [r + problem.lam * c * v for r, v in zip(previous, power[q])]
+    for p, row in trial.items():
+        A = [[A[j][i] + row[i] * power[p][j] for i in size] for j in size]
+    return A, _bernstein_moments(problem.f_poly.coefficients_in_x(), a, h, n)
+
+
+def bernstein_solve(problem: ExactProblem, n: int) -> list[Fraction]:
+    """Bernstein coefficients of the degree-n Galerkin solution, from the
+    Bernstein system."""
+    return solve_rational_system(*bernstein_system(problem, n))
 
 
 def legendre_in_bernstein(n: int) -> list[list[Fraction]]:
@@ -49,16 +106,25 @@ def legendre_in_bernstein(n: int) -> list[list[Fraction]]:
     ]
 
 
-def legendre_system(A, F) -> tuple[np.ndarray, np.ndarray]:
-    """T.T @ A @ T and T.T @ F for a rational Bernstein system (A, F), in
-    rationals up to the sqrt(2k+1) factors and then rounded to floats."""
+def legendre_system(A, F) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """R.T @ A @ R and R.T @ F in rationals for a Bernstein system (A, F),
+    with R = legendre_in_bernstein(n): the same system in the members
+    P_k(2u-1)."""
     n = len(F) - 1
+    size = range(n + 1)
     R = legendre_in_bernstein(n)
-    AR = [[sum(A[j][m] * R[m][i] for m in range(n + 1)) for i in range(n + 1)] for j in range(n + 1)]
-    RtAR = [[sum(R[m][j] * AR[m][i] for m in range(n + 1)) for i in range(n + 1)] for j in range(n + 1)]
-    RtF = [sum(R[m][j] * F[m] for m in range(n + 1)) for j in range(n + 1)]
-    scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+    AR = [[sum(A[j][m] * R[m][i] for m in size) for i in size] for j in size]
     return (
-        np.array(RtAR, dtype=float) * np.outer(scale, scale),
-        np.array(RtF, dtype=float) * scale,
+        [[sum(R[m][j] * AR[m][i] for m in size) for i in size] for j in size],
+        [sum(R[m][j] * F[m] for m in size) for j in size],
+    )
+
+
+def orthonormal(A, F) -> tuple[np.ndarray, np.ndarray]:
+    """The float view of a rational system in the members P_k(2u-1), scaled
+    to the orthonormal members sqrt(2k+1)·P_k(2u-1) the float path uses."""
+    scale = np.sqrt(2.0 * np.arange(len(F)) + 1.0)
+    return (
+        np.array(A, dtype=float) * np.outer(scale, scale),
+        np.array(F, dtype=float) * scale,
     )

@@ -31,6 +31,7 @@ REMOVED = [
     ("fredgal.linalg", "condition_1norm"),
     ("fredgal.linalg", "PIVOT_REL_TOL"),
     ("fredgal.errors", "SingularMatrix"),
+    ("fredgal.exact", "MAX_EXACT_DEGREE"),
 ]
 
 

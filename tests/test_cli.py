@@ -49,6 +49,13 @@ def test_solve_exact_builtin(capsys):
     assert "mode: exact" in out
 
 
+def test_auto_solve_of_polynomial_data_is_exact_up_to_the_basis_cap(capsys):
+    code, out, err = run(capsys, "solve", "--builtin", "example1", "--degree", "40")
+    assert code == 0 and err == ""
+    assert "mode: exact\n" in out
+    assert "monomial: 1 + 10/9*x^2\n" in out
+
+
 def test_solve_second_builtin(capsys):
     code, out, _ = run(capsys, "solve", "--builtin", "example2", "--degree", "3")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fredgal.basis import BasisSpec, bernstein_to_monomial
+from fredgal.basis import BasisSpec, bernstein_to_monomial, legendre_to_bernstein_exact
 from fredgal.errors import (
     InvalidDegree,
     InvalidProblem,
@@ -17,10 +17,16 @@ from fredgal.exact import (
     solve_rational_system,
 )
 from fredgal.expr import parse, to_polynomial
-from fredgal.galerkin import FredholmProblem, as_exact_problem, assemble
+from fredgal.galerkin import FredholmProblem, as_exact_problem, assemble, solve
 from fredgal.problems import builtin
 
-from exact_oracle import legendre_system, residual_poly
+from exact_oracle import (
+    bernstein_solve,
+    bernstein_system,
+    legendre_system,
+    orthonormal,
+    residual_poly,
+)
 
 
 def F(*args):
@@ -87,10 +93,18 @@ def test_partition_of_unity_is_exact_identity():
         assert total == BivarPoly.const(1)
 
 
+def exact_path(problem, n):
+    """Bernstein coefficients as ``solve`` computes them on the exact path."""
+    return legendre_to_bernstein_exact(solve_rational_system(*exact_assemble(problem, n)))
+
+
 def test_assemble_rhs_is_constant_for_unit_rhs():
     problem = as_exact_problem(builtin("example1"))
-    _, rhs = exact_assemble(problem, 3)
+    _, rhs = bernstein_system(problem, 3)
     assert rhs == [F(1, 2)] * 4  # (b - a)/(n + 1) on [-1, 1]
+    # in the Legendre basis only P_0 sees f = 1: ∫ P_0 = b - a
+    _, rhs = exact_assemble(problem, 3)
+    assert rhs == [F(2), F(0), F(0), F(0)]
 
 
 def test_assemble_degree_zero_quartic_difference_kernel():
@@ -105,9 +119,15 @@ def test_assemble_orientation_is_test_by_trial():
     # by hand from the Gram matrix and the moments of t^4: row j is test
     # member j, column i trial member i
     problem = as_exact_problem(builtin("example2"))
-    A, _ = exact_assemble(problem, 2)
+    A, _ = bernstein_system(problem, 2)
     assert A[1][0] == F(29, 105)
     assert A[0][1] == F(13, 105)
+    # in the Legendre basis on [-1, 1], with ∫ P_i = 2·δ_i0 and
+    # ∫ x^4·P_2 = 8/35, the kernel gives -(8/35·2) at [2][0] and +(2·8/35)
+    # at [0][2]
+    A, _ = exact_assemble(problem, 2)
+    assert A[2][0] == F(-16, 35)
+    assert A[0][2] == F(16, 35)
 
 
 def test_assemble_without_kernel_term_gives_symmetric_gram():
@@ -119,30 +139,35 @@ def test_assemble_without_kernel_term_gives_symmetric_gram():
         F(0),
         F(1),
     )
-    A, _ = exact_assemble(problem, 3)
+    A, _ = bernstein_system(problem, 3)
+    legendre, _ = exact_assemble(problem, 3)
     for i in range(4):
         for j in range(4):
             assert A[i][j] == A[j][i]
             want = F(math.comb(3, i) * math.comb(3, j), 7 * math.comb(6, i + j))
             assert A[i][j] == want
+            # ∫₀¹ P_i·P_j = δ_ij/(2i+1)
+            assert legendre[i][j] == (F(1, 2 * i + 1) if i == j else 0)
 
 
 def test_assemble_degree_cap():
+    # the basis cap of 50 is the only limit
     problem = as_exact_problem(builtin("example1"))
-    with pytest.raises(InvalidDegree):
-        exact_assemble(problem, 21)
+    for n in (-1, 51):
+        with pytest.raises(InvalidDegree):
+            exact_assemble(problem, n)
+    A, F = exact_assemble(problem, 50)
+    assert len(A) == len(F) == 51
 
 
 def test_solve_even_quadratic_problem():
-    problem = as_exact_problem(builtin("example1"))
-    got = solve_rational_system(*exact_assemble(problem, 3))
-    assert got == [F(19, 9), F(17, 27), F(17, 27), F(19, 9)]
+    got = solve(builtin("example1"), 3, mode="exact").coefficients
+    assert got == (F(19, 9), F(17, 27), F(17, 27), F(19, 9))
 
 
 def test_solve_identity_solution_problem():
-    problem = as_exact_problem(builtin("example2"))
-    got = solve_rational_system(*exact_assemble(problem, 3))
-    assert got == [F(-1), F(-1, 3), F(1, 3), F(1)]
+    got = solve(builtin("example2"), 3, mode="exact").coefficients
+    assert got == (F(-1), F(-1, 3), F(1, 3), F(1))
 
 
 def elevate_to_bernstein(mono, n):
@@ -155,19 +180,18 @@ def elevate_to_bernstein(mono, n):
 
 
 def test_solve_mixed_quadratic_problem():
-    problem = as_exact_problem(builtin("example3"))
-    got = solve_rational_system(*exact_assemble(problem, 3))
+    got = solve(builtin("example3"), 3, mode="exact").coefficients
     oracle = elevate_to_bernstein([F(0), F(180, 119), F(80, 119)], 3)
     assert oracle == [F(0), F(60, 119), F(440, 357), F(260, 119)]
-    assert got == oracle
+    assert list(got) == oracle
 
 
 def test_solutions_have_zero_residual():
     for name in ("example1", "example2", "example3"):
         problem = as_exact_problem(builtin(name))
         for n in (3, 4, 5):
-            coeffs = solve_rational_system(*exact_assemble(problem, n))
-            phi = phi_poly(coeffs, problem.a, problem.b)
+            coeffs = solve(builtin(name), n, mode="exact").coefficients
+            phi = phi_poly(list(coeffs), problem.a, problem.b)
             assert residual_poly(problem, phi).is_zero, (name, n)
 
 
@@ -186,7 +210,8 @@ def shifted_problem():
 def test_shifted_interval_with_variable_coefficient_recovers_solution():
     problem, phi_star = shifted_problem()
     for n in (2, 3, 5):
-        coeffs = solve_rational_system(*exact_assemble(problem, n))
+        coeffs = exact_path(problem, n)
+        assert coeffs == bernstein_solve(problem, n), n
         phi = phi_poly(coeffs, problem.a, problem.b)
         assert phi == phi_star, n
         assert residual_poly(problem, phi).is_zero, n
@@ -196,14 +221,87 @@ def test_closed_form_assembly_matches_quadrature():
     problem = FredholmProblem(
         parse("1 + x"), F(1, 3), parse("x*t - 2*t^2 + 1/3"), parse("x^2 - 1"), F(1, 2), F(2)
     )
-    # the float path's Legendre system is T.T @ A_B @ T, T.T @ F_B of the
-    # closed-form Bernstein system
+    # the float path's orthonormal system is the closed-form Legendre
+    # system scaled by sqrt(2k+1) on both sides
     exact_view = as_exact_problem(problem)
     for n in (0, 4, 9):
-        want_A, want_rhs = legendre_system(*exact_assemble(exact_view, n))
+        want_A, want_rhs = orthonormal(*exact_assemble(exact_view, n))
         float_A, float_rhs = assemble(problem, n)
         assert np.allclose(float_A, want_A, rtol=1e-12, atol=1e-14)
         assert np.allclose(float_rhs, want_rhs, rtol=1e-12, atol=1e-14)
+
+
+def legendre_cases():
+    problems = {name: as_exact_problem(builtin(name)) for name in ("example1", "example2", "example3")}
+    problems["shifted"] = shifted_problem()[0]
+    return problems
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
+def test_legendre_system_is_the_bernstein_system_transformed(name):
+    # R.T @ A_B @ R == A_L and R.T @ F_B == F_L exactly, with R the rational
+    # Legendre-to-Bernstein map: the paper's formulation, in another basis
+    problem = legendre_cases()[name]
+    for n in range(21):
+        assert legendre_system(*bernstein_system(problem, n)) == exact_assemble(problem, n), n
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
+def test_exact_coefficients_equal_the_bernstein_oracle(name):
+    problem = legendre_cases()[name]
+    for n in range(25):
+        assert exact_path(problem, n) == bernstein_solve(problem, n), n
+
+
+def nonzeros(A):
+    return {(j, i) for j, row in enumerate(A) for i, v in enumerate(row) if v}
+
+
+def test_example1_system_is_sparse():
+    # a = 1 gives a diagonal, the kernel x*t + x^2*t^2 a corner on members 0..2
+    A, _ = exact_assemble(as_exact_problem(builtin("example1")), 40)
+    assert len(A) == 41
+    assert len(nonzeros(A)) <= 43
+
+
+def test_linear_coefficient_gives_a_tridiagonal_system_plus_the_kernel_corner():
+    # a = 1 + x couples neighbouring members only; the kernel
+    # x*t - 2*t^2 + 1/3 has x-degree 1 and t-degree 2
+    problem = shifted_problem()[0]
+    for n in (5, 12):
+        A, _ = exact_assemble(problem, n)
+        band = {(j, i) for j in range(n + 1) for i in range(n + 1) if abs(i - j) <= 1}
+        corner = {(j, i) for j in range(2) for i in range(3)}
+        assert nonzeros(A) <= band | corner
+        assert band - corner <= nonzeros(A)
+
+
+def test_rational_elimination_swaps_rows_when_a_pivot_is_zero():
+    A = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1, 3)]]
+    assert solve_rational_system(A, [F(1), F(2), F(1)]) == [F(2), F(1), F(3)]
+
+
+def test_rational_elimination_detects_a_singular_matrix():
+    with pytest.raises(SingularSystem, match="column 1"):
+        solve_rational_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+
+
+def test_rational_elimination_solves_random_dense_systems_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        m = int(rng.integers(2, 10))
+        A = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(m)] for _ in range(m)]
+        for row in A:  # zeros in the way of the first-nonzero pivot search
+            row[int(rng.integers(0, m))] = F(0)
+        want = [F(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(m)]
+        rhs = [sum(a * x for a, x in zip(row, want)) for row in A]
+        try:
+            got = solve_rational_system(A, rhs)
+        except SingularSystem:
+            assert abs(np.linalg.det(np.array(A, dtype=float))) <= 1e-12
+            continue
+        assert got == want
+        assert [sum(a * x for a, x in zip(row, got)) for row in A] == rhs
 
 
 def test_singular_operator_detected():

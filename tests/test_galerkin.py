@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fredgal.basis import legendre_to_bernstein
+from fredgal.basis import bernstein_to_monomial, legendre_to_bernstein
 from fredgal.errors import (
     DomainError,
     ExactPathUnavailable,
@@ -16,7 +16,7 @@ from fredgal.errors import (
     OutOfInterval,
     SingularSystem,
 )
-from fredgal.exact import exact_assemble, solve_rational_system
+from fredgal.exact import exact_assemble
 from fredgal.expr import parse
 from fredgal.galerkin import (
     FredholmProblem,
@@ -30,7 +30,7 @@ from fredgal.galerkin import (
 )
 from fredgal.problems import builtin
 
-from exact_oracle import legendre_system
+from exact_oracle import bernstein_solve, bernstein_system, legendre_system, orthonormal
 
 
 def test_default_quadrature_order():
@@ -62,10 +62,11 @@ def test_nonfinite_problem_numbers_are_invalid(lam, b, mode):
 def test_assemble_rhs_constant_for_unit_rhs():
     # the Bernstein rhs of f = 1 on [-1, 1] is constant; in the orthonormal
     # basis only the constant member sees it: ∫ L_0 = b - a
-    exact_A, exact_F = exact_assemble(as_exact_problem(builtin("example1")), 3)
-    assert exact_F == [Fraction(1, 2)] * 4
+    bernstein_A, bernstein_F = bernstein_system(as_exact_problem(builtin("example1")), 3)
+    assert bernstein_F == [Fraction(1, 2)] * 4
     _, F = assemble(builtin("example1"), 3)
-    assert F == pytest.approx(legendre_system(exact_A, exact_F)[1], abs=1e-13)
+    want = orthonormal(*legendre_system(bernstein_A, bernstein_F))[1]
+    assert F == pytest.approx(want, abs=1e-13)
     assert F == pytest.approx([2.0, 0.0, 0.0, 0.0], abs=1e-13)
 
 
@@ -92,7 +93,10 @@ def test_assemble_gram_when_kernel_disabled():
 def test_assemble_matches_exact_entries():
     # float A, F are T.T @ A_B @ T and T.T @ F_B of the rational Bernstein system
     problem = builtin("example2")
-    want_A, want_F = legendre_system(*exact_assemble(as_exact_problem(problem), 2))
+    exact_view = as_exact_problem(problem)
+    legendre = exact_assemble(exact_view, 2)
+    assert legendre == legendre_system(*bernstein_system(exact_view, 2))
+    want_A, want_F = orthonormal(*legendre)
     A, F = assemble(problem, 2)
     for j in range(3):
         assert abs(F[j] - want_F[j]) <= 1e-14
@@ -113,7 +117,7 @@ def test_solve_exponential_problem_matches_reference_monomials():
 
 def test_float_solve_agrees_with_exact_path():
     problem = builtin("example1")
-    exact_coeffs = solve_rational_system(*exact_assemble(as_exact_problem(problem), 3))
+    exact_coeffs = solve(problem, 3, mode="exact").coefficients
     float_solution = solve(problem, 3, mode="float")
     for got, want in zip(float_solution.coefficients, exact_coeffs):
         assert abs(got - float(want)) <= 1e-10
@@ -124,6 +128,20 @@ def test_auto_mode_routing():
     assert solve(builtin("example4"), 3).mode == "float"
     with pytest.raises(ExactPathUnavailable):
         solve(builtin("example4"), 3, mode="exact")
+
+
+@pytest.mark.parametrize("n", [21, 24, 40, 50])
+def test_auto_takes_the_exact_path_up_to_the_basis_cap(n):
+    problem = builtin("example1")
+    solution = solve(problem, n)
+    assert solution.mode == "exact"
+    assert solution.condition == pytest.approx(3.0629514607, rel=1e-6)
+    if n <= 24:
+        assert list(solution.coefficients) == bernstein_solve(as_exact_problem(problem), n)
+    else:
+        # phi* = 1 + 10/9*x^2, recovered exactly
+        mono = bernstein_to_monomial(list(solution.coefficients), solution.spec)
+        assert mono == [1, 0, Fraction(10, 9)] + [0] * (n - 2)
 
 
 def test_auto_mode_exact_coefficients_are_fractions():
@@ -386,13 +404,37 @@ def test_each_solve_factors_its_matrix_once(monkeypatch, mode):
     assert calls == [(4, 4)]
 
 
+def test_exact_solve_does_not_build_the_float_map(monkeypatch):
+    # the exact path maps its Legendre coefficients with the integer closed
+    # form and takes its condition from the scaled Legendre system
+    import fredgal.basis
+    import fredgal.galerkin
+
+    def refuse(n):
+        raise AssertionError("legendre_to_bernstein called on the exact path")
+
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return inv(matrix)
+
+    monkeypatch.setattr(fredgal.basis, "legendre_to_bernstein", refuse)
+    monkeypatch.setattr(fredgal.galerkin, "legendre_to_bernstein", refuse)
+    monkeypatch.setattr(fredgal.galerkin.np.linalg, "inv", counting)
+    for n in (3, 24):
+        assert solve(builtin("example1"), n).mode == "exact"
+    assert calls == [(4, 4), (25, 25)]
+
+
 def test_exact_solve_with_an_entry_beyond_float_range():
     problem = FredholmProblem(parse("1"), -1, parse("1e400*x*t"), parse("x"), 0, 1)
     with pytest.warns(IllConditionedWarning):
         solution = solve(problem, 2)
     assert solution.mode == "exact" and solution.condition == math.inf
-    # the coefficients still solve the rational system
-    A, F = exact_assemble(as_exact_problem(problem), 2)
+    # the coefficients still solve the rational Bernstein system
+    A, F = bernstein_system(as_exact_problem(problem), 2)
     assert [sum(a * c for a, c in zip(row, solution.coefficients)) for row in A] == F
     with pytest.raises(DomainError), np.errstate(invalid="ignore"):
         solve(problem, 2, mode="float")
