@@ -28,7 +28,9 @@ _ZERO = Fraction(0)
 
 
 class BivarPoly:
-    """Polynomial in x and t with Fraction coefficients.
+    """Polynomial in x and t with Fraction coefficients, held as data for
+    ``ExactProblem`` and ``exact_assemble``; it has no arithmetic, and
+    ``fredgal.expr.to_polynomial`` builds one from an expression.
 
     Terms are stored sparsely as {(deg_x, deg_t): coefficient}; zero
     coefficients are never kept, so equality is structural.
@@ -51,70 +53,12 @@ class BivarPoly:
             clean[(int(i), int(j))] = c
         self.terms = clean
 
-    @classmethod
-    def const(cls, value) -> "BivarPoly":
-        return cls({(0, 0): Fraction(value)})
-
-    @classmethod
-    def variable(cls, name: str) -> "BivarPoly":
-        if name == "x":
-            return cls({(1, 0): Fraction(1)})
-        if name == "t":
-            return cls({(0, 1): Fraction(1)})
-        raise ValueError(f"unknown variable {name!r}")
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivarPoly(out)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivarPoly(out)
-
-    def __pow__(self, k: int) -> "BivarPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = BivarPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
-
-    def scale(self, factor) -> "BivarPoly":
-        factor = Fraction(factor)
-        return BivarPoly({k: c * factor for k, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BivarPoly) and self.terms == other.terms
 
     def __repr__(self) -> str:
         items = ", ".join(f"{k}: {c}" for k, c in sorted(self.terms.items()))
         return f"BivarPoly({{{items}}})"
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def degree_x(self) -> int:
@@ -123,14 +67,6 @@ class BivarPoly:
     @property
     def degree_t(self) -> int:
         return max((j for _, j in self.terms), default=0)
-
-    def constant_value(self) -> Fraction | None:
-        """The value of a constant polynomial, or None if it has variables."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {(0, 0)}:
-            return self.terms[(0, 0)]
-        return None
 
     def coefficients_in_x(self) -> list[Fraction]:
         """Ascending univariate coefficients; requires no t dependence."""

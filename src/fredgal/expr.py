@@ -20,11 +20,10 @@ import numpy as np
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
-    InvalidDegree,
     MissingBinding,
     UnknownIdentifier,
 )
-from .exact import BivarPoly
+from .exact import MAX_TOTAL_DEGREE, BivarPoly
 
 FUNCTIONS = {
     "exp": np.exp,
@@ -324,49 +323,112 @@ def to_polynomial(node: Node) -> BivarPoly | None:
     or return None when the expression is not such a polynomial.
 
     Requirements: no functions or named constants, division only by nonzero
-    constants, exponents that are nonnegative integer literals, and an
-    expanded total degree within the exact-path cap.
+    constants, exponents that are nonnegative integer literals, an expanded
+    total degree within the exact-path cap, and powers of bounded size: in
+    base^k, k times the bit length of the largest numerator or denominator
+    of the base, written over its least common denominator, may be at most
+    MAX_TOTAL_DEGREE·1024 (a float-range value raised to the degree cap).
+    The expansion runs on Python integers over one common denominator and
+    is reduced to Fractions once, at the end.
     """
     try:
-        return _poly(node)
+        terms, den = _poly(node)
     except _NotPolynomial:
         return None
-    except InvalidDegree:
-        # expansion blew past the representable cap; treat as non-polynomial
-        return None
+    return BivarPoly({key: Fraction(c, den) for key, c in terms.items()})
 
 
-def _literal_fraction(text: str) -> Fraction:
-    return Fraction(text)  # exact for decimal and exponent literals
+# An expanded expression is a pair (terms, den): the polynomial
+# Σ terms[(i, j)]/den·x^i·t^j with integer numerators, no zero entries and
+# den > 0, not necessarily in lowest terms.
+_Terms = dict[tuple[int, int], int]
 
 
-def _poly(node: Node) -> BivarPoly:
+def _literal(text: str) -> tuple[int, int]:
+    """Exact (numerator, denominator) of a number literal: 12, 0.25, 1.5e-3."""
+    if text.isdecimal():
+        return int(text), 1
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, digits = mantissa.partition(".")
+    shift = int(exponent or 0) - len(digits)
+    value = int(whole + digits)
+    return (value * 10**shift, 1) if shift >= 0 else (value, 10**-shift)
+
+
+def _degree(terms: _Terms) -> int:
+    return max(map(sum, terms), default=0)
+
+
+def _mul(left: _Terms, right: _Terms) -> _Terms:
+    out: _Terms = {}
+    for (i1, j1), c1 in left.items():
+        for (i2, j2), c2 in right.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _poly(node: Node) -> tuple[_Terms, int]:
     if isinstance(node, Num):
-        return BivarPoly.const(_literal_fraction(node.text))
+        num, den = _literal(node.text)
+        return ({(0, 0): num} if num else {}), den
     if isinstance(node, Var):
-        return BivarPoly.variable(node.name)
+        return {(1, 0) if node.name == "x" else (0, 1): 1}, 1
     if isinstance(node, (Const, Call)):
         raise _NotPolynomial
     if isinstance(node, Neg):
-        return -_poly(node.operand)
+        terms, den = _poly(node.operand)
+        return {key: -c for key, c in terms.items()}, den
     if isinstance(node, BinOp):
         if node.op == "^":
-            if not isinstance(node.right, Num):
+            return _power(node)
+        left, lden = _poly(node.left)
+        right, rden = _poly(node.right)
+        if node.op in ("+", "-"):
+            den = math.lcm(lden, rden)
+            lscale, rscale = den // lden, den // rden
+            if node.op == "-":
+                rscale = -rscale
+            out = {key: c * lscale for key, c in left.items()}
+            for key, c in right.items():
+                out[key] = out.get(key, 0) + c * rscale
+            return {key: c for key, c in out.items() if c}, den
+        if node.op == "/":
+            divisor = right.get((0, 0))
+            if not divisor or len(right) > 1:
                 raise _NotPolynomial
-            k = _literal_fraction(node.right.text)
-            if k.denominator != 1 or k < 0:
-                raise _NotPolynomial
-            return _poly(node.left) ** int(k)
-        left = _poly(node.left)
-        right = _poly(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        divisor = right.constant_value()
-        if divisor is None or divisor == 0:
+            # multiply by rden/divisor, the sign kept in the numerator
+            right, rden = {(0, 0): rden if divisor > 0 else -rden}, abs(divisor)
+        # over the rationals deg(p·q) = deg p + deg q, so the cap is checked
+        # before the product is formed
+        if _degree(left) + _degree(right) > MAX_TOTAL_DEGREE:
             raise _NotPolynomial
-        return left.scale(Fraction(1) / divisor)
+        return _mul(left, right), lden * rden
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _power(node: BinOp) -> tuple[_Terms, int]:
+    """base^k for a nonnegative integer literal k; the degree cap and the
+    size bound are checked before anything is expanded."""
+    if not isinstance(node.right, Num):
+        raise _NotPolynomial
+    num, den = _literal(node.right.text)
+    if num < 0 or num % den:
+        raise _NotPolynomial
+    k = num // den
+    terms, den = _poly(node.left)
+    if not terms:
+        return ({} if k else {(0, 0): 1}), 1
+    g = math.gcd(den, *terms.values())
+    terms, den = {key: c // g for key, c in terms.items()}, den // g
+    if _degree(terms) * k > MAX_TOTAL_DEGREE:
+        raise _NotPolynomial
+    if k * max(den, *map(abs, terms.values())).bit_length() > MAX_TOTAL_DEGREE * 1024:
+        raise _NotPolynomial
+    if len(terms) == 1:
+        ((i, j), c), = terms.items()
+        return {(i * k, j * k): c**k}, den**k
+    out = {(0, 0): 1}  # the base has a variable, so k <= MAX_TOTAL_DEGREE
+    for _ in range(k):
+        out = _mul(out, terms)
+    return out, den**k

@@ -1,16 +1,101 @@
-"""Exact oracles the tests check the solver against: the residual of a
-candidate solution, independent of the Galerkin projection; the paper's
-Galerkin system in the Bernstein basis, assembled in closed form and
-independent of the Legendre assembly the solver uses; and the Legendre form
-of a rational Bernstein system, independent of the closed form
-``fredgal.basis`` uses."""
+"""Exact oracles the tests check the solver against: polynomial arithmetic
+on ``BivarPoly`` with a Fraction per coefficient, and the expansion of an
+expression node by node with it, independent of the integer arithmetic
+``to_polynomial`` uses; the residual of a candidate solution, independent
+of the Galerkin projection; the paper's Galerkin system in the Bernstein
+basis, assembled in closed form and independent of the Legendre assembly
+the solver uses; and the Legendre form of a rational Bernstein system,
+independent of the closed form ``fredgal.basis`` uses."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from fredgal.errors import InvalidDegree
 from fredgal.exact import BivarPoly, ExactProblem, solve_rational_system
+from fredgal.expr import Call, Const, Neg, Num, Var
+
+
+def poly_add(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    out = dict(p.terms)
+    for key, c in q.terms.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return BivarPoly(out)
+
+
+def poly_scale(p: BivarPoly, factor) -> BivarPoly:
+    factor = Fraction(factor)
+    return BivarPoly({k: c * factor for k, c in p.terms.items()})
+
+
+def poly_sub(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    return poly_add(p, poly_scale(q, -1))
+
+
+def poly_mul(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    """The product; raises InvalidDegree past the degree cap."""
+    out = {}
+    for (i1, j1), c1 in p.terms.items():
+        for (i2, j2), c2 in q.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return BivarPoly(out)
+
+
+def poly_pow(p: BivarPoly, k: int) -> BivarPoly:
+    """p^k by repeated squaring."""
+    result, base = BivarPoly({(0, 0): 1}), p
+    while k:
+        if k & 1:
+            result = poly_mul(result, base)
+        k >>= 1
+        if k:
+            base = poly_mul(base, base)
+    return result
+
+
+class _NotPolynomial(Exception):
+    pass
+
+
+def reference_polynomial(node) -> BivarPoly | None:
+    """``to_polynomial`` computed node by node on ``BivarPoly``: each literal
+    read by ``Fraction(text)``, each intermediate result a BivarPoly, None
+    when the expression is not a polynomial or an intermediate result has a
+    term past the degree cap."""
+    try:
+        return _reference(node)
+    except (_NotPolynomial, InvalidDegree):
+        return None
+
+
+def _reference(node) -> BivarPoly:
+    if isinstance(node, Num):
+        return BivarPoly({(0, 0): Fraction(node.text)})
+    if isinstance(node, Var):
+        return BivarPoly({(1, 0) if node.name == "x" else (0, 1): 1})
+    if isinstance(node, (Const, Call)):
+        raise _NotPolynomial
+    if isinstance(node, Neg):
+        return poly_scale(_reference(node.operand), -1)
+    if node.op == "^":
+        if not isinstance(node.right, Num):
+            raise _NotPolynomial
+        k = Fraction(node.right.text)
+        if k.denominator != 1 or k < 0:
+            raise _NotPolynomial
+        return poly_pow(_reference(node.left), int(k))
+    left, right = _reference(node.left), _reference(node.right)
+    if node.op == "+":
+        return poly_add(left, right)
+    if node.op == "-":
+        return poly_sub(left, right)
+    if node.op == "*":
+        return poly_mul(left, right)
+    if set(right.terms) - {(0, 0)} or not right.terms:
+        raise _NotPolynomial  # division by a variable or by zero
+    return poly_scale(left, 1 / right.terms[(0, 0)])
 
 
 def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:
@@ -28,7 +113,10 @@ def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:
         for (s, _), d in phi.terms.items():
             e = q + s + 1
             integral[(p, 0)] = integral.get((p, 0), 0) + c * d * (b**e - a**e) / e
-    return problem.a_poly * phi + BivarPoly(integral).scale(problem.lam) - problem.f_poly
+    return poly_sub(
+        poly_add(poly_mul(problem.a_poly, phi), poly_scale(BivarPoly(integral), problem.lam)),
+        problem.f_poly,
+    )
 
 
 def _bernstein_moments(coeffs: list, a: Fraction, h: Fraction, m: int) -> list[Fraction]:

@@ -32,6 +32,13 @@ REMOVED = [
     ("fredgal.linalg", "PIVOT_REL_TOL"),
     ("fredgal.errors", "SingularMatrix"),
     ("fredgal.exact", "MAX_EXACT_DEGREE"),
+    *(
+        ("fredgal.exact", f"BivarPoly.{name}")
+        for name in (
+            "__add__", "__sub__", "__neg__", "__mul__", "__pow__",
+            "scale", "const", "variable", "constant_value", "is_zero",
+        )
+    ),
 ]
 
 
@@ -84,6 +91,7 @@ def test_benchmark_tracer_targets_resolve():
         assert tracer.missing == [
             "fredgal.exact.bernstein_poly_exact",
             "fredgal.basis.bernstein_poly_exact",
+            "fredgal.exact.BivarPoly.__mul__",
             "fredgal.galerkin.lu_factor",
             "fredgal.galerkin.lu_solve",
             "fredgal.galerkin.condition_1norm",

@@ -207,6 +207,19 @@ def test_exit_code_solver_errors(capsys, tmp_path):
     assert code == 2 and err != ""
 
 
+def test_oversized_power_is_refused_by_both_paths(capsys, tmp_path):
+    # 3^100000000 is too large to expand exactly and overflows as a float
+    path = tmp_path / "power.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -1\n"
+        "kernel = x*t\nrhs = 1 + 3^100000000*0\n"
+    )
+    for mode in ("auto", "float"):
+        code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", mode)
+        assert code == 2 and out == ""
+        assert err == "error: rhs expression: 3.0 ^ 100000000.0 is undefined (offset 5)\n"
+
+
 def test_quadrature_order_not_above_the_degree_is_an_input_error(capsys):
     # q <= n nodes always give a singular system: the order is at fault, not the operator
     code, out, err = run(

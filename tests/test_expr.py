@@ -1,5 +1,10 @@
+import functools
+import importlib
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,10 @@ from fredgal.expr import (
     to_text,
     variables,
 )
+from fredgal.exact import BivarPoly
+from fredgal.problems import BUILTIN_NAMES, builtin
+
+from exact_oracle import reference_polynomial
 
 
 def test_parse_product_sum_kernel_structure():
@@ -309,3 +318,152 @@ def test_scalar_input_gives_float_and_array_input_gives_broadcast_array():
 def test_missing_t_binding_for_arrays():
     with pytest.raises(MissingBinding):
         evaluate(parse("x*t"), np.linspace(0.0, 1.0, 5))
+
+
+# -- polynomial detection against the node-by-node Fraction expansion --------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def benchmark_texts(workload: str, seed: int) -> tuple[str, ...]:
+    """The coefficient, kernel and rhs texts of the benchmark's manufactured
+    problems for one workload and seed, from its own generator."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    problems = workloads.build(workload, seed, "problems").problems
+    return tuple(text for p in problems for text in (p.coefficient, p.kernel, p.rhs))
+
+
+def builtin_nodes():
+    for name in BUILTIN_NAMES:
+        problem = builtin(name)
+        yield from (problem.a_expr, problem.kernel_expr, problem.f_expr, problem.exact_expr)
+
+
+EDGE_CASES = [
+    "x^101",
+    "x^60*x^60 - x^60*x^60",
+    "(x-x)^200",
+    "(x+t)^50*(x+t)^51",
+    "0*x^101",
+    "x^2.0",
+    "x^1e1",
+    "x/(t-t)",
+    "2^0.5",
+    "0^0",
+    "(x-x)^0",
+    "x^60*x^40*(x-x)",
+    "(x-x)*x^60*x^60",
+    "-x/(-3)",
+    "(2/4)^3",
+    "x^1.5e1",
+    "x^1e-1",
+]
+
+LITERALS = ["0", "1", "2", "7", "12", "0.5", "0.25", "3.125", "0.001", "1e2", "2.5e-3",
+            "1.5E1", "2.0", "6.02e1", "0.0"]
+EXPONENTS = ["0", "1", "2", "3", "2.0", "1e1", "4", "0.5", "1e-1"]
+
+
+def random_expression(rng: random.Random, depth: int) -> str:
+    """Expression text with decimal and exponent literals, p/q quotients,
+    unary minus, division by constants, powers of sums, and some pieces
+    that are not polynomials."""
+    if depth == 0 or rng.random() < 0.15:
+        return rng.choice(LITERALS) if rng.random() < 0.4 else rng.choice("xt")
+
+    def sub():
+        return f"({random_expression(rng, depth - 1)})"
+
+    pick = rng.random()
+    if pick < 0.3:
+        return f"{sub()} {rng.choice('+-')} {sub()}"
+    if pick < 0.55:
+        return f"{sub()}*{sub()}"
+    if pick < 0.62:
+        return f"-{sub()}"
+    if pick < 0.7:
+        return f"{sub()}/{rng.choice(['3', '7', '0.5', '-4', '(2 - 2)', '(1/3 - t)'])}"
+    if pick < 0.78:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 12)}*{sub()}"
+    if pick < 0.95:
+        return f"({sub()} {rng.choice('+-')} {sub()})^{rng.choice(EXPONENTS)}"
+    return rng.choice(["exp(x)", "pi", "x^t", "x/t", "x^(1+1)", f"x^99*{sub()}"])
+
+
+def assert_same_expansion(node) -> bool:
+    """to_polynomial gives the reference's terms and Fractions, or None
+    where the reference does; True when the expression is a polynomial."""
+    want = reference_polynomial(node)
+    got = to_polynomial(node)
+    if want is None:
+        assert got is None, to_text(node)
+        return False
+    assert got is not None, to_text(node)
+    assert got.terms == want.terms, to_text(node)
+    assert all(type(c) is Fraction for c in got.terms.values()), to_text(node)
+    return True
+
+
+def test_to_polynomial_matches_the_reference_on_the_corpus_builtins_and_edge_cases():
+    for text in CORPUS + EDGE_CASES:
+        assert_same_expansion(parse(text))
+    for node in builtin_nodes():
+        assert_same_expansion(node)
+
+
+@pytest.mark.parametrize("workload", ["exact_poly", "float_smooth", "float_kinked"])
+def test_to_polynomial_matches_the_reference_on_the_benchmark_problems(workload):
+    texts = {text for seed in range(1, 6) for text in benchmark_texts(workload, seed)}
+    polynomials = sum(assert_same_expansion(parse(text)) for text in sorted(texts))
+    assert polynomials > 0
+
+
+def test_to_polynomial_matches_the_reference_on_random_expressions():
+    rng = random.Random(2013)
+    outcomes = [assert_same_expansion(parse(random_expression(rng, 3))) for _ in range(2000)]
+    # both kinds occur in quantity
+    assert 500 < sum(outcomes) < 1500
+
+
+def test_to_polynomial_builds_one_bivar_poly_and_none_for_a_non_polynomial(monkeypatch):
+    built = []
+    init = BivarPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BivarPoly, "__init__", counted)
+    for text in benchmark_texts("exact_poly", 1) + tuple(CORPUS):
+        built.clear()
+        poly = to_polynomial(parse(text))
+        assert built == ([] if poly is None else [poly]), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3^10000000", "(((3^100)^100)^100)^100", "2^51201", "(1/2)^51201", "(3/7 + x)^1e5"],
+)
+def test_powers_past_the_size_bound_are_not_polynomials(text):
+    # the result's bit length, k times the base's, may be at most
+    # MAX_TOTAL_DEGREE·1024; these are refused before any expansion
+    assert to_polynomial(parse(text)) is None
+
+
+def test_powers_within_the_size_bound_expand_exactly():
+    cases = {
+        "10^300": {(0, 0): 10**300},
+        "(1/3)^100": {(0, 0): Fraction(1, 3**100)},
+        "(2*x)^100": {(100, 0): 2**100},
+        "(x+t)^100": {(k, 100 - k): math.comb(100, k) for k in range(101)},
+        "2^51200": {(0, 0): 2**51200},
+        "(1/2)^51200": {(0, 0): Fraction(1, 2**51200)},
+        "(2/4)^51200": {(0, 0): Fraction(1, 2**51200)},
+    }
+    for text, terms in cases.items():
+        assert to_polynomial(parse(text)).terms == terms, text
