@@ -41,8 +41,9 @@ class BivarPoly:
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if not c:
                 continue
             if i < 0 or j < 0:
                 raise ValueError("negative exponent in polynomial term")

@@ -210,7 +210,7 @@ def evaluate(node: Node, x, t=None):
 
     ``x`` and ``t`` are numbers or numpy arrays that broadcast together; the
     tree is walked once per call, each node applied to the whole grid.  A
-    scalar input gives a Python float, an array input an array of the
+    scalar input gives a Python float, an array input a fresh array of the
     broadcast shape.  Raises DomainError, naming the offending value at the
     first bad point, when any value leaves the reals, and MissingBinding
     when t is referenced but absent.
@@ -223,6 +223,9 @@ def evaluate(node: Node, x, t=None):
         value = _eval(node, x, t)
     if shape == ():
         return float(value)
+    # a node's result is a new array; only a bare variable hands back the input
+    if type(value) is np.ndarray and value.shape == shape and value is not x and value is not t:
+        return value
     return np.array(np.broadcast_to(value, shape))
 
 
@@ -235,68 +238,92 @@ def _check(bad, message: str, *operands) -> None:
         raise DomainError(message.format(*(float(v[at]) for v in operands)))
 
 
+def _finite(value) -> bool:
+    if isinstance(value, float):  # a Python float or a numpy scalar
+        return math.isfinite(value)
+    return bool(np.isfinite(value).all())
+
+
+# Every domain error leaves a non-finite value at its bad point (log of a
+# value <= 0 is -inf or nan, sqrt of a negative nan, a/0 ±inf or nan, and
+# the post-checks look for non-finite results only), so a checked node
+# tests its result once and builds the masks only when that test fails.
 def _eval(node: Node, x, t):
-    if isinstance(node, Num):
+    kind = type(node)
+    if kind is BinOp:
+        a = _eval(node.left, x, t)
+        b = _eval(node.right, x, t)
+        op = node.op
+        if op == "*":
+            return a * b
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "/":
+            try:
+                r = a / b
+            except ZeroDivisionError:  # two Python floats; numpy gives ±inf or nan
+                r = math.nan
+            if not _finite(r):
+                _check(b == 0.0, f"division of {{}} by zero (offset {node.pos})", a)
+            return r
+        r = np.power(a, b)
+        if not _finite(r):
+            # what math.pow rejects: a nonfinite result from finite operands
+            _check(
+                np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r),
+                f"{{}} ^ {{}} is undefined (offset {node.pos})",
+                a,
+                b,
+            )
+        return r
+    if kind is Num:
         return float(node.text)
-    if isinstance(node, Var):
+    if kind is Var:
         if node.name == "x":
             return x
         if t is None:
             raise MissingBinding("expression references t but no t was given")
         return t
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x, t)
-    if isinstance(node, Call):
+    if kind is Call:
         v = _eval(node.arg, x, t)
-        if node.func == "log":
-            _check(v <= 0.0, f"log of nonpositive value {{}} (offset {node.pos})", v)
-        if node.func == "sqrt":
-            _check(v < 0.0, f"sqrt of negative value {{}} (offset {node.pos})", v)
         r = FUNCTIONS[node.func](v)
-        # what math.exp/sin/... reject: nan from a number, or overflow
-        _check(
-            (np.isnan(r) & ~np.isnan(v)) | (np.isinf(r) & np.isfinite(v)),
-            f"{node.func}({{}}) is undefined (offset {node.pos})",
-            v,
-        )
+        if not _finite(r):
+            if node.func == "log":
+                _check(v <= 0.0, f"log of nonpositive value {{}} (offset {node.pos})", v)
+            if node.func == "sqrt":
+                _check(v < 0.0, f"sqrt of negative value {{}} (offset {node.pos})", v)
+            # what math.exp/sin/... reject: nan from a number, or overflow
+            _check(
+                (np.isnan(r) & ~np.isnan(v)) | (np.isinf(r) & np.isfinite(v)),
+                f"{node.func}({{}}) is undefined (offset {node.pos})",
+                v,
+            )
         return r
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x, t)
-        b = _eval(node.right, x, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            _check(b == 0.0, f"division of {{}} by zero (offset {node.pos})", a)
-            return a / b
-        r = np.power(a, b)
-        # what math.pow rejects: a nonfinite result from finite operands
-        _check(
-            np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r),
-            f"{{}} ^ {{}} is undefined (offset {node.pos})",
-            a,
-            b,
-        )
-        return r
+    if kind is Neg:
+        return -_eval(node.operand, x, t)
+    if kind is Const:
+        return CONSTANTS[node.name]
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def variables(node: Node) -> set[str]:
     """Set of variable names the expression actually uses."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables(node.operand)
-    if isinstance(node, Call):
-        return variables(node.arg)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    return set()
+    found = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is BinOp:
+            stack += (node.left, node.right)
+        elif kind is Var:
+            found.add(node.name)
+        elif kind is Call:
+            stack.append(node.arg)
+        elif kind is Neg:
+            stack.append(node.operand)
+    return found
 
 
 def to_text(node: Node) -> str:
@@ -344,15 +371,40 @@ def to_polynomial(node: Node) -> BivarPoly | None:
 _Terms = dict[tuple[int, int], int]
 
 
+def _oversized(bits: int) -> bool:
+    """The size rule: a power or a literal whose numerator or denominator,
+    over its least common denominator, needs more than this many bits is
+    not a polynomial (a float-range value raised to the degree cap)."""
+    return bits > MAX_TOTAL_DEGREE * 1024
+
+
 def _literal(text: str) -> tuple[int, int]:
-    """Exact (numerator, denominator) of a number literal: 12, 0.25, 1.5e-3."""
+    """Exact (numerator, denominator) of a number literal: 12, 0.25, 1.5e-3.
+
+    A literal past the size rule is not a polynomial, and one far past it
+    is refused before its power of ten is built.
+    """
     if text.isdecimal():
         return int(text), 1
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, digits = mantissa.partition(".")
     shift = int(exponent or 0) - len(digits)
     value = int(whole + digits)
-    return (value * 10**shift, 1) if shift >= 0 else (value, 10**-shift)
+    if not value:
+        return 0, 1
+    # 10**s has more than 3·s bits, and reducing value/10**s by their gcd
+    # takes off at most value's own bits
+    if _oversized(3 * abs(shift) - (value.bit_length() if shift < 0 else 0)):
+        raise _NotPolynomial
+    if shift >= 0:
+        num, den = value * 10**shift, 1
+    else:
+        num, den = value, 10**-shift
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    if _oversized(max(num, den).bit_length()):
+        raise _NotPolynomial
+    return num, den
 
 
 def _degree(terms: _Terms) -> int:
@@ -423,7 +475,7 @@ def _power(node: BinOp) -> tuple[_Terms, int]:
     terms, den = {key: c // g for key, c in terms.items()}, den // g
     if _degree(terms) * k > MAX_TOTAL_DEGREE:
         raise _NotPolynomial
-    if k * max(den, *map(abs, terms.values())).bit_length() > MAX_TOTAL_DEGREE * 1024:
+    if _oversized(k * max(den, *map(abs, terms.values())).bit_length()):
         raise _NotPolynomial
     if len(terms) == 1:
         ((i, j), c), = terms.items()

@@ -205,6 +205,17 @@ def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return inverse, cond
 
 
+def _float_view(A: list[list[Fraction]]) -> np.ndarray:
+    """np.array(A, dtype=float) of a sparse rational matrix, converting only
+    its nonzero entries; OverflowError for an entry beyond the float range."""
+    view = np.zeros((len(A), len(A)))
+    for j, row in enumerate(A):
+        for i, v in enumerate(row):
+            if v:
+                view[j, i] = float(v)
+    return view
+
+
 def _warn_if_ill_conditioned(cond: float) -> None:
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -247,7 +258,7 @@ def solve(
         scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                _, cond = _invert(np.array(A, dtype=float) * np.outer(scale, scale))
+                _, cond = _invert(_float_view(A) * np.outer(scale, scale))
         except (SingularSystem, OverflowError):
             # the float view is singular, or an entry is beyond the float range
             cond = math.inf

@@ -1,7 +1,9 @@
 """Exact oracles the tests check the solver against: polynomial arithmetic
 on ``BivarPoly`` with a Fraction per coefficient, and the expansion of an
 expression node by node with it, independent of the integer arithmetic
-``to_polynomial`` uses; the residual of a candidate solution, independent
+``to_polynomial`` uses; the expression walker that checks the domain at
+every node, for ``evaluate``, which checks only where a result is not
+finite; the residual of a candidate solution, independent
 of the Galerkin projection; the paper's Galerkin system in the Bernstein
 basis, assembled in closed form and independent of the Legendre assembly
 the solver uses; and the Legendre form of a rational Bernstein system,
@@ -12,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from fredgal.errors import InvalidDegree
+from fredgal.errors import DomainError, InvalidDegree, MissingBinding
 from fredgal.exact import BivarPoly, ExactProblem, solve_rational_system
-from fredgal.expr import Call, Const, Neg, Num, Var
+from fredgal.expr import CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg, Num, Var
 
 
 def poly_add(p: BivarPoly, q: BivarPoly) -> BivarPoly:
@@ -96,6 +98,81 @@ def _reference(node) -> BivarPoly:
     if set(right.terms) - {(0, 0)} or not right.terms:
         raise _NotPolynomial  # division by a variable or by zero
     return poly_scale(left, 1 / right.terms[(0, 0)])
+
+
+def reference_evaluate(node, x, t=None):
+    """``evaluate`` with every domain check run at every node on the whole
+    grid, whatever the values: the same results, types and DomainError
+    messages, computed by building each check's mask unconditionally."""
+    x = np.asarray(x, dtype=float)
+    if t is not None:
+        t = np.asarray(t, dtype=float)
+    shape = x.shape if t is None else np.broadcast_shapes(x.shape, t.shape)
+    with np.errstate(all="ignore"):
+        value = _reference_eval(node, x, t)
+    if shape == ():
+        return float(value)
+    return np.array(np.broadcast_to(value, shape))
+
+
+def _reference_check(bad, message: str, *operands) -> None:
+    """Raise DomainError if any point is flagged, with the operands' values
+    at the first flagged point (in C order) filled into ``message``."""
+    if np.any(bad):
+        bad, *operands = np.broadcast_arrays(bad, *operands)
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(message.format(*(float(v[at]) for v in operands)))
+
+
+def _reference_eval(node, x, t):
+    if isinstance(node, Num):
+        return float(node.text)
+    if isinstance(node, Var):
+        if node.name == "x":
+            return x
+        if t is None:
+            raise MissingBinding("expression references t but no t was given")
+        return t
+    if isinstance(node, Const):
+        return CONSTANTS[node.name]
+    if isinstance(node, Neg):
+        return -_reference_eval(node.operand, x, t)
+    if isinstance(node, Call):
+        v = _reference_eval(node.arg, x, t)
+        if node.func == "log":
+            _reference_check(v <= 0.0, f"log of nonpositive value {{}} (offset {node.pos})", v)
+        if node.func == "sqrt":
+            _reference_check(v < 0.0, f"sqrt of negative value {{}} (offset {node.pos})", v)
+        r = FUNCTIONS[node.func](v)
+        # what math.exp/sin/... reject: nan from a number, or overflow
+        _reference_check(
+            (np.isnan(r) & ~np.isnan(v)) | (np.isinf(r) & np.isfinite(v)),
+            f"{node.func}({{}}) is undefined (offset {node.pos})",
+            v,
+        )
+        return r
+    if isinstance(node, BinOp):
+        a = _reference_eval(node.left, x, t)
+        b = _reference_eval(node.right, x, t)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            _reference_check(b == 0.0, f"division of {{}} by zero (offset {node.pos})", a)
+            return a / b
+        r = np.power(a, b)
+        # what math.pow rejects: a nonfinite result from finite operands
+        _reference_check(
+            np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r),
+            f"{{}} ^ {{}} is undefined (offset {node.pos})",
+            a,
+            b,
+        )
+        return r
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:

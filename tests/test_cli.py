@@ -220,6 +220,20 @@ def test_oversized_power_is_refused_by_both_paths(capsys, tmp_path):
         assert err == "error: rhs expression: 3.0 ^ 100000000.0 is undefined (offset 5)\n"
 
 
+def test_oversized_literal_is_refused_by_both_paths(capsys, tmp_path):
+    # 1e10000000 is too large to expand exactly (its power of ten is never
+    # built) and is inf as a float, so inf*0 leaves nan in the system
+    path = tmp_path / "literal.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -1\n"
+        "kernel = x*t\nrhs = 1 + 1e10000000*0\n"
+    )
+    for mode in ("auto", "float"):
+        code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", mode)
+        assert code == 2 and out == ""
+        assert err == "error: assembled system contains nonfinite entries\n"
+
+
 def test_quadrature_order_not_above_the_degree_is_an_input_error(capsys):
     # q <= n nodes always give a singular system: the order is at fault, not the operator
     code, out, err = run(

@@ -70,6 +70,17 @@ def test_poly_pow_cap():
         BivarPoly({(101, 0): F(1)})
 
 
+def test_bivar_poly_keeps_fractions_and_converts_other_coefficients():
+    third = F(1, 3)
+    poly = BivarPoly({(1, 0): third, (0, 1): 2, (0, 0): F(0), (2, 0): 0})
+    assert poly.terms == {(1, 0): third, (0, 1): F(2)}
+    assert poly.terms[(1, 0)] is third and type(poly.terms[(0, 1)]) is Fraction
+    with pytest.raises(ValueError, match="negative exponent"):
+        BivarPoly({(-1, 0): third})
+    with pytest.raises(InvalidDegree):
+        BivarPoly({(50, 51): third})
+
+
 def test_bernstein_exact_linear():
     assert phi_poly(unit(0, 1), 0, 1) == x_poly(1, -1)
 

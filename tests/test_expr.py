@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,8 +29,9 @@ from fredgal.expr import (
 )
 from fredgal.exact import BivarPoly
 from fredgal.problems import BUILTIN_NAMES, builtin
+from fredgal.quadrature import gauss_legendre
 
-from exact_oracle import reference_polynomial
+from exact_oracle import reference_evaluate, reference_polynomial
 
 
 def test_parse_product_sum_kernel_structure():
@@ -268,24 +270,28 @@ def test_array_evaluation_matches_scalar_points(text):
     assert (np.abs(grid - points) <= np.spacing(np.abs(points))).all(), text
 
 
-@pytest.mark.parametrize(
-    "text,bad,message",
-    [
-        ("log(x)", 0.0, "log of nonpositive value 0.0 (offset 0)"),
-        ("log(x)", -1.5, "log of nonpositive value -1.5 (offset 0)"),
-        ("sqrt(x)", -2.25, "sqrt of negative value -2.25 (offset 0)"),
-        ("x/(x - 1.5)", 1.5, "division of 1.5 by zero (offset 1)"),
-        ("exp(x)", 800.0, "exp(800.0) is undefined (offset 0)"),
-        ("x^(-1)", 0.0, "0.0 ^ -1.0 is undefined (offset 1)"),
-        ("x^0.5", -2.0, "-2.0 ^ 0.5 is undefined (offset 1)"),
-        ("x^2", 1e200, "1e+200 ^ 2.0 is undefined (offset 1)"),
-        ("sin(x*x)", 1e200, "sin(inf) is undefined (offset 0)"),
-        ("cos(-(x*x))", 1e200, "cos(-inf) is undefined (offset 0)"),
-    ],
-)
+BAD_POINTS = [
+    ("log(x)", 0.0, "log of nonpositive value 0.0 (offset 0)"),
+    ("log(x)", -1.5, "log of nonpositive value -1.5 (offset 0)"),
+    ("sqrt(x)", -2.25, "sqrt of negative value -2.25 (offset 0)"),
+    ("x/(x - 1.5)", 1.5, "division of 1.5 by zero (offset 1)"),
+    ("exp(x)", 800.0, "exp(800.0) is undefined (offset 0)"),
+    ("x^(-1)", 0.0, "0.0 ^ -1.0 is undefined (offset 1)"),
+    ("x^0.5", -2.0, "-2.0 ^ 0.5 is undefined (offset 1)"),
+    ("x^2", 1e200, "1e+200 ^ 2.0 is undefined (offset 1)"),
+    ("sin(x*x)", 1e200, "sin(inf) is undefined (offset 0)"),
+    ("cos(-(x*x))", 1e200, "cos(-inf) is undefined (offset 0)"),
+]
+
+
+def bad_point_grid(bad):
+    return np.array([0.25, 0.5, 0.75, bad, 1.0, 1.25])
+
+
+@pytest.mark.parametrize("text,bad,message", BAD_POINTS)
 def test_array_domain_errors_name_the_bad_point(text, bad, message):
     ast = parse(text)
-    xs = np.array([0.25, 0.5, 0.75, bad, 1.0, 1.25])
+    xs = bad_point_grid(bad)
     with pytest.raises(DomainError) as err:
         evaluate(ast, xs)
     assert str(err.value) == message
@@ -326,15 +332,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @functools.cache
-def benchmark_texts(workload: str, seed: int) -> tuple[str, ...]:
-    """The coefficient, kernel and rhs texts of the benchmark's manufactured
-    problems for one workload and seed, from its own generator."""
+def benchmark_problems(workload: str, seed: int) -> tuple:
+    """The benchmark's manufactured problems for one workload and seed, from
+    its own generator."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         workloads = importlib.import_module("workloads")
     finally:
         sys.path.remove(str(PERFBENCH))
-    problems = workloads.build(workload, seed, "problems").problems
+    return workloads.build(workload, seed, "problems").problems
+
+
+def benchmark_texts(workload: str, seed: int) -> tuple[str, ...]:
+    """The coefficient, kernel and rhs texts of those problems."""
+    problems = benchmark_problems(workload, seed)
     return tuple(text for p in problems for text in (p.coefficient, p.kernel, p.rhs))
 
 
@@ -447,12 +458,17 @@ def test_to_polynomial_builds_one_bivar_poly_and_none_for_a_non_polynomial(monke
 
 @pytest.mark.parametrize(
     "text",
-    ["3^10000000", "(((3^100)^100)^100)^100", "2^51201", "(1/2)^51201", "(3/7 + x)^1e5"],
+    ["3^10000000", "(((3^100)^100)^100)^100", "2^51201", "(1/2)^51201", "(3/7 + x)^1e5",
+     "1 + 1e1000000*0", "1e-1000000*x", "1 + 1e10000000*0", "x^1e1000000", "1e30826",
+     "1e-30826", "0.5e-30826"],
 )
 def test_powers_past_the_size_bound_are_not_polynomials(text):
     # the result's bit length, k times the base's, may be at most
-    # MAX_TOTAL_DEGREE·1024; these are refused before any expansion
+    # MAX_TOTAL_DEGREE·1024; these are refused before any expansion, and a
+    # literal, held to the rule with k = 1, before its power of ten is built
+    start = time.perf_counter()
     assert to_polynomial(parse(text)) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_powers_within_the_size_bound_expand_exactly():
@@ -464,6 +480,134 @@ def test_powers_within_the_size_bound_expand_exactly():
         "2^51200": {(0, 0): 2**51200},
         "(1/2)^51200": {(0, 0): Fraction(1, 2**51200)},
         "(2/4)^51200": {(0, 0): Fraction(1, 2**51200)},
+        "1e300": {(0, 0): 10**300},
+        "1e-300": {(0, 0): Fraction(1, 10**300)},
+        "2.5e-320": {(0, 0): Fraction(1, 4 * 10**319)},
+        # 10**30825 has 102,399 bits and 2·10**30825 has 102,400, the bound
+        "1e30825": {(0, 0): 10**30825},
+        "1e-30825": {(0, 0): Fraction(1, 10**30825)},
+        "5e-30826": {(0, 0): Fraction(1, 2 * 10**30825)},  # reduced before the rule applies
+        "0e-99999999": {},
     }
+    assert (2 * 10**30825).bit_length() == 102400
     for text, terms in cases.items():
         assert to_polynomial(parse(text)).terms == terms, text
+
+
+# -- evaluate against the walker that checks every node ---------------------
+
+
+def outcome(evaluator, node, x, t):
+    """(value, None) on success, (None, (exception type, message)) on a
+    domain or binding error."""
+    try:
+        return evaluator(node, x, t), None
+    except (DomainError, MissingBinding) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_evaluation(node, x, t=None) -> bool:
+    """evaluate gives the reference's bits, type and shape, or the same
+    exception with the same message; True when no exception was raised."""
+    want, want_error = outcome(reference_evaluate, node, x, t)
+    got, got_error = outcome(evaluate, node, x, t)
+    assert got_error == want_error, to_text(node)
+    if want_error:
+        return False
+    assert type(got) is type(want), to_text(node)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, to_text(node)
+    assert got.tobytes() == want.tobytes(), to_text(node)  # bit-equal, -0.0 and nan too
+    for arg in (x, t):
+        assert not np.shares_memory(got, np.asarray(arg)), to_text(node)
+    return True
+
+
+SCALAR_POINTS = [(0.5, -0.25), (0.0, 2.0), (-1.5, 0.0), (1e200, -3.0)]
+GRIDS = [
+    (np.array([-2.0, -0.5, 0.0, 0.3, 1.0, 1e200])[:, None], np.array([-1.0, 0.0, 0.25, 2.0])[None, :]),
+    (np.array([-1e200, -0.75, 0.0, 0.5, 2.0]), np.array([0.5, 0.0, -2.0, 1e200, 1.5])),
+]
+
+
+def test_evaluate_matches_the_reference_on_the_corpus_builtins_and_bad_points():
+    nodes = [parse(text) for text in CORPUS] + list(builtin_nodes())
+    for node in nodes:
+        assert_same_evaluation(node, GRID_X, GRID_T)
+        for x, t in SCALAR_POINTS + GRIDS:
+            assert_same_evaluation(node, x, t)
+        assert_same_evaluation(node, GRID_X[:, 0])  # t missing where it is used
+    for text, bad, _ in BAD_POINTS:
+        assert not assert_same_evaluation(parse(text), bad_point_grid(bad))
+        assert not assert_same_evaluation(parse(text), bad)
+
+
+@pytest.mark.parametrize("workload", ["exact_poly", "float_smooth", "float_kinked"])
+def test_evaluate_matches_the_reference_on_the_benchmark_problems(workload):
+    # the kernel on the q-by-q Gauss grid and a, f on the q nodes, as assembly samples them
+    for q in (32, 64, 128):
+        rule = gauss_legendre(q)
+        for seed in range(1, 6):
+            for problem in benchmark_problems(workload, seed):
+                a, b = float(problem.a), float(problem.b)
+                pts = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
+                assert assert_same_evaluation(parse(problem.kernel), pts[:, None], pts[None, :])
+                for text in (problem.coefficient, problem.rhs):
+                    assert assert_same_evaluation(parse(text), pts)
+
+
+EVAL_LITERALS = ["0", "1", "2", "0.5", "3.25", "1e308", "1e-320", "-1", "pi", "e"]
+EVAL_EXPONENTS = ["2", "3", "0.5", "1.5", "-1", "-2", "-0.5", "0", "t", "x"]
+
+
+def random_evaluation(rng: random.Random, depth: int) -> str:
+    """Expression text with every function, division, powers with
+    fractional and negative exponents, and literals at the float range's ends."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(EVAL_LITERALS) if rng.random() < 0.4 else rng.choice("xt")
+
+    def sub():
+        return f"({random_evaluation(rng, depth - 1)})"
+
+    pick = rng.random()
+    if pick < 0.3:
+        return f"{rng.choice(['exp', 'sin', 'cos', 'log', 'sqrt'])}{sub()}"
+    if pick < 0.45:
+        return f"{sub()}/{sub()}"
+    if pick < 0.6:
+        return f"{sub()}^{rng.choice(EVAL_EXPONENTS)}"
+    if pick < 0.7:
+        return f"-{sub()}"
+    return f"{sub()} {rng.choice('+-*')} {sub()}"
+
+
+def test_evaluate_matches_the_reference_on_random_expressions():
+    rng = random.Random(2013)
+    ok = failed = 0
+    for _ in range(2000):
+        node = parse(random_evaluation(rng, 4))
+        for x, t in SCALAR_POINTS[:2] + GRIDS:
+            if assert_same_evaluation(node, x, t):
+                ok += 1
+            else:
+                failed += 1
+    # domain errors and clean results both occur in quantity
+    assert ok > 1000 and failed > 1000
+
+
+def test_a_clean_grid_builds_no_domain_mask(monkeypatch):
+    # the masks and their reductions are built only where a checked node's
+    # result is not finite, so a grid on which CORPUS is defined never needs them
+    def refuse(*args):
+        raise AssertionError("a domain mask was built on a clean grid")
+
+    monkeypatch.setattr("fredgal.expr._check", refuse)
+    for text in CORPUS:
+        evaluate(parse(text), GRID_X, GRID_T)
+        evaluate(parse(text), 0.5, 0.25)
+
+
+def test_variables_of_a_deep_tree():
+    # the walk is iterative: a chain deeper than the recursion limit is fine
+    text = "+".join(["x"] * 5000) + " - exp(-t)"
+    assert variables(parse(text)) == {"x", "t"}

@@ -20,6 +20,7 @@ from fredgal.exact import exact_assemble
 from fredgal.expr import parse
 from fredgal.galerkin import (
     FredholmProblem,
+    _invert,
     as_exact_problem,
     assemble,
     convergence_study,
@@ -426,6 +427,33 @@ def test_exact_solve_does_not_build_the_float_map(monkeypatch):
     for n in (3, 24):
         assert solve(builtin("example1"), n).mode == "exact"
     assert calls == [(4, 4), (25, 25)]
+
+
+def dense_view_condition(problem, n):
+    """The exact path's condition computed from np.array(A, dtype=float),
+    converting every entry of the rational matrix."""
+    A, _ = exact_assemble(as_exact_problem(problem), n)
+    scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _invert(np.array(A, dtype=float) * np.outer(scale, scale))[1]
+    except (SingularSystem, OverflowError):
+        return math.inf
+
+
+def test_exact_condition_equals_the_dense_float_view():
+    # the float view is filled from the nonzero entries only; Fraction.__float__
+    # is the same int/int division either way, so the condition is bit-identical
+    problems = [builtin(name) for name in ("example1", "example2", "example3")]
+    problems.append(FredholmProblem(parse("1 + x"), Fraction(1, 3), parse("x*t - 2*t^2 + 1/3"),
+                                    parse("x^2 - 1"), Fraction(1, 2), Fraction(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for problem in problems:
+            for n in range(51):
+                assert solve(problem, n, mode="exact").condition == dense_view_condition(problem, n)
+        huge = FredholmProblem(parse("1"), -1, parse("1e400*x*t"), parse("x"), 0, 1)
+        assert solve(huge, 2).condition == dense_view_condition(huge, 2) == math.inf
 
 
 def test_exact_solve_with_an_entry_beyond_float_range():
