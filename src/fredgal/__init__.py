@@ -10,7 +10,7 @@ from .exact import (
     exact_assemble,
     solve_rational_system,
 )
-from .expr import evaluate, parse, to_polynomial, to_text, variables
+from .expr import evaluate, parse, to_polynomial, variables
 from .galerkin import (
     ConvergenceRow,
     ErrorRow,
@@ -27,10 +27,8 @@ from .galerkin import (
 from .problems import (
     BUILTIN_NAMES,
     builtin,
-    format_problem,
     load_problem,
     parse_problem,
-    write_problem,
 )
 from .quadrature import QuadratureRule, gauss_legendre
 
@@ -58,7 +56,6 @@ __all__ = [
     "evaluate",
     "evaluate_solution",
     "exact_assemble",
-    "format_problem",
     "gauss_legendre",
     "load_problem",
     "parse",
@@ -66,7 +63,5 @@ __all__ = [
     "solve",
     "solve_rational_system",
     "to_polynomial",
-    "to_text",
     "variables",
-    "write_problem",
 ]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -125,18 +126,16 @@ def legendre_to_bernstein(n: int) -> np.ndarray:
     return t
 
 
-def legendre_to_bernstein_exact(coeffs) -> list[Fraction]:
-    """The degree-n Bernstein coefficients of Σ_k coeffs[k]·P_k(2u-1),
-    n = len(coeffs) - 1, as exact Fractions.
+def legendre_to_bernstein_exact(nums: list[int], den: int) -> list[Fraction]:
+    """The degree-n Bernstein coefficients of Σ_k nums[k]/den·P_k(2u-1),
+    n = len(nums) - 1, as exact Fractions.
 
-    The sums run on Python integers: the coefficients are put over one
-    common denominator and each output is one quotient, reduced once.
+    The sums run on Python integers, and each output is one quotient,
+    reduced once.
     """
-    n = len(coeffs) - 1
-    nums, common = _numerators([Fraction(v) for v in coeffs])
-    terms = [(k, v) for k, v in enumerate(nums) if v]
+    n = len(nums) - 1
     return [
-        Fraction(sum(row[k] * v for k, v in terms), common * math.comb(n, i))
+        Fraction(sum(map(mul, row, nums)), den * math.comb(n, i))
         for i, row in enumerate(_legendre_numerators(n))
     ]
 

@@ -70,9 +70,17 @@ def gfmt(value: float) -> str:
     return format(float(value), ".10g")
 
 
+def exact_text(c: Fraction) -> str:
+    """The text of str(c), written through Decimal so that a numerator or
+    denominator past the interpreter's limit on int/str conversion prints
+    too."""
+    text = str(Decimal(c.numerator))
+    return text if c.denominator == 1 else f"{text}/{Decimal(c.denominator)}"
+
+
 def format_coefficients(solution) -> str:
     if solution.mode == "exact":
-        return " ".join(str(Fraction(c)) for c in solution.coefficients)
+        return " ".join(exact_text(Fraction(c)) for c in solution.coefficients)
     return " ".join(gfmt(c) for c in solution.coefficients)
 
 
@@ -80,7 +88,7 @@ def format_polynomial(coeffs, var: str = "x") -> str:
     """Human-readable ascending-power polynomial, exact or float."""
 
     def scalar(c) -> str:
-        return str(c) if isinstance(c, Fraction) else gfmt(c)
+        return exact_text(c) if isinstance(c, Fraction) else gfmt(c)
 
     parts: list[str] = []
     for power, c in enumerate(coeffs):
@@ -183,10 +191,10 @@ def emit_basis_samples(n: int, a: float, b: float, samples: int, out_path) -> No
         raise UsageError(f"--samples must be at most {MAX_GRID_POINTS}")
     spec = BasisSpec(n, a, b)
     header = "x," + ",".join(f"B{i}" for i in range(n + 1))
-    lines = [header]
     xs = np.linspace(a, b, samples)
-    for x, row in zip(xs, basis_row(spec, xs)):
-        lines.append(format(float(x), ".17g") + "," + ",".join(format(v, ".17g") for v in row))
+    table = np.column_stack([xs, basis_row(spec, xs)]).tolist()
+    row_format = ",".join(["%.17g"] * (n + 2))
+    lines = [header, *[row_format % tuple(row) for row in table]]
     _emit("\n".join(lines) + "\n", out_path)
 
 

@@ -3,9 +3,13 @@ Galerkin assembly/solve used when every piece of problem data is polynomial.
 The system is written in the shifted Legendre polynomials P_k(2u-1), where
 it is sparse.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator), so results like 19/9 come out as true fractions
-instead of rounded floats.
+Problem data are ``fractions.Fraction``.  The assembly and the solve run
+on Python integers: each row of the system is a set of integers over one
+positive denominator, the elimination is fraction-free, and the solution
+comes back as integers over one common denominator.  Only the Bernstein
+coefficients are Fractions, one per coefficient
+(``fredgal.basis.legendre_to_bernstein_exact``), so results like 19/9 come
+out as true fractions instead of rounded floats.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .basis import BasisSpec, _numerators
 from .errors import (
@@ -97,95 +102,94 @@ class ExactProblem:
             raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
 
 
-def _shift(nums: list[int], a: Fraction, h: Fraction) -> list[int]:
-    """Ascending integer coefficients in u of g^d·p(a + h·u), where
-    p = Σ nums[s]·x^s has degree d and g = denominator(a)·denominator(h).
-
-    x = (lo + hi·u)/g with lo = an·hd and hi = hn·ad, so g^d·p is
-    Σ nums[s]·g^(d-s)·(lo + hi·u)^s, expanded by Horner steps.
+def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
+    """Ascending integer coefficients in u of g^d·p((lo + hi·u)/g), where
+    p = Σ nums[s]·x^s has degree d: Σ nums[s]·g^(d-s)·(lo + hi·u)^s,
+    expanded by Horner steps.
     """
-    g = a.denominator * h.denominator
-    lo, hi = a.numerator * h.denominator, h.numerator * a.denominator
     out = [nums[-1]]
     power = 1
     for c in reversed(nums[:-1]):
         power *= g
-        step = [lo * v for v in out] + [0]
-        for r, v in enumerate(out):
-            step[r + 1] += hi * v
-        step[0] += c * power
-        out = step
+        out = [lo * v + hi * w for v, w in zip([*out, 0], [0, *out])]
+        out[0] += c * power
     return out
 
 
 @lru_cache(maxsize=None)
 def _moment_weights(d: int) -> tuple[tuple[int, ...], ...]:
-    """W[j][r] = (d+j+1)!·∫₀¹ u^r·P_j(2u-1) du for j, r = 0..d, integers.
+    """W[j][r] = (2d+1)!·∫₀¹ u^r·P_j(2u-1) du for j, r = 0..d, integers over
+    the one denominator (2d+1)!.
 
     The integral is r!²/((r-j)!·(r+j+1)!) for j <= r and zero for j > r.
     """
     f = math.factorial
+    top = f(2 * d + 1)
     return tuple(
         tuple(
-            f(r) ** 2 * f(d + j + 1) // (f(r - j) * f(r + j + 1)) if j <= r else 0
+            f(r) ** 2 * top // (f(r - j) * f(r + j + 1)) if j <= r else 0
             for r in range(d + 1)
         )
         for j in range(d + 1)
     )
 
 
-def _moments(nums: list[int], n: int) -> list[tuple[int, int]]:
-    """(numerator, denominator) of ∫₀¹ q(u)·P_j(2u-1) du for j up to
-    min(d, n), q = Σ nums[r]·u^r of degree d; the integral vanishes for j > d."""
-    d = len(nums) - 1
-    weights = _moment_weights(d)
-    return [
-        (sum(w * c for w, c in zip(weights[j], nums)), math.factorial(d + j + 1))
-        for j in range(min(d, n) + 1)
-    ]
+def _moments(nums: list[int], n: int) -> list[int]:
+    """(2d+1)!·∫₀¹ q(u)·P_j(2u-1) du for j up to min(d, n), integers, with
+    q = Σ nums[r]·u^r of degree d; the integral vanishes for j > d."""
+    weights = _moment_weights(len(nums) - 1)
+    return [sum(map(mul, weights[j], nums)) for j in range(min(len(nums) - 1, n) + 1)]
 
 
-def exact_assemble(
-    problem: ExactProblem, n: int
-) -> tuple[list[list[Fraction]], list[Fraction]]:
+def _times_a(alpha: list[int], j: int) -> tuple[int, list[int], int]:
+    """(lo, c, scale) with α(u)·P_j = Σ_k c[k - lo]/scale·P_k, for
+    α = Σ alpha[r]·u^r, all P in the argument 2u-1.
+
+    Horner over α's coefficients, with
+    u·P_k = P_k/2 + (k+1)/(2(2k+1))·P_{k+1} + k/(2(2k+1))·P_{k-1}, each
+    step over the lcm of its denominators.
+    """
+    lo, c, scale = j, [alpha[-1]], 1
+    for coeff in reversed(alpha[:-1]):
+        lcm = 2 * math.lcm(*range(2 * lo + 1, 2 * (lo + len(c)), 2))
+        half, start = lcm // 2, max(lo - 1, 0)
+        out = [0] * (lo + len(c) + 1 - start)
+        for k, v in enumerate(c, lo):
+            out[k - start] += v * half
+            v = v * lcm // (4 * k + 2)
+            out[k + 1 - start] += v * (k + 1)
+            if k:
+                out[k - 1 - start] += v * k
+        scale *= lcm
+        out[j - start] += coeff * scale
+        lo, c = start, out
+    return lo, c, scale
+
+
+def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]], list[int]]:
     """Rational system A·c = F in the basis P_k(2u-1), k = 0..n, with
-    u = (x-a)/(b-a): A[j][i] pairs test member j with trial member i, F[j]
-    is the projected right-hand side, and Σ c_k·P_k(2u-1) is the Galerkin
-    solution.
+    u = (x-a)/(b-a), as integer rows: A[j][i] = rows[j][i]/dens[j] pairs
+    test member j with trial member i, F[j] = rows[j][n+1]/dens[j] is the
+    projected right-hand side, and Σ c_k·P_k(2u-1) is the Galerkin
+    solution.  Each row holds its nonzero entries only, over one positive
+    denominator, in lowest terms.
 
     The a(x) block is banded (bandwidth deg a) and the kernel block is
     nonzero only in its leading (deg_x k + 1)-by-(deg_t k + 1) corner, so
-    most entries are zero.  Each entry is summed on Python integers and
-    reduced to a Fraction once.
+    most entries are zero.  Everything is summed on Python integers.
     """
     BasisSpec(n, problem.a, problem.b)  # degree and interval within the basis limits
     a, h = problem.a, problem.b - problem.a
-    g = a.denominator * h.denominator  # _shift scales degree d by g^d
-    A = [[_ZERO] * (n + 1) for _ in range(n + 1)]
+    hn, hd = h.numerator, h.denominator
+    # x = (lo + hi·u)/g; _shift scales degree d by g^d
+    g, lo, hi = a.denominator * hd, a.numerator * hd, hn * a.denominator
+    rhs = n + 1
 
-    # a(x)·P_i by Horner over a's coefficients in u, with
-    # u·P_k = P_k/2 + (k+1)/(2(2k+1))·P_{k+1} + k/(2(2k+1))·P_{k-1}, kept
-    # as integers over den·scale; then ∫ P_j·P_k dx = h/(2k+1)·δ_jk
+    # a(x)·P_j, then ∫ P_i·P_k dx = h/(2k+1)·δ_ik; the a(x) block is
+    # symmetric, so row j is the expansion of a(x)·P_j over 2i+1
     nums, common = _numerators(problem.a_poly.coefficients_in_x())
-    alpha = _shift(nums, a, h)
-    den = common * g ** (len(alpha) - 1) * h.denominator
-    for i in range(n + 1):
-        column, scale = {i: alpha[-1]}, 1
-        for coeff in reversed(alpha[:-1]):
-            lcm = 2 * math.lcm(*[2 * k + 1 for k in column])
-            times_u = dict.fromkeys(range(max(min(column) - 1, 0), max(column) + 2), 0)
-            for k, c in column.items():
-                times_u[k] += c * (lcm // 2)
-                c = c * lcm // (4 * k + 2)
-                times_u[k + 1] += c * (k + 1)
-                if k:
-                    times_u[k - 1] += c * k
-            scale *= lcm
-            times_u[i] += coeff * scale
-            column = times_u
-        for j, c in column.items():
-            if c and j <= n:
-                A[j][i] = Fraction(c * h.numerator, den * scale * (2 * j + 1))
+    alpha = _shift(nums, lo, hi, g)
+    band_den = common * g ** (len(alpha) - 1) * hd
 
     # kernel term c·u^r·v^s after the shift of x and t: its t-integral
     # against trial member i is h·c·M[s][i] and its x-integral against test
@@ -195,38 +199,63 @@ def exact_assemble(
     nums, common = _numerators(
         [kernel.terms.get((p, q), _ZERO) for p in range(dx + 1) for q in range(dt + 1)]
     )
-    grid = [_shift(nums[p * (dt + 1) : (p + 1) * (dt + 1)], a, h) for p in range(dx + 1)]
-    grid = [_shift(list(col), a, h) for col in zip(*grid)]  # grid[s][r]
+    grid = [_shift(nums[p * (dt + 1) : (p + 1) * (dt + 1)], lo, hi, g) for p in range(dx + 1)]
+    grid = [_shift(list(col), lo, hi, g) for col in zip(*grid)]  # grid[s][r]
     lam = problem.lam * h * h
-    den = common * g ** (dx + dt) * lam.denominator
     # integrate over v first (trial member i), then over u (test member j)
     by_r = [_moments(list(row), n) for row in zip(*grid)]  # by_r[r][i]
-    for i in range(min(dt, n) + 1):
-        trial_den = by_r[0][i][1]
-        for j, (num, test_den) in enumerate(_moments([row[i][0] for row in by_r], n)):
-            if num:
-                A[j][i] += Fraction(num * lam.numerator, den * trial_den * test_den)
+    corner = list(zip(*[_moments(list(col), n) for col in zip(*by_r)]))  # corner[j][i]
+    kernel_den = (
+        common * g ** (dx + dt) * lam.denominator
+        * math.factorial(2 * dx + 1) * math.factorial(2 * dt + 1)
+    )
 
     nums, common = _numerators(problem.f_poly.coefficients_in_x())
-    den = common * g ** (len(nums) - 1) * h.denominator
-    F = [_ZERO] * (n + 1)
-    for j, (num, moment_den) in enumerate(_moments(_shift(nums, a, h), n)):
-        F[j] = Fraction(num * h.numerator, den * moment_den)
-    return A, F
+    f_moments = _moments(_shift(nums, lo, hi, g), n)
+    f_den = common * g ** (len(nums) - 1) * hd * math.factorial(2 * len(nums) - 1)
+    shared_den = math.lcm(kernel_den, f_den)
+    kernel_scale = lam.numerator * (shared_den // kernel_den)
+    f_scale = hn * (shared_den // f_den)
+
+    rows, dens = [], []
+    for j in range(n + 1):
+        first, c, scale = _times_a(alpha, j)
+        stop = min(first + len(c), n + 1)
+        odd = math.lcm(*range(2 * first + 1, 2 * stop, 2))
+        band = band_den * scale * odd
+        den = math.lcm(band, shared_den)
+        band_scale, other = hn * (den // band), den // shared_den
+        row = {
+            i: v * band_scale * (odd // (2 * i + 1))
+            for i, v in enumerate(c[: stop - first], first)
+            if v
+        }
+        if j < len(f_moments) and f_moments[j]:
+            row[rhs] = f_moments[j] * f_scale * other
+        for i, v in enumerate(corner[j] if j < len(corner) else ()):
+            if v:
+                row[i] = row.get(i, 0) + v * kernel_scale * other
+        content = math.gcd(den, *row.values())
+        rows.append({i: v // content for i, v in row.items() if v})
+        dens.append(den // content)
+    return rows, dens
 
 
-def solve_rational_system(
-    A: list[list[Fraction]], F: list[Fraction]
-) -> list[Fraction]:
-    """Solve A·coefficients = F by fraction-exact Gaussian elimination with
-    first-nonzero pivoting.
+def solve_rational_system(rows: list[dict[int, int]]) -> tuple[list[int], int]:
+    """Solve the m-by-m system Σ_i rows[j][i]·c_i = rows[j][m], j = 0..m-1,
+    given as integer rows of nonzero entries (column m holds the right-hand
+    side), for its exact rational solution c_i = nums[i]/den, with den > 0
+    and gcd(den, *nums) == 1.
 
-    Rows are kept as {column: value} of their nonzero entries (column m
-    holds the right-hand side), so a sparse system costs only the entries
-    its elimination touches.
+    Fraction-free Gaussian elimination with first-nonzero pivoting: a row
+    is cleared of the pivot column by row·(p/g) - pivot_row·(l/g), with p
+    the pivot, l the row's lead and g = gcd(p, l), and divided by the gcd of
+    its entries, so no Fraction is built and the integers stay small.  A
+    sparse system costs only the entries its elimination touches.  The
+    input rows are not changed.
     """
-    m = len(F)
-    rows = [{c: v for c, v in enumerate([*row, f]) if v} for row, f in zip(A, F)]
+    m = len(rows)
+    rows = [dict(row) for row in rows]
     for col in range(m):
         pivot_row = next((r for r in range(col, m) if col in rows[r]), None)
         if pivot_row is None:
@@ -235,23 +264,44 @@ def solve_rational_system(
         pivot = rows[col]
         pivot_value = pivot[col]
         rest = [(c, v) for c, v in pivot.items() if c != col]
-        for row in rows[col + 1 :]:
+        for r in range(col + 1, m):
+            row = rows[r]
             lead = row.pop(col, None)
             if lead is None:
                 continue
-            factor = lead / pivot_value
+            g = math.gcd(pivot_value, lead)
+            scale, factor = pivot_value // g, lead // g
+            if scale != 1:
+                row = {c: v * scale for c, v in row.items()}
             for c, v in rest:
-                value = row.get(c, _ZERO) - factor * v
+                value = row.get(c, 0) - factor * v
                 if value:
                     row[c] = value
                 else:
                     del row[c]
-    coeffs = [_ZERO] * m
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {c: v // content for c, v in row.items()}
+            rows[r] = row
+    # back-substitution over one common denominator den: c_k = nums[k]/den.
+    # Each step divides out gcd(acc, pivot), so no prime factor of den
+    # divides the numerator set by the last step that scaled den by that
+    # prime: the result is in lowest terms
+    nums, den = [0] * m, 1
     for col in reversed(range(m)):
         row = rows[col]
-        acc = row.get(m, _ZERO)
+        acc = row.get(m, 0) * den
         for k, v in row.items():
-            if col < k < m and coeffs[k]:
-                acc -= v * coeffs[k]
-        coeffs[col] = acc / row[col]
-    return coeffs
+            if col < k < m:
+                acc -= v * nums[k]
+        pivot_value = row[col]
+        g = math.gcd(acc, pivot_value)
+        scale = pivot_value // g
+        if scale < 0:
+            scale, g = -scale, -g
+        if scale != 1:
+            den *= scale
+            for k in range(col + 1, m):
+                nums[k] *= scale
+        nums[col] = acc // g
+    return nums, den

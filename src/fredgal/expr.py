@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -326,21 +327,6 @@ def variables(node: Node) -> set[str]:
     return found
 
 
-def to_text(node: Node) -> str:
-    """Fully parenthesized rendering; parses back to an identical tree."""
-    if isinstance(node, Num):
-        return node.text
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{to_text(node.operand)})"
-    if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 class _NotPolynomial(Exception):
     pass
 
@@ -385,13 +371,19 @@ def _literal(text: str) -> tuple[int, int]:
     is refused before its power of ten is built.
     """
     if text.isdecimal():
-        return int(text), 1
+        return _integer(text), 1
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, digits = mantissa.partition(".")
-    shift = int(exponent or 0) - len(digits)
-    value = int(whole + digits)
+    value = _integer(whole + digits)
     if not value:
         return 0, 1
+    # an exponent of 19 or more significant digits is at least 10**18, which
+    # no count of fraction digits in a text held in memory offsets: the
+    # literal is far past the size rule
+    magnitude = exponent.lstrip("+-").lstrip("0")
+    if len(magnitude) > 18:
+        raise _NotPolynomial
+    shift = int(magnitude or 0) * (-1 if exponent.startswith("-") else 1) - len(digits)
     # 10**s has more than 3·s bits, and reducing value/10**s by their gcd
     # takes off at most value's own bits
     if _oversized(3 * abs(shift) - (value.bit_length() if shift < 0 else 0)):
@@ -405,6 +397,24 @@ def _literal(text: str) -> tuple[int, int]:
     if _oversized(max(num, den).bit_length()):
         raise _NotPolynomial
     return num, den
+
+
+def _integer(digits: str) -> int:
+    """int(digits) for a string of decimal digits, also past the
+    interpreter's limit on int/str conversion (4,300 digits by default).
+    Such a long string is held to the size rule, and one far past it is
+    refused before it is converted."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    # L significant digits are more than 3·(L-1) bits
+    if _oversized(3 * (len(digits.lstrip("0")) - 1)):
+        raise _NotPolynomial
+    value = int(Decimal(digits))
+    if _oversized(value.bit_length()):
+        raise _NotPolynomial
+    return value
 
 
 def _degree(terms: _Terms) -> int:

@@ -205,14 +205,17 @@ def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return inverse, cond
 
 
-def _float_view(A: list[list[Fraction]]) -> np.ndarray:
-    """np.array(A, dtype=float) of a sparse rational matrix, converting only
-    its nonzero entries; OverflowError for an entry beyond the float range."""
-    view = np.zeros((len(A), len(A)))
-    for j, row in enumerate(A):
-        for i, v in enumerate(row):
-            if v:
-                view[j, i] = float(v)
+def _float_view(rows: list[dict[int, int]], dens: list[int]) -> np.ndarray:
+    """The float matrix of the integer rows ``exact_assemble`` gives, one
+    int/int division per nonzero entry: correctly rounded, as float() of
+    the entry's Fraction is.  OverflowError for an entry beyond the float
+    range."""
+    m = len(rows)
+    view = np.zeros((m, m))
+    for j, (row, den) in enumerate(zip(rows, dens)):
+        for i, v in row.items():
+            if i < m:
+                view[j, i] = v / den
     return view
 
 
@@ -252,13 +255,13 @@ def solve(
             )
 
     if exact_view is not None:
-        A, F = exact_assemble(exact_view, n)
-        coeffs = legendre_to_bernstein_exact(solve_rational_system(A, F))
+        rows, dens = exact_assemble(exact_view, n)
+        coeffs = legendre_to_bernstein_exact(*solve_rational_system(rows))
         # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
         scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                _, cond = _invert(_float_view(A) * np.outer(scale, scale))
+                _, cond = _invert(_float_view(rows, dens) * np.outer(scale, scale))
         except (SingularSystem, OverflowError):
             # the float view is singular, or an entry is beyond the float range
             cond = math.inf
@@ -295,7 +298,11 @@ def evaluate_solution(solution: Solution, x):
     if outside.any():
         x = float(xs.flat[np.argmax(outside)])
         raise OutOfInterval(f"x={x} outside [{spec.a}, {spec.b}]")
-    values = basis_row(spec, xs) @ np.array([float(c) for c in solution.coefficients])
+    try:
+        coeffs = np.array([float(c) for c in solution.coefficients])
+    except OverflowError:  # an exact coefficient beyond the float range
+        raise DomainError("a coefficient of the solution is beyond the float range") from None
+    values = basis_row(spec, xs) @ coeffs
     return float(values) if values.ndim == 0 else values
 
 

@@ -154,23 +154,3 @@ def load_problem(path) -> FredholmProblem:
     """Read and parse a problem file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_problem(handle.read())
-
-
-def format_problem(problem: FredholmProblem) -> str:
-    """Problem-file text that loads back to an equivalent problem."""
-    lines = [
-        f"interval_a = {Fraction(problem.a)}",
-        f"interval_b = {Fraction(problem.b)}",
-        f"coefficient = {expr.to_text(problem.a_expr)}",
-        f"lambda = {Fraction(problem.lam)}",
-        f"kernel = {expr.to_text(problem.kernel_expr)}",
-        f"rhs = {expr.to_text(problem.f_expr)}",
-    ]
-    if problem.exact_expr is not None:
-        lines.append(f"exact = {expr.to_text(problem.exact_expr)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_problem(problem: FredholmProblem, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_problem(problem))

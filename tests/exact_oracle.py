@@ -6,16 +6,20 @@ every node, for ``evaluate``, which checks only where a result is not
 finite; the residual of a candidate solution, independent
 of the Galerkin projection; the paper's Galerkin system in the Bernstein
 basis, assembled in closed form and independent of the Legendre assembly
-the solver uses; and the Legendre form of a rational Bernstein system,
-independent of the closed form ``fredgal.basis`` uses."""
+the solver uses; the Legendre form of a rational Bernstein system,
+independent of the closed form ``fredgal.basis`` uses; Gaussian
+elimination with a Fraction per entry, independent of the fraction-free
+integer elimination ``solve_rational_system`` uses; and the fully
+parenthesized text of an expression and of a problem file, for round
+trips through the parsers."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from fredgal.errors import DomainError, InvalidDegree, MissingBinding
-from fredgal.exact import BivarPoly, ExactProblem, solve_rational_system
+from fredgal.errors import DomainError, InvalidDegree, MissingBinding, SingularSystem
+from fredgal.exact import BivarPoly, ExactProblem
 from fredgal.expr import CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg, Num, Var
 
 
@@ -248,7 +252,71 @@ def bernstein_system(
 def bernstein_solve(problem: ExactProblem, n: int) -> list[Fraction]:
     """Bernstein coefficients of the degree-n Galerkin solution, from the
     Bernstein system."""
-    return solve_rational_system(*bernstein_system(problem, n))
+    return reference_solve(*bernstein_system(problem, n))
+
+
+def reference_solve(A: list[list[Fraction]], F: list[Fraction]) -> list[Fraction]:
+    """Solve A·coefficients = F by Gaussian elimination on Fractions with
+    first-nonzero pivoting; SingularSystem names the first column with no
+    nonzero pivot.
+
+    Rows are kept as {column: value} of their nonzero entries (column m
+    holds the right-hand side).
+    """
+    zero = Fraction(0)
+    m = len(F)
+    rows = [{c: v for c, v in enumerate([*row, f]) if v} for row, f in zip(A, F)]
+    for col in range(m):
+        pivot_row = next((r for r in range(col, m) if col in rows[r]), None)
+        if pivot_row is None:
+            raise SingularSystem(f"no nonzero pivot in column {col}")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col]
+        pivot_value = pivot[col]
+        rest = [(c, v) for c, v in pivot.items() if c != col]
+        for row in rows[col + 1 :]:
+            lead = row.pop(col, None)
+            if lead is None:
+                continue
+            factor = lead / pivot_value
+            for c, v in rest:
+                value = row.get(c, zero) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+    coeffs = [zero] * m
+    for col in reversed(range(m)):
+        row = rows[col]
+        acc = row.get(m, zero)
+        for k, v in row.items():
+            if col < k < m and coeffs[k]:
+                acc -= v * coeffs[k]
+        coeffs[col] = acc / row[col]
+    return coeffs
+
+
+def fraction_system(rows, dens) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The dense rational system (A, F) of the integer rows and row
+    denominators ``exact_assemble`` returns."""
+    m = len(rows)
+    return (
+        [[Fraction(row.get(i, 0), den) for i in range(m)] for row, den in zip(rows, dens)],
+        [Fraction(row.get(m, 0), den) for row, den in zip(rows, dens)],
+    )
+
+
+def integer_rows(A, F) -> list[dict[int, int]]:
+    """A rational system (A, F) as the integer rows ``solve_rational_system``
+    takes: each row times the lcm of its denominators, nonzero entries only,
+    the right-hand side in column m."""
+    m = len(F)
+    rows = []
+    for row, f in zip(A, F):
+        values = [Fraction(v) for v in [*row, f]]
+        den = math.lcm(*(v.denominator for v in values))
+        rows.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(values) if v})
+    return rows
 
 
 def legendre_in_bernstein(n: int) -> list[list[Fraction]]:
@@ -293,3 +361,38 @@ def orthonormal(A, F) -> tuple[np.ndarray, np.ndarray]:
         np.array(A, dtype=float) * np.outer(scale, scale),
         np.array(F, dtype=float) * scale,
     )
+
+
+def to_text(node) -> str:
+    """Fully parenthesized rendering; parses back to an identical tree."""
+    if isinstance(node, Num):
+        return node.text
+    if isinstance(node, (Var, Const)):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{to_text(node.operand)})"
+    if isinstance(node, Call):
+        return f"{node.func}({to_text(node.arg)})"
+    if isinstance(node, BinOp):
+        return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def format_problem(problem) -> str:
+    """Problem-file text that loads back to an equivalent problem."""
+    lines = [
+        f"interval_a = {Fraction(problem.a)}",
+        f"interval_b = {Fraction(problem.b)}",
+        f"coefficient = {to_text(problem.a_expr)}",
+        f"lambda = {Fraction(problem.lam)}",
+        f"kernel = {to_text(problem.kernel_expr)}",
+        f"rhs = {to_text(problem.f_expr)}",
+    ]
+    if problem.exact_expr is not None:
+        lines.append(f"exact = {to_text(problem.exact_expr)}")
+    return "\n".join(lines) + "\n"
+
+
+def write_problem(problem, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(format_problem(problem))

@@ -19,12 +19,12 @@ from fredgal.basis import (
 )
 from fredgal.cli import main
 from fredgal.exact import BivarPoly
-from fredgal.expr import parse, to_text
+from fredgal.expr import parse
 from fredgal.galerkin import as_exact_problem, assemble, convergence_study, evaluate_solution, solve
 from fredgal.problems import builtin
 from fredgal.quadrature import gauss_legendre
 
-from exact_oracle import residual_poly
+from exact_oracle import residual_poly, to_text
 
 F = Fraction
 

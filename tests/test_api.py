@@ -32,6 +32,9 @@ REMOVED = [
     ("fredgal.linalg", "PIVOT_REL_TOL"),
     ("fredgal.errors", "SingularMatrix"),
     ("fredgal.exact", "MAX_EXACT_DEGREE"),
+    ("fredgal.expr", "to_text"),
+    ("fredgal.problems", "format_problem"),
+    ("fredgal.problems", "write_problem"),
     *(
         ("fredgal.exact", f"BivarPoly.{name}")
         for name in (

@@ -1,9 +1,16 @@
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fredgal.cli import MAX_GRID_POINTS, fmt10, format_polynomial, main
 from fredgal.errors import IllConditionedWarning
-from fredgal.problems import builtin, write_problem
+from fredgal.problems import builtin
+
+from exact_oracle import write_problem
+
 
 EXACT_COLUMN_DEGREE5 = [
     "-0.1855612526",
@@ -147,6 +154,39 @@ def test_basis_samples_equal_per_point_rows(capsys):
         row = basis_row(spec, float(x))
         expected.append(format(float(x), ".17g") + "," + ",".join(format(v, ".17g") for v in row))
     assert out == "\n".join(expected) + "\n"
+
+
+def per_value_basis_csv(n, xs, table):
+    """The basis CSV with one format() call per value: the reference for
+    the rows ``emit_basis_samples`` formats with one % string."""
+    lines = ["x," + ",".join(f"B{i}" for i in range(n + 1))]
+    for x, row in zip(xs, table):
+        lines.append(format(float(x), ".17g") + "," + ",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_basis_csv_rows_match_the_per_value_formatter(capsys, monkeypatch):
+    # nan, ±inf, ±0, subnormals and the smallest normal float print as the
+    # per-value formatter prints them
+    import fredgal.cli
+
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+                2.2250738585072014e-308, 1 / 3, -1e300, 0.1, 1.0]
+    real, seen = fredgal.cli.basis_row, {}
+
+    def with_specials(spec, xs):
+        table = real(spec, xs)
+        count = min(len(specials), table.size)
+        table.flat[:count] = specials[:count]
+        seen["xs"], seen["table"] = xs, table.copy()
+        return table
+
+    monkeypatch.setattr(fredgal.cli, "basis_row", with_specials)
+    for n, samples, a, b in ((41, 201, "0", "2"), (2, 7, "-1.3", "2.9"), (0, 2, "-1e-300", "0")):
+        code, out, _ = run(capsys, "basis", "--degree", str(n), "--samples", str(samples),
+                           f"--interval-a={a}", f"--interval-b={b}")
+        assert code == 0
+        assert out == per_value_basis_csv(n, seen["xs"], seen["table"])
 
 
 def test_byte_stable_output(capsys, tmp_path):
@@ -348,3 +388,52 @@ def test_float_solve_prints_out_of_range_monomial_coefficients_as_infinities(cap
     assert all(np.isfinite(float(c)) for c in lines["coefficients"].split())
     assert "*x^6 - inf*x^7 + inf*x^8" in lines["monomial"]
     assert lines["monomial"].endswith("- inf*x^29 + inf*x^30")
+
+
+def test_exponent_past_the_int_string_limit(capsys, tmp_path):
+    # 4e0…01 with 4,301 zeros is 40, so phi + ∫ x·t·phi(t) dt = 40·x on
+    # [0, 1] is solved exactly by phi = 30·x
+    path = tmp_path / "exponent.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 1\n"
+        f"kernel = x*t\nrhs = 4e{'0' * 4301}1*x\nexact = 30*x\n"
+    )
+    code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    assert code == 0 and err == ""
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["mode"] == "exact"
+    assert lines["coefficients"] == "0 15 30"
+
+
+@pytest.mark.parametrize(
+    "rhs, scale",
+    [("1" * 5000 + "*x", int(Decimal("1" * 5000))), ("2^50000*x", 2**50000)],
+    ids=["5000-digit literal", "2^50000"],
+)
+def test_exact_results_past_the_int_string_limit(capsys, tmp_path, rhs, scale):
+    # phi + ∫ x·t·phi(t) dt = K·x on [0, 1] is solved by phi = 3K/4·x, whose
+    # numbers have more digits than Python converts between int and str by
+    # default: `solve` prints them in full, and `table` and `converge`,
+    # which evaluate phi in floats, end in a typed error
+    path = tmp_path / "big.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 1\n"
+        f"kernel = x*t\nrhs = {rhs}\nexact = x\n"
+    )
+    code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    assert code == 0 and err == ""
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+
+    def text(c):
+        c = Fraction(c)
+        digits = str(Decimal(c.numerator))
+        return digits if c.denominator == 1 else f"{digits}/{Decimal(c.denominator)}"
+
+    c = Fraction(3 * scale, 4)
+    assert lines["mode"] == "exact"
+    assert lines["coefficients"] == f"0 {text(c / 2)} {text(c)}"
+    assert lines["monomial"] == f"{text(c)}*x"
+    for argv in (("table", "--degree", "2"), ("converge", "--degrees", "1,2")):
+        code, out, err = run(capsys, argv[0], "--problem", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "error: a coefficient of the solution is beyond the float range\n"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +24,12 @@ from fredgal.problems import builtin
 from exact_oracle import (
     bernstein_solve,
     bernstein_system,
+    fraction_system,
+    integer_rows,
     legendre_system,
     orthonormal,
     poly_add,
+    reference_solve,
     residual_poly,
 )
 
@@ -106,7 +110,19 @@ def test_partition_of_unity_is_exact_identity():
 
 def exact_path(problem, n):
     """Bernstein coefficients as ``solve`` computes them on the exact path."""
-    return legendre_to_bernstein_exact(solve_rational_system(*exact_assemble(problem, n)))
+    rows, _ = exact_assemble(problem, n)
+    return legendre_to_bernstein_exact(*solve_rational_system(rows))
+
+
+def legendre_fractions(problem, n):
+    """The assembled Legendre system as dense Fractions."""
+    return fraction_system(*exact_assemble(problem, n))
+
+
+def integer_solve(A, rhs):
+    """``solve_rational_system`` on a rational system, as Fractions."""
+    nums, den = solve_rational_system(integer_rows(A, rhs))
+    return [F(v, den) for v in nums]
 
 
 def test_assemble_rhs_is_constant_for_unit_rhs():
@@ -114,13 +130,13 @@ def test_assemble_rhs_is_constant_for_unit_rhs():
     _, rhs = bernstein_system(problem, 3)
     assert rhs == [F(1, 2)] * 4  # (b - a)/(n + 1) on [-1, 1]
     # in the Legendre basis only P_0 sees f = 1: ∫ P_0 = b - a
-    _, rhs = exact_assemble(problem, 3)
+    _, rhs = legendre_fractions(problem, 3)
     assert rhs == [F(2), F(0), F(0), F(0)]
 
 
 def test_assemble_degree_zero_quartic_difference_kernel():
     problem = as_exact_problem(builtin("example2"))
-    A, rhs = exact_assemble(problem, 0)
+    A, rhs = legendre_fractions(problem, 0)
     assert A == [[F(2)]]
     assert rhs == [F(0)]
 
@@ -136,7 +152,7 @@ def test_assemble_orientation_is_test_by_trial():
     # in the Legendre basis on [-1, 1], with ∫ P_i = 2·δ_i0 and
     # ∫ x^4·P_2 = 8/35, the kernel gives -(8/35·2) at [2][0] and +(2·8/35)
     # at [0][2]
-    A, _ = exact_assemble(problem, 2)
+    A, _ = legendre_fractions(problem, 2)
     assert A[2][0] == F(-16, 35)
     assert A[0][2] == F(16, 35)
 
@@ -151,7 +167,7 @@ def test_assemble_without_kernel_term_gives_symmetric_gram():
         F(1),
     )
     A, _ = bernstein_system(problem, 3)
-    legendre, _ = exact_assemble(problem, 3)
+    legendre, _ = legendre_fractions(problem, 3)
     for i in range(4):
         for j in range(4):
             assert A[i][j] == A[j][i]
@@ -167,8 +183,8 @@ def test_assemble_degree_cap():
     for n in (-1, 51):
         with pytest.raises(InvalidDegree):
             exact_assemble(problem, n)
-    A, F = exact_assemble(problem, 50)
-    assert len(A) == len(F) == 51
+    rows, dens = exact_assemble(problem, 50)
+    assert len(rows) == len(dens) == 51
 
 
 def test_solve_even_quadratic_problem():
@@ -236,7 +252,7 @@ def test_closed_form_assembly_matches_quadrature():
     # system scaled by sqrt(2k+1) on both sides
     exact_view = as_exact_problem(problem)
     for n in (0, 4, 9):
-        want_A, want_rhs = orthonormal(*exact_assemble(exact_view, n))
+        want_A, want_rhs = orthonormal(*legendre_fractions(exact_view, n))
         float_A, float_rhs = assemble(problem, n)
         assert np.allclose(float_A, want_A, rtol=1e-12, atol=1e-14)
         assert np.allclose(float_rhs, want_rhs, rtol=1e-12, atol=1e-14)
@@ -254,14 +270,31 @@ def test_legendre_system_is_the_bernstein_system_transformed(name):
     # Legendre-to-Bernstein map: the paper's formulation, in another basis
     problem = legendre_cases()[name]
     for n in range(21):
-        assert legendre_system(*bernstein_system(problem, n)) == exact_assemble(problem, n), n
+        assert legendre_system(*bernstein_system(problem, n)) == legendre_fractions(problem, n), n
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
+def test_assembled_rows_are_integers_in_lowest_terms(name):
+    # each row holds nonzero integers only, the right-hand side in column
+    # n + 1, over one positive denominator that shares no factor with all
+    # of them
+    problem = legendre_cases()[name]
+    for n in range(21):
+        rows, dens = exact_assemble(problem, n)
+        for row, den in zip(rows, dens):
+            assert type(den) is int and den > 0
+            assert set(row) <= set(range(n + 2))
+            assert all(type(v) is int and v for v in row.values())
+            assert math.gcd(den, *row.values()) == 1
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
 def test_exact_coefficients_equal_the_bernstein_oracle(name):
     problem = legendre_cases()[name]
     for n in range(25):
-        assert exact_path(problem, n) == bernstein_solve(problem, n), n
+        coeffs = exact_path(problem, n)
+        assert coeffs == bernstein_solve(problem, n), n
+        assert all(type(c) is Fraction for c in coeffs), n
 
 
 def nonzeros(A):
@@ -270,7 +303,7 @@ def nonzeros(A):
 
 def test_example1_system_is_sparse():
     # a = 1 gives a diagonal, the kernel x*t + x^2*t^2 a corner on members 0..2
-    A, _ = exact_assemble(as_exact_problem(builtin("example1")), 40)
+    A, _ = legendre_fractions(as_exact_problem(builtin("example1")), 40)
     assert len(A) == 41
     assert len(nonzeros(A)) <= 43
 
@@ -280,7 +313,7 @@ def test_linear_coefficient_gives_a_tridiagonal_system_plus_the_kernel_corner():
     # x*t - 2*t^2 + 1/3 has x-degree 1 and t-degree 2
     problem = shifted_problem()[0]
     for n in (5, 12):
-        A, _ = exact_assemble(problem, n)
+        A, _ = legendre_fractions(problem, n)
         band = {(j, i) for j in range(n + 1) for i in range(n + 1) if abs(i - j) <= 1}
         corner = {(j, i) for j in range(2) for i in range(3)}
         assert nonzeros(A) <= band | corner
@@ -289,12 +322,12 @@ def test_linear_coefficient_gives_a_tridiagonal_system_plus_the_kernel_corner():
 
 def test_rational_elimination_swaps_rows_when_a_pivot_is_zero():
     A = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1, 3)]]
-    assert solve_rational_system(A, [F(1), F(2), F(1)]) == [F(2), F(1), F(3)]
+    assert integer_solve(A, [F(1), F(2), F(1)]) == [F(2), F(1), F(3)]
 
 
 def test_rational_elimination_detects_a_singular_matrix():
     with pytest.raises(SingularSystem, match="column 1"):
-        solve_rational_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+        integer_solve([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
 
 
 def test_rational_elimination_solves_random_dense_systems_exactly():
@@ -307,12 +340,59 @@ def test_rational_elimination_solves_random_dense_systems_exactly():
         want = [F(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(m)]
         rhs = [sum(a * x for a, x in zip(row, want)) for row in A]
         try:
-            got = solve_rational_system(A, rhs)
+            got = integer_solve(A, rhs)
         except SingularSystem:
             assert abs(np.linalg.det(np.array(A, dtype=float))) <= 1e-12
             continue
         assert got == want
         assert [sum(a * x for a, x in zip(row, got)) for row in A] == rhs
+
+
+@pytest.mark.parametrize("density", [1.0, 0.6, 0.25])
+def test_integer_elimination_matches_the_fraction_elimination(density):
+    # seeded random rational systems, m = 1..12: the same solution as the
+    # Fraction elimination, in lowest terms over a positive denominator, or
+    # the same SingularSystem message, naming the same column
+    rng = random.Random(f"elimination:{density}")
+    seen = {"swapped": 0, "dependent row": 0, "zero column": 0, "singular": 0, "solved": 0}
+    for trial in range(240):
+        m = trial % 12 + 1
+        A = [
+            [F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density else F(0) for _ in range(m)]
+            for _ in range(m)
+        ]
+        kind = trial // 12 % 4
+        if kind == 1:  # no pivot in the first row: the elimination swaps rows
+            A[0][0] = F(0)
+            seen["swapped"] += any(row[0] for row in A[1:])
+        elif kind == 2 and m > 1:  # a row that combines two others
+            i, k = rng.sample(range(m), 2)
+            A[k] = [2 * u - F(1, 3) * v for u, v in zip(A[i], A[rng.randrange(m)])]
+            seen["dependent row"] += 1
+        elif kind == 3:
+            col = rng.randrange(m)
+            for row in A:
+                row[col] = F(0)
+            seen["zero column"] += 1
+        rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
+        rows = integer_rows(A, rhs)
+        before = [dict(row) for row in rows]
+        try:
+            want = reference_solve(A, rhs)
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem) as got:
+                solve_rational_system(rows)
+            assert str(got.value) == str(exc)
+            assert rows == before
+            seen["singular"] += 1
+            continue
+        nums, den = solve_rational_system(rows)
+        assert rows == before  # the input rows are left as they were
+        assert all(type(v) is int for v in nums) and type(den) is int
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert [F(v, den) for v in nums] == want
+        seen["solved"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_singular_operator_detected():
@@ -326,7 +406,7 @@ def test_singular_operator_detected():
         F(1),
     )
     with pytest.raises(SingularSystem):
-        solve_rational_system(*exact_assemble(problem, 2))
+        solve_rational_system(exact_assemble(problem, 2)[0])
 
 
 def test_problem_shape_validation():

@@ -24,14 +24,13 @@ from fredgal.expr import (
     evaluate,
     parse,
     to_polynomial,
-    to_text,
     variables,
 )
 from fredgal.exact import BivarPoly
 from fredgal.problems import BUILTIN_NAMES, builtin
 from fredgal.quadrature import gauss_legendre
 
-from exact_oracle import reference_evaluate, reference_polynomial
+from exact_oracle import reference_evaluate, reference_polynomial, to_text
 
 
 def test_parse_product_sum_kernel_structure():
@@ -492,6 +491,32 @@ def test_powers_within_the_size_bound_expand_exactly():
     assert (2 * 10**30825).bit_length() == 102400
     for text, terms in cases.items():
         assert to_polynomial(parse(text)).terms == terms, text
+
+
+def test_literals_past_the_int_string_limit_are_read_exactly():
+    # Python refuses int(text) past 4,300 digits; the size rule, not that
+    # limit, decides whether a long literal is a polynomial
+    from decimal import Decimal
+
+    within = {
+        "1" * 5000 + "*x": {(1, 0): int(Decimal("1" * 5000))},
+        "0" * 5000 + "7": {(0, 0): 7},
+        "1" * 5000 + ".5": {(0, 0): Fraction(int(Decimal("1" * 5000 + "5")), 10)},
+        # 2·10**30825 has 102,400 bits, the bound
+        "2" + "0" * 30825: {(0, 0): 2 * 10**30825},
+        # exponents written with more digits than int() reads
+        "3e" + "0" * 5000 + "2": {(0, 0): 300},
+        "3e-" + "0" * 5000 + "1": {(0, 0): Fraction(3, 10)},
+        "0e" + "1" * 5000: {},
+        "0." + "0" * 5000 + "1e" + "0" * 5000 + "5002": {(0, 0): 10},
+    }
+    for text, terms in within.items():
+        assert to_polynomial(parse(text)).terms == terms, text[:20]
+    huge_exponents = ("1e" + "0" * 4301 + "1" + "0" * 4300, "1e-" + "9" * 5000, "1e" + "1" * 19)
+    for text in ("4" + "0" * 30825, "1" * 40000, "1" * 1_000_000, "0." + "1" * 1_000_000, *huge_exponents):
+        start = time.perf_counter()
+        assert to_polynomial(parse(text)) is None, text[:20]
+        assert time.perf_counter() - start < 1.0
 
 
 # -- evaluate against the walker that checks every node ---------------------

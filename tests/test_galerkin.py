@@ -20,6 +20,7 @@ from fredgal.exact import exact_assemble
 from fredgal.expr import parse
 from fredgal.galerkin import (
     FredholmProblem,
+    _float_view,
     _invert,
     as_exact_problem,
     assemble,
@@ -31,7 +32,13 @@ from fredgal.galerkin import (
 )
 from fredgal.problems import builtin
 
-from exact_oracle import bernstein_solve, bernstein_system, legendre_system, orthonormal
+from exact_oracle import (
+    bernstein_solve,
+    bernstein_system,
+    fraction_system,
+    legendre_system,
+    orthonormal,
+)
 
 
 def test_default_quadrature_order():
@@ -95,7 +102,7 @@ def test_assemble_matches_exact_entries():
     # float A, F are T.T @ A_B @ T and T.T @ F_B of the rational Bernstein system
     problem = builtin("example2")
     exact_view = as_exact_problem(problem)
-    legendre = exact_assemble(exact_view, 2)
+    legendre = fraction_system(*exact_assemble(exact_view, 2))
     assert legendre == legendre_system(*bernstein_system(exact_view, 2))
     want_A, want_F = orthonormal(*legendre)
     A, F = assemble(problem, 2)
@@ -431,8 +438,8 @@ def test_exact_solve_does_not_build_the_float_map(monkeypatch):
 
 def dense_view_condition(problem, n):
     """The exact path's condition computed from np.array(A, dtype=float),
-    converting every entry of the rational matrix."""
-    A, _ = exact_assemble(as_exact_problem(problem), n)
+    converting every entry of the rational matrix, each one a Fraction."""
+    A, _ = fraction_system(*exact_assemble(as_exact_problem(problem), n))
     scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -442,8 +449,10 @@ def dense_view_condition(problem, n):
 
 
 def test_exact_condition_equals_the_dense_float_view():
-    # the float view is filled from the nonzero entries only; Fraction.__float__
-    # is the same int/int division either way, so the condition is bit-identical
+    # the float view divides each nonzero integer entry by its row
+    # denominator; an int/int division is correctly rounded whatever the
+    # representation, as Fraction.__float__ is, so the condition is
+    # bit-identical
     problems = [builtin(name) for name in ("example1", "example2", "example3")]
     problems.append(FredholmProblem(parse("1 + x"), Fraction(1, 3), parse("x*t - 2*t^2 + 1/3"),
                                     parse("x^2 - 1"), Fraction(1, 2), Fraction(2)))
@@ -454,6 +463,20 @@ def test_exact_condition_equals_the_dense_float_view():
                 assert solve(problem, n, mode="exact").condition == dense_view_condition(problem, n)
         huge = FredholmProblem(parse("1"), -1, parse("1e400*x*t"), parse("x"), 0, 1)
         assert solve(huge, 2).condition == dense_view_condition(huge, 2) == math.inf
+
+
+def test_exact_float_view_rounds_each_entry_once():
+    # numerators and denominators far past 2**53: the view divides each
+    # integer entry by its row denominator once, which rounds as float() of
+    # the entry's Fraction does
+    problem = FredholmProblem(parse("1 + x/999999937"), Fraction(1, 1000000007),
+                              parse("123456789123456789/1000000009*x*t^2 - x^3/998244353"),
+                              parse("x^2"), Fraction(1, 99991), Fraction(7, 5))
+    for n in (3, 12):
+        rows, dens = exact_assemble(as_exact_problem(problem), n)
+        assert max(dens).bit_length() > 53
+        want = np.array(fraction_system(rows, dens)[0], dtype=float)
+        assert _float_view(rows, dens).tobytes() == want.tobytes()
 
 
 def test_exact_solve_with_an_entry_beyond_float_range():

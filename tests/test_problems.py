@@ -16,12 +16,12 @@ from fredgal.galerkin import FredholmProblem, as_exact_problem, solve
 from fredgal.problems import (
     BUILTIN_NAMES,
     builtin,
-    format_problem,
     load_problem,
     parse_problem,
-    write_problem,
 )
 from fredgal.quadrature import gauss_legendre
+
+from exact_oracle import format_problem, write_problem
 
 
 def test_builtin_names():
