@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -79,34 +79,27 @@ class Call:
 
 Node = Num | Var | Const | Neg | BinOp | Call
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# whitespace, then one token: a number, a name, an operator or parenthesis,
+# or any other character, which is an error
+_TOKEN = re.compile(
+    r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))"
+)
+
+# deepest nesting allowed: far above the benchmark's 11, far inside the recursion limit
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, length = 0, len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            tokens.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", length))
+    # without trailing whitespace, where each start would rescan the rest
+    for m in _TOKEN.finditer(text.rstrip()):
+        group = m.lastindex
+        token = m[group]
+        if group == 4:
+            raise ExpressionSyntaxError(f"unexpected character {token!r}", m.start(group))
+        tokens.append((("num", "name", token)[group - 1], token, m.start(group)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -123,6 +116,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # factors open; every recursion of the parser opens one
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -143,6 +137,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+        # a tree has no more levels than tokens, so only a long text can chain
+        # sums or products deeper than the parser's own nesting
+        if len(self.tokens) > MAX_DEPTH:
+            _check_depth(node)
         return node
 
     def expr(self) -> Node:
@@ -160,10 +158,16 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, self.peek()[2])
         if self.peek()[0] == "-":
             _, _, pos = self.advance()
-            return Neg(self.factor(), pos)
-        return self.power()
+            node = Neg(self.factor(), pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -200,10 +204,20 @@ class _Parser:
 
 
 def parse(text: str) -> Node:
-    """Parse expression text into an immutable AST."""
+    """Parse expression text into an immutable AST of at most MAX_DEPTH levels."""
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
     return _Parser(text).parse()
+
+
+def _check_depth(node: Node) -> None:
+    """Refuse a tree deeper than MAX_DEPTH, found without recursion."""
+    stack = [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        if level > MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, node.pos)
+        stack += ((child, level + 1) for child in vars(node).values() if isinstance(child, Node))
 
 
 def evaluate(node: Node, x, t=None):
@@ -327,7 +341,7 @@ def variables(node: Node) -> set[str]:
     return found
 
 
-class _NotPolynomial(Exception):
+class _NotPolynomial(ValueError):  # a ValueError, as decimal_ratio's other callers expect
     pass
 
 
@@ -364,57 +378,34 @@ def _oversized(bits: int) -> bool:
     return bits > MAX_TOTAL_DEGREE * 1024
 
 
-def _literal(text: str) -> tuple[int, int]:
-    """Exact (numerator, denominator) of a number literal: 12, 0.25, 1.5e-3.
-
-    A literal past the size rule is not a polynomial, and one far past it
-    is refused before its power of ten is built.
-    """
-    if text.isdecimal():
-        return _integer(text), 1
-    mantissa, _, exponent = text.lower().partition("e")
-    whole, _, digits = mantissa.partition(".")
-    value = _integer(whole + digits)
-    if not value:
-        return 0, 1
-    # an exponent of 19 or more significant digits is at least 10**18, which
-    # no count of fraction digits in a text held in memory offsets: the
-    # literal is far past the size rule
-    magnitude = exponent.lstrip("+-").lstrip("0")
-    if len(magnitude) > 18:
+def decimal_ratio(value: Decimal) -> tuple[int, int]:
+    """Exact (numerator, denominator) of a finite Decimal in lowest terms; a
+    ValueError past the size rule, checked first on the digits and exponent
+    alone: L digits make more than 3·(L-1) bits, and a value of adjusted
+    exponent A has a numerator or denominator of more than 3·(|A|-1) bits."""
+    if _oversized(3 * max(len(value.as_tuple().digits) - 1, abs(value.adjusted()) - 1)):
         raise _NotPolynomial
-    shift = int(magnitude or 0) * (-1 if exponent.startswith("-") else 1) - len(digits)
-    # 10**s has more than 3·s bits, and reducing value/10**s by their gcd
-    # takes off at most value's own bits
-    if _oversized(3 * abs(shift) - (value.bit_length() if shift < 0 else 0)):
-        raise _NotPolynomial
-    if shift >= 0:
-        num, den = value * 10**shift, 1
-    else:
-        num, den = value, 10**-shift
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    if _oversized(max(num, den).bit_length()):
+    num, den = value.as_integer_ratio()
+    if _oversized(max(abs(num), den).bit_length()):
         raise _NotPolynomial
     return num, den
 
 
-def _integer(digits: str) -> int:
-    """int(digits) for a string of decimal digits, also past the
-    interpreter's limit on int/str conversion (4,300 digits by default).
-    Such a long string is held to the size rule, and one far past it is
-    refused before it is converted."""
+def _literal(text: str) -> tuple[int, int]:
+    """Exact (numerator, denominator) of a number literal: 12, 0.25, 1.5e-3.
+    A literal past the size rule is not a polynomial."""
+    if text.isdecimal():
+        try:
+            return int(text), 1
+        except ValueError:  # more digits than int() reads; Decimal reads them
+            pass
     try:
-        return int(digits)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        pass
-    # L significant digits are more than 3·(L-1) bits
-    if _oversized(3 * (len(digits.lstrip("0")) - 1)):
-        raise _NotPolynomial
-    value = int(Decimal(digits))
-    if _oversized(value.bit_length()):
-        raise _NotPolynomial
-    return value
+        value = Decimal(text)
+    except InvalidOperation:  # an exponent beyond Decimal's range
+        value = Decimal(text.lower().partition("e")[0])
+        if value:
+            raise _NotPolynomial from None
+    return decimal_ratio(value) if value else (0, 1)
 
 
 def _degree(terms: _Terms) -> int:

@@ -151,10 +151,12 @@ def assemble(
     f_vals = _eval_grid(problem.f_expr, "rhs", pts)
     kernel = _eval_grid(problem.kernel_expr, "kernel", pts[:, None], pts[None, :])  # [x, t]
 
-    inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·L_i(t) dt
-    operator = a_vals[:, None] * basis + lam * inner
-    matrix = (basis * w[:, None]).T @ operator  # Σ_m w_m·L_j(x_m)·operator[m, i]
-    f_vec = (w * f_vals) @ basis
+    # data beyond the float range make nonfinite entries, refused below
+    with np.errstate(all="ignore"):
+        inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·L_i(t) dt
+        operator = a_vals[:, None] * basis + lam * inner
+        matrix = (basis * w[:, None]).T @ operator  # Σ_m w_m·L_j(x_m)·operator[m, i]
+        f_vec = (w * f_vals) @ basis
     if not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
         raise DomainError("assembled system contains nonfinite entries")
     return matrix, f_vec

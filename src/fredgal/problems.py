@@ -10,6 +10,7 @@ read exactly, so ``lambda = 0.1`` means 1/10 and ``lambda = 1/2`` is valid.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from . import expr
@@ -26,7 +27,6 @@ from .galerkin import FredholmProblem
 
 REQUIRED_KEYS = ("interval_a", "interval_b", "coefficient", "lambda", "kernel", "rhs")
 ALL_KEYS = REQUIRED_KEYS + ("exact",)
-NUMBER_KEYS = ("interval_a", "interval_b", "lambda")
 
 # Classic second-kind benchmark equations, all written as
 # phi(x) - ∫ k(t,x)·phi(t) dt = f(x), i.e. coefficient 1 and lambda -1.
@@ -105,15 +105,20 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
 
 
 def _number(pairs, key: str) -> Fraction:
-    """The exact value of a number key (integer, decimal or p/q); its float
-    view must be finite."""
+    """The exact value of a number key (integer, decimal or p/q), held to
+    the size rule of expression literals; its float view must be finite."""
     text, lineno = pairs[key]
     try:
+        # Fraction builds a decimal's power of ten in full, so the size rule
+        # is checked first, on Decimal's reading; a p/q has integer parts only
+        if "/" not in text:
+            expr.decimal_ratio(Decimal(text))
         value = Fraction(text)
         float(value)  # OverflowError beyond the float range
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, ArithmeticError):  # Decimal's InvalidOperation too
         raise ExpressionError(
-            f"invalid number for '{key}': {text!r} (need a finite number)", lineno
+            f"invalid number for '{key}': {text!r} (need a finite number within the size rule)",
+            lineno,
         ) from None
     return value
 
@@ -141,7 +146,8 @@ def parse_problem(text: str) -> FredholmProblem:
     a = _number(pairs, "interval_a")
     b = _number(pairs, "interval_b")
     if not b > a:
-        raise BadInterval(f"interval [{a}, {b}] is empty")
+        # as written: str() of a Fraction fails past 4,300 digits
+        raise BadInterval(f"interval [{pairs['interval_a'][0]}, {pairs['interval_b'][0]}] is empty")
     lam = _number(pairs, "lambda")
     a_expr = _expression(pairs, "coefficient", {"x"})
     kernel_expr = _expression(pairs, "kernel", {"x", "t"})

@@ -9,17 +9,27 @@ basis, assembled in closed form and independent of the Legendre assembly
 the solver uses; the Legendre form of a rational Bernstein system,
 independent of the closed form ``fredgal.basis`` uses; Gaussian
 elimination with a Fraction per entry, independent of the fraction-free
-integer elimination ``solve_rational_system`` uses; and the fully
+integer elimination ``solve_rational_system`` uses; the fully
 parenthesized text of an expression and of a problem file, for round
-trips through the parsers."""
+trips through the parsers; and the character-loop tokenizer and the
+digit-string literal reader the expression front end used before it
+scanned with one regex and read literals through ``Decimal``."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from fredgal.errors import DomainError, InvalidDegree, MissingBinding, SingularSystem
-from fredgal.exact import BivarPoly, ExactProblem
+from fredgal.errors import (
+    DomainError,
+    ExpressionSyntaxError,
+    InvalidDegree,
+    MissingBinding,
+    SingularSystem,
+)
+from fredgal.exact import MAX_TOTAL_DEGREE, BivarPoly, ExactProblem
 from fredgal.expr import CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg, Num, Var
 
 
@@ -396,3 +406,89 @@ def format_problem(problem) -> str:
 def write_problem(problem, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(format_problem(problem))
+
+
+_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens (kind, text, offset) of expression text, one character
+    at a time; raises ExpressionSyntaxError at the first character that
+    starts no token."""
+    tokens = []
+    i, length = 0, len(text)
+    while i < length:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _NUMBER.match(text, i)
+        if m:
+            tokens.append(("num", m.group(), i))
+            i = m.end()
+            continue
+        m = _NAME.match(text, i)
+        if m:
+            tokens.append(("name", m.group(), i))
+            i = m.end()
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", length))
+    return tokens
+
+
+def _oversized(bits: int) -> bool:
+    return bits > MAX_TOTAL_DEGREE * 1024
+
+
+def reference_literal(text: str) -> tuple[int, int] | None:
+    """Exact (numerator, denominator) of a number literal, read from its
+    digit string as an integer over a power of ten, or None past the size
+    rule: when that integer, or the reduced numerator or denominator, needs
+    more than MAX_TOTAL_DEGREE·1024 bits."""
+    if text.isdecimal():
+        value = _reference_integer(text)
+        return None if value is None else (value, 1)
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, digits = mantissa.partition(".")
+    value = _reference_integer(whole + digits)
+    if value is None:
+        return None
+    if not value:
+        return 0, 1
+    # an exponent of 19 or more significant digits is at least 10**18, which
+    # no count of fraction digits in a text held in memory offsets
+    magnitude = exponent.lstrip("+-").lstrip("0")
+    if len(magnitude) > 18:
+        return None
+    shift = int(magnitude or 0) * (-1 if exponent.startswith("-") else 1) - len(digits)
+    # 10**s has more than 3·s bits, and reducing value/10**s by their gcd
+    # takes off at most value's own bits
+    if _oversized(3 * abs(shift) - (value.bit_length() if shift < 0 else 0)):
+        return None
+    if shift >= 0:
+        num, den = value * 10**shift, 1
+    else:
+        num, den = value, 10**-shift
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return None if _oversized(max(num, den).bit_length()) else (num, den)
+
+
+def _reference_integer(digits: str) -> int | None:
+    """int(digits), also past the interpreter's limit on int/str conversion,
+    or None when the integer is past the size rule."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    # L significant digits are more than 3·(L-1) bits
+    if _oversized(3 * (len(digits.lstrip("0")) - 1)):
+        return None
+    value = int(Decimal(digits))
+    return None if _oversized(value.bit_length()) else value

@@ -35,6 +35,10 @@ REMOVED = [
     ("fredgal.expr", "to_text"),
     ("fredgal.problems", "format_problem"),
     ("fredgal.problems", "write_problem"),
+    ("fredgal.problems", "NUMBER_KEYS"),
+    ("fredgal.expr", "_integer"),
+    ("fredgal.expr", "_NUMBER"),
+    ("fredgal.expr", "_NAME"),
     *(
         ("fredgal.exact", f"BivarPoly.{name}")
         for name in (

@@ -1,4 +1,7 @@
 import math
+import random
+import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -334,11 +337,8 @@ def test_exact_solve_reports_infinite_condition_of_system_beyond_float_range(cap
         code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
     assert code == 0 and "Traceback" not in err
     assert "mode: exact\n" in out and "condition: inf\n" in out
-    with np.errstate(invalid="ignore"):
-        code, _, err = run(
-            capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", "float"
-        )
-    assert code == 2 and "nonfinite" in err
+    code, _, err = run(capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", "float")
+    assert code == 2 and err == "error: assembled system contains nonfinite entries\n"
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0"])
@@ -437,3 +437,127 @@ def test_exact_results_past_the_int_string_limit(capsys, tmp_path, rhs, scale):
         code, out, err = run(capsys, argv[0], "--problem", str(path), *argv[1:])
         assert code == 2 and out == ""
         assert err == "error: a coefficient of the solution is beyond the float range\n"
+
+
+PROBLEM_TEXT = (
+    "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 1\nkernel = x*t\nrhs = x\n"
+)
+
+
+def run_problem(capsys, path, text, *argv):
+    """(exit code, stdout, stderr, warnings) of the CLI on one problem file."""
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--problem", str(path))
+    return code, out, err, caught
+
+
+def test_float_solve_of_data_beyond_the_float_range_writes_one_error_line(capsys, tmp_path):
+    text = PROBLEM_TEXT.replace("rhs = x", "rhs = 1e400*x")
+    code, out, err, caught = run_problem(
+        capsys, tmp_path / "inf.fie", text, "solve", "--degree", "2", "--mode", "float"
+    )
+    assert (code, out, caught) == (2, "", [])
+    assert err == "error: assembled system contains nonfinite entries\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("rhs = x", "rhs = " + "+".join(["x"] * 3000)),
+        ("rhs = x", "rhs = " + "(" * 2000 + "x" + ")" * 2000),
+        ("rhs = x", "rhs = " + "-" * 2000 + "x"),
+        ("rhs = x", "rhs = x" + "^1" * 2000),
+        ("lambda = 1", "lambda = 1e-1000000"),
+        ("interval_b = 1", "interval_b = 1e-300000"),
+    ],
+    ids=["3000-term sum", "2000 parentheses", "2000 minuses", "2000 powers",
+         "lambda 1e-1000000", "interval_b 1e-300000"],
+)
+def test_deep_expressions_and_oversized_numbers_are_input_errors(capsys, tmp_path, old, new):
+    start = time.perf_counter()
+    code, out, err, _ = run_problem(
+        capsys, tmp_path / "p.fie", PROBLEM_TEXT.replace(old, new), "solve", "--degree", "2"
+    )
+    assert time.perf_counter() - start < 1.0
+    key = new.split(" =")[0]
+    assert code == 1 and out == ""
+    assert err.startswith("error: line ") and err.count("\n") == 1 and f"'{key}'" in err
+
+
+EXTREME_NUMBERS = [
+    "1e-30000", "0e100000", "1e-1000000", "1e-300000", "1e400", "inf", "nan", "1/0", "_4",
+    "4_6.0_5", "1" * 5000, "1e-" + "9" * 19, "x", "",
+]
+LEAVES = ["1", "0", "0.5", "2.5e-3", "pi", "e", "0.1", "3", "10/9"]
+EXTREME_LEAVES = ["1e400", "1e-400", "7" * 5000, "1e" + "0" * 4400 + "3", "1e-31000", "0e99999"]
+BROKEN = ["x +", "(x", "x)", "2x", "x $ t", "y", "exp x", "1..2", "x^^2", ""]
+
+
+def fuzz_expression(rng, depth, names="x"):
+    """Expression text in the variables ``names``: literals, constants,
+    every function, powers, unary minus and the four operators."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.25:
+        return rng.choice(LEAVES + list(names) * 4)
+
+    def sub():
+        return f"({fuzz_expression(rng, depth - 1, names)})"
+
+    if pick < 0.4:
+        return f"{rng.choice(['exp', 'sin', 'cos', 'log', 'sqrt'])}{sub()}"
+    if pick < 0.5:
+        return f"{sub()}^{rng.choice(['2', '3', '0.5', '-1', '100'])}"
+    if pick < 0.55:
+        return f"-{sub()}"
+    return f"{sub()} {rng.choice('+-*/')} {sub()}"
+
+
+def deep_expression(rng):
+    k = rng.choice([50, 99, 100, 101, 150, 2000])
+    return rng.choice(["(" * k + "x" + ")" * k, "-" * k + "x", "x" + "^1" * k,
+                       "+".join(["x"] * k), "sin(" * k + "x" + ")" * k])
+
+
+def test_fuzzed_problem_files_end_in_a_result_or_one_error_line(capsys, tmp_path):
+    # each file is a random problem with at most one extreme piece: a number
+    # past the float range or the size rule, or badly written; an expression
+    # nested near or past the depth bound; a long or extreme literal; or
+    # broken expression text
+    rng = random.Random(2013)
+    path = tmp_path / "fuzz.fie"
+    codes = []
+    start = time.perf_counter()
+    for _ in range(200):
+        pairs = {
+            "interval_a": rng.choice(["0", "-1", "0.5", "-0.25"]),
+            "interval_b": rng.choice(["1", "2", "1.5", "0.75"]),
+            "lambda": rng.choice(["1", "-1", "0.5", "1/3", "-0.3", "2"]),
+            "coefficient": rng.choice(["1", "2 + x", "1 + x^2", fuzz_expression(rng, 1)]),
+            "kernel": fuzz_expression(rng, 3, "xt"),
+            "rhs": fuzz_expression(rng, 3),
+        }
+        key = rng.choice(list(pairs))
+        if key in ("interval_a", "interval_b", "lambda"):
+            pairs[key] = rng.choice(EXTREME_NUMBERS)
+        elif rng.random() < 0.4:
+            pairs[key] = deep_expression(rng)
+        elif rng.random() < 0.5:
+            pairs[key] = f"({pairs[key]}) * {rng.choice(EXTREME_LEAVES)}"
+        else:
+            pairs[key] = rng.choice(BROKEN)
+        text = "".join(f"{key} = {value}\n" for key, value in pairs.items())
+        argv = ("solve", "--degree", str(rng.randint(1, 4)), "--mode",
+                rng.choice(["auto", "auto", "float", "exact"]))
+        case_start = time.perf_counter()
+        code, out, err, caught = run_problem(capsys, path, text, *argv)
+        assert time.perf_counter() - case_start < 1.0, text[:300]
+        assert code in (0, 1, 2), text[:300]
+        if code:
+            assert out == "" and caught == [], text[:300]
+            assert err.startswith("error: ") and err.count("\n") == 1, text[:300]
+        codes.append(code)
+    assert time.perf_counter() - start < 2.0
+    # results and both kinds of error occur in quantity
+    assert min(codes.count(0), codes.count(1), codes.count(2)) > 20

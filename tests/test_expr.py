@@ -17,10 +17,15 @@ from fredgal.errors import (
     UnknownIdentifier,
 )
 from fredgal.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
+    Neg,
     Num,
     Var,
+    _literal,
+    _NotPolynomial,
+    _tokenize,
     evaluate,
     parse,
     to_polynomial,
@@ -30,7 +35,13 @@ from fredgal.exact import BivarPoly
 from fredgal.problems import BUILTIN_NAMES, builtin
 from fredgal.quadrature import gauss_legendre
 
-from exact_oracle import reference_evaluate, reference_polynomial, to_text
+from exact_oracle import (
+    reference_evaluate,
+    reference_literal,
+    reference_polynomial,
+    reference_tokenize,
+    to_text,
+)
 
 
 def test_parse_product_sum_kernel_structure():
@@ -633,6 +644,143 @@ def test_a_clean_grid_builds_no_domain_mask(monkeypatch):
 
 
 def test_variables_of_a_deep_tree():
-    # the walk is iterative: a chain deeper than the recursion limit is fine
-    text = "+".join(["x"] * 5000) + " - exp(-t)"
-    assert variables(parse(text)) == {"x", "t"}
+    # the walk is iterative: a chain deeper than the recursion limit is fine;
+    # parse refuses one that deep, so the chain is built from nodes
+    chain = functools.reduce(lambda left, _: BinOp("+", left, Var("x")), range(4999), Var("x"))
+    assert variables(BinOp("-", chain, Call("exp", Neg(Var("t"))))) == {"x", "t"}
+
+
+# -- the scanner and the literal reader against the code they replaced -------
+
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# digits (ASCII and other Unicode decimal digits), names, operators, and
+# characters that start no token: a superscript digit, a zero-width space
+# (not whitespace), a letter outside ASCII, punctuation and a NUL
+TEXT_PIECES = [*"0123456789", "\u0663", "\u0660", "\uff11", *"xtepiE_", "exp", "sqrt", "a9",
+               *"+-*/^().", "e-", "e+", "\u00b2", "\u200b", "\u00e9", "$", ",", "=", "\x00"]
+
+
+def tokenize_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExpressionSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+def test_tokenize_matches_the_reference_on_random_text():
+    rng = random.Random(2013)
+    errors = 0
+    for _ in range(30000):
+        pieces = [rng.choice(WHITESPACE if rng.random() < 0.3 else TEXT_PIECES)
+                  for _ in range(rng.randint(0, 12))]
+        text = "".join(pieces)
+        want = tokenize_outcome(reference_tokenize, text)
+        assert tokenize_outcome(_tokenize, text) == want, repr(text)
+        errors += isinstance(want, tuple)
+    assert 3000 < errors < 27000  # both kinds occur in quantity
+
+
+def test_tokenize_matches_the_reference_on_every_whitespace_character():
+    for text in ("x".join(WHITESPACE), "1.5e3".join(WHITESPACE), "".join(WHITESPACE) + "t",
+                 "".join(WHITESPACE), "x" + "".join(WHITESPACE) + "\u00b2"):
+        assert tokenize_outcome(_tokenize, text) == tokenize_outcome(reference_tokenize, text)
+
+
+def test_tokenize_time_is_linear_in_trailing_whitespace():
+    start = time.perf_counter()
+    assert _tokenize("x" + " " * 1_000_000) == [("name", "x", 0), ("end", "", 1_000_001)]
+    assert time.perf_counter() - start < 1.0
+
+
+def digit_run(rng, length, unicode):
+    pool = "0123456789" + ("\u0660\u0663\uff11\u0969" if unicode else "")
+    return "".join(rng.choice(pool) for _ in range(length))
+
+
+def random_literal(rng):
+    """Number-token text: short and long digit runs (past the 4,300-digit
+    limit of int()), leading zeros, zero mantissas, and exponents from one
+    digit to thousands.  Other Unicode digits appear only in runs shorter
+    than 19 digits, where the old reader read them as int() does."""
+    long_run = rng.random() < 0.15
+    whole_len = rng.choice([4299, 4300, 4301, 5000]) if long_run else rng.randint(1, 8)
+    whole = digit_run(rng, whole_len, unicode=not long_run)
+    if rng.random() < 0.2:
+        whole = "0" * rng.randint(1, 30) + whole
+    if rng.random() < 0.1:
+        whole = "0" * len(whole)
+    text = whole
+    if rng.random() < 0.5:
+        frac_len = rng.choice([1, 2, 5, 30, 4400]) if not long_run else rng.randint(1, 50)
+        text += "." + digit_run(rng, frac_len, unicode=frac_len < 19 and not long_run)
+    if rng.random() < 0.6:
+        kind = rng.random()
+        if kind < 0.6:
+            exponent = str(rng.randint(0, 400))
+        elif kind < 0.8:
+            exponent = str(rng.randint(30000, 31500))  # either side of the size rule
+        elif kind < 0.9:
+            exponent = "0" * rng.randint(1, 5000) + str(rng.randint(0, 99))
+        else:
+            exponent = rng.choice(["1" * 19, "9" * 18, "1" + "0" * 4400, "9" * 5000])
+        if len(exponent) < 19 and rng.random() < 0.2:
+            exponent = digit_run(rng, len(exponent), unicode=True)
+        text += rng.choice("eE") + rng.choice(["", "+", "-"]) + exponent
+    return text
+
+
+def literal_outcome(text):
+    try:
+        return _literal(text)
+    except _NotPolynomial:
+        return None
+
+
+def test_literal_matches_the_reference_on_random_literals():
+    rng = random.Random(2013)
+    refused = 0
+    for _ in range(1200):
+        text = random_literal(rng)
+        assert _tokenize(text)[:-1] == [("num", text, 0)], text[:40]
+        want = reference_literal(text)
+        assert literal_outcome(text) == want, text[:40]
+        refused += want is None
+    assert 100 < refused < 1000  # both kinds occur in quantity
+
+
+def test_the_size_rule_holds_a_literal_to_its_value():
+    # the old reader refused these: the first for the integer its digits
+    # spell without the point (102,401 bits), the others for leading zeros
+    # other than ASCII "0", which it did not strip
+    cases = {
+        "4" + "0" * 30825 + "e-1": (4 * 10**30824, 1),
+        "1e" + "\u0660" * 19 + "1": (10, 1),
+        "\u0660" * 40000 + "1": (1, 1),
+    }
+    for text, ratio in cases.items():
+        assert reference_literal(text) is None
+        assert _literal(text) == ratio
+
+
+# -- the depth bound ---------------------------------------------------------
+
+DEEP_TEXTS = {
+    "sum": lambda k: "+".join(["x"] * k),
+    "product": lambda k: "*".join(["x"] * k),
+    "parentheses": lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+    "unary minus": lambda k: "-" * (k - 1) + "x",
+    "powers": lambda k: "x" + "^1" * (k - 1),
+    "calls": lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_TEXTS)
+def test_expressions_nested_past_the_depth_bound_are_syntax_errors(shape):
+    node = parse(DEEP_TEXTS[shape](MAX_DEPTH))
+    # every walker takes the deepest tree parse gives
+    to_polynomial(node)
+    assert np.isfinite(evaluate(node, GRID_X, GRID_T)).all()
+    for k in (MAX_DEPTH + 1, 2000, 3000):
+        with pytest.raises(ExpressionSyntaxError, match="nested deeper than 100 levels"):
+            parse(DEEP_TEXTS[shape](k))

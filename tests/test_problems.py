@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from fredgal.expr import evaluate, parse
 from fredgal.galerkin import FredholmProblem, as_exact_problem, solve
 from fredgal.problems import (
     BUILTIN_NAMES,
+    _number,
     builtin,
     load_problem,
     parse_problem,
@@ -223,3 +226,82 @@ def test_nonfinite_numbers_rejected(old, new, line):
     with pytest.raises(ExpressionError) as err:
         parse_problem(EXAMPLE1_TEXT.replace(old, new))
     assert err.value.line == line
+
+
+def read_number(text):
+    """The value a number key reads to, or None when it is refused."""
+    try:
+        return _number({"lambda": (text, 1)}, "lambda")
+    except ExpressionError:
+        return None
+
+
+def fraction_number(text):
+    """What Fraction(text) read before number keys obeyed the size rule."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return value
+
+
+def test_number_keys_read_as_fraction_reads_them():
+    # short random texts with signs, points, exponents, p/q, underscores,
+    # whitespace and non-ASCII digits: every one within the size rule, so
+    # each reads to Fraction's value or is refused where Fraction refuses it
+    rng = random.Random(2013)
+    pieces = [*"0123456789_.eE+-/ d", "\u0663", "\u0660", "\uff11", "inf", "nan"]
+    accepted = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 6))).strip()
+        if text:
+            want = fraction_number(text)
+            assert read_number(text) == want, repr(text)
+            accepted += want is not None
+    assert 2000 < accepted < 18000
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e-30000", Fraction(1, 10**30000)),
+        # 10**30825 has 102,399 bits, within the rule's 102,400
+        ("-1e-30825", Fraction(-1, 10**30825)),
+        ("2.5e-320", Fraction(1, 4 * 10**319)),
+        ("4_6.0_5", Fraction(4605, 100)),
+        ("0e30000", Fraction(0)),
+        ("1" * 4300 + "/" + "3" * 4300, Fraction(1, 3)),
+    ],
+    ids=lambda v: v[:20] if isinstance(v, str) else None,
+)
+def test_numbers_within_the_size_rule_read_exactly(text, value):
+    assert read_number(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e-1000000", "1e-300000", "1e-3000000", "-1e-30826", "1e-" + "9" * 19, "1e" + "9" * 30,
+        # Fraction builds 10**E even for a zero mantissa: the written exponent is held to the rule
+        "0e100000", "0e5000000",
+        # refused by Fraction as before: underscores Decimal would skip,
+        # more digits than int() reads, and a zero denominator
+        "_4", "24_", "4_6._05", "1" * 5000, "1" * 5000 + "/3", "1/0",
+    ],
+    ids=lambda v: v[:20],
+)
+def test_numbers_past_the_size_rule_or_badly_written_are_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError) as err:
+        parse_problem(EXAMPLE1_TEXT.replace("lambda = -1", f"lambda = {text}"))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line == 5 and "'lambda'" in str(err.value)
+
+
+def test_an_empty_interval_is_reported_as_written():
+    text = EXAMPLE1_TEXT.replace("interval_a = -1", "interval_a = 1e-5000").replace(
+        "interval_b = 1", "interval_b = -0.5"
+    )
+    with pytest.raises(BadInterval, match=r"interval \[1e-5000, -0.5\] is empty"):
+        parse_problem(text)
