@@ -146,6 +146,20 @@ def _numerators(values: list[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (common // v.denominator) for v in values], common
 
 
+def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
+    """Ascending integer coefficients in u of g^d·p((lo + hi·u)/g), where
+    p = Σ nums[s]·x^s has degree d: Σ nums[s]·g^(d-s)·(lo + hi·u)^s,
+    expanded by Horner steps.
+    """
+    out = [nums[-1]]
+    power = 1
+    for c in reversed(nums[:-1]):
+        power *= g
+        out = [lo * v + hi * w for v, w in zip([*out, 0], [0, *out])]
+        out[0] += c * power
+    return out
+
+
 def _unit(spec: BasisSpec, x) -> np.ndarray:
     """u = (x-a)/(b-a) as floats."""
     # b - a before float(): Fraction endpoints give their width rounded once
@@ -170,22 +184,17 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     h = Fraction(spec.b) - a
     diff, common = _numerators([Fraction(v) for v in coeffs])
     # power form in u = (x-a)/h: the u^k coefficient is C(n,k)·Δ^k c_0 / h^k
-    # (forward difference at 0).  Over den = common·hn^n·ad^n it is e_k, the
-    # coefficient of (ad·x - an)^k
+    # (forward difference at 0).  Over den = common·g^n, g = hn·ad, it is
+    # e_k, the coefficient of (y - an)^k for y = ad·x
+    g = h.numerator * a.denominator
     e = []
     for k in range(n + 1):
-        e.append(
-            math.comb(n, k) * diff[0] * h.denominator**k
-            * (h.numerator * a.denominator) ** (n - k)
-        )
+        e.append(math.comb(n, k) * diff[0] * h.denominator**k * g ** (n - k))
         diff = [right - left for left, right in zip(diff, diff[1:])]
-    # Taylor shift by -an, one Horner step per entry: Σ e_k·(y - an)^k
-    # becomes Σ e_m·y^m, and y^m = ad^m·x^m
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            e[j] -= a.numerator * e[j + 1]
-    den = common * (h.numerator * a.denominator) ** n
-    out = [v * a.denominator**m for m, v in enumerate(e)]
+    # the shift's Horner steps multiply by an alone, not by the larger ad·hd
+    # of substituting x directly; then y^m = ad^m·x^m
+    out = [v * a.denominator**m for m, v in enumerate(_shift(e, -a.numerator, 1, 1))]
+    den = common * g**n
     if exact:
         return [Fraction(v, den) for v in out]
     return [_nearest_float(v, den) for v in out]

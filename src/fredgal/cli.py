@@ -78,42 +78,30 @@ def exact_text(c: Fraction) -> str:
     return text if c.denominator == 1 else f"{text}/{Decimal(c.denominator)}"
 
 
-def format_coefficients(solution) -> str:
-    if solution.mode == "exact":
-        return " ".join(exact_text(Fraction(c)) for c in solution.coefficients)
-    return " ".join(gfmt(c) for c in solution.coefficients)
+def scalar_text(c) -> str:
+    """A coefficient as printed: exact for a Fraction, else 10 digits."""
+    return exact_text(c) if isinstance(c, Fraction) else gfmt(c)
 
 
 def format_polynomial(coeffs, var: str = "x") -> str:
     """Human-readable ascending-power polynomial, exact or float."""
-
-    def scalar(c) -> str:
-        return exact_text(c) if isinstance(c, Fraction) else gfmt(c)
-
     parts: list[str] = []
     for power, c in enumerate(coeffs):
         if c == 0:
             continue
         mag = -c if c < 0 else c
+        term = var if power == 1 else f"{var}^{power}"
         if power == 0:
-            body = scalar(mag)
+            body = scalar_text(mag)
         elif mag == 1:
-            body = var if power == 1 else f"{var}^{power}"
+            body = term
         else:
-            body = f"{scalar(mag)}*{var}" if power == 1 else f"{scalar(mag)}*{var}^{power}"
+            body = f"{scalar_text(mag)}*{term}"
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:
             parts.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(parts) if parts else "0"
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
 
 
 def _resolve_problem(args):
@@ -145,7 +133,7 @@ def _cmd_solve(args) -> str:
         f"mode: {solution.mode}",
         f"degree: {solution.spec.n}",
         f"interval: [{gfmt(solution.spec.a)}, {gfmt(solution.spec.b)}]",
-        f"coefficients: {format_coefficients(solution)}",
+        f"coefficients: {' '.join(map(scalar_text, solution.coefficients))}",
         f"monomial: {format_polynomial(monomial)}",
         f"condition: {solution.condition:.6g}",
     ]
@@ -179,12 +167,13 @@ def _cmd_converge(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_basis_samples(n: int, a: float, b: float, samples: int, out_path) -> None:
+def _cmd_basis(args) -> str:
     """CSV of all basis members sampled at equispaced points.
 
     Full float precision (17 significant digits) so downstream consumers
     see the partition-of-unity property intact.
     """
+    n, a, b, samples = args.degree, args.interval_a, args.interval_b, args.samples
     if samples < 2:
         raise UsageError("--samples must be at least 2")
     if samples > MAX_GRID_POINTS:
@@ -195,12 +184,7 @@ def emit_basis_samples(n: int, a: float, b: float, samples: int, out_path) -> No
     table = np.column_stack([xs, basis_row(spec, xs)]).tolist()
     row_format = ",".join(["%.17g"] * (n + 2))
     lines = [header, *[row_format % tuple(row) for row in table]]
-    _emit("\n".join(lines) + "\n", out_path)
-
-
-def _cmd_basis(args) -> str | None:
-    emit_basis_samples(args.degree, args.interval_a, args.interval_b, args.samples, args.out)
-    return None
+    return "\n".join(lines) + "\n"
 
 
 def _parse_degrees(text: str) -> list[int]:
@@ -271,8 +255,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text = args.handler(args)
-        if text is not None:
-            _emit(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -50,7 +50,7 @@ class SingularSystem(FredgalError):
 
 class ExactPathUnavailable(FredgalError):
     """Exact mode requested but the problem data is not a polynomial with
-    rational coefficients."""
+    rational coefficients, or its exact solve is past the work bound."""
 
 
 class OutOfInterval(FredgalError):

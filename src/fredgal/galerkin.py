@@ -39,7 +39,7 @@ from .errors import (
     OutOfInterval,
     SingularSystem,
 )
-from .exact import ExactProblem, exact_assemble, solve_rational_system
+from .exact import MAX_EXACT_WORK, ExactProblem, exact_assemble, exact_work, solve_rational_system
 from .expr import Node, evaluate, to_polynomial, variables
 from .quadrature import gauss_legendre
 
@@ -239,9 +239,10 @@ def solve(
 ) -> Solution:
     """Solve for the degree-n expansion coefficients.
 
-    mode "exact" demands rational-polynomial data and returns Fractions;
-    "float" always goes through quadrature and numpy.linalg; "auto" prefers
-    exact when the data allows it.
+    mode "exact" demands rational-polynomial data whose ``exact_work`` is
+    within MAX_EXACT_WORK and returns Fractions; "float" always goes through
+    quadrature and numpy.linalg; "auto" prefers exact when the data and the
+    work bound allow it.
     The float path needs a quadrature order q above n: with q <= n nodes the
     system has rank at most q and is always singular.
     """
@@ -251,10 +252,13 @@ def solve(
     exact_view = None
     if mode != "float":
         exact_view = as_exact_problem(problem)
+        if exact_view is None:
+            reason = "exact mode requires polynomial data with rational coefficients"
+        elif (work := exact_work(exact_view, n)) > MAX_EXACT_WORK:
+            exact_view = None
+            reason = f"exact solve past the work bound ({work} > {MAX_EXACT_WORK})"
         if mode == "exact" and exact_view is None:
-            raise ExactPathUnavailable(
-                "exact mode requires polynomial data with rational coefficients"
-            )
+            raise ExactPathUnavailable(reason)
 
     if exact_view is not None:
         rows, dens = exact_assemble(exact_view, n)

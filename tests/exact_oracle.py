@@ -13,7 +13,11 @@ integer elimination ``solve_rational_system`` uses; the fully
 parenthesized text of an expression and of a problem file, for round
 trips through the parsers; and the character-loop tokenizer and the
 digit-string literal reader the expression front end used before it
-scanned with one regex and read literals through ``Decimal``."""
+scanned with one regex and read literals through ``Decimal``; the
+Bernstein-to-monomial conversion with its own hand-scaled Taylor shift,
+which ``bernstein_to_monomial`` replaced by the shift the exact assembly
+uses; and the builtin problems built field by field, as they were before
+``fredgal.problems`` read them as problem-file text."""
 
 import math
 import re
@@ -30,7 +34,8 @@ from fredgal.errors import (
     SingularSystem,
 )
 from fredgal.exact import MAX_TOTAL_DEGREE, BivarPoly, ExactProblem
-from fredgal.expr import CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg, Num, Var
+from fredgal.expr import CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, parse
+from fredgal.galerkin import FredholmProblem
 
 
 def poly_add(p: BivarPoly, q: BivarPoly) -> BivarPoly:
@@ -492,3 +497,86 @@ def _reference_integer(digits: str) -> int | None:
         return None
     value = int(Decimal(digits))
     return None if _oversized(value.bit_length()) else value
+
+
+def reference_bernstein_to_monomial(coeffs, spec) -> list:
+    """``bernstein_to_monomial`` with the power form scaled by hand: the
+    u^k coefficient C(n,k)·Δ^k c_0 / h^k over common·hn^n·ad^n, a Taylor
+    shift by -an one Horner step per entry, and y^m = ad^m·x^m, each output
+    one exact quotient, reduced once to a Fraction or rounded once to a
+    float (±inf past the float range)."""
+    exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
+    n, a = spec.n, Fraction(spec.a)
+    h = Fraction(spec.b) - a
+    values = [Fraction(v) for v in coeffs]
+    common = math.lcm(*[v.denominator for v in values])
+    diff = [v.numerator * (common // v.denominator) for v in values]
+    e = []
+    for k in range(n + 1):
+        e.append(
+            math.comb(n, k) * diff[0] * h.denominator**k
+            * (h.numerator * a.denominator) ** (n - k)
+        )
+        diff = [right - left for left, right in zip(diff, diff[1:])]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            e[j] -= a.numerator * e[j + 1]
+    den = common * (h.numerator * a.denominator) ** n
+    out = [v * a.denominator**m for m, v in enumerate(e)]
+    if exact:
+        return [Fraction(v, den) for v in out]
+    rounded = []
+    for v in out:
+        try:
+            rounded.append(v / den)
+        except OverflowError:
+            rounded.append(math.inf if v > 0 else -math.inf)
+    return rounded
+
+
+# phi(x) - ∫ k(t,x)·phi(t) dt = f(x): coefficient 1 and lambda -1
+_BUILTIN_SPECS = {
+    "example1": {
+        "kernel": "x*t + x^2*t^2",
+        "rhs": "1",
+        "a": -1.0,
+        "b": 1.0,
+        "exact": "1 + 10/9*x^2",
+    },
+    "example2": {
+        "kernel": "x^4 - t^4",
+        "rhs": "x",
+        "a": -1.0,
+        "b": 1.0,
+        "exact": "x",
+    },
+    "example3": {
+        "kernel": "t*x^2 + x*t^2",
+        "rhs": "x",
+        "a": 0.0,
+        "b": 1.0,
+        "exact": "180/119*x + 80/119*x^2",
+    },
+    "example4": {
+        "kernel": "2*exp(x)*exp(t)",
+        "rhs": "exp(x)",
+        "a": 0.0,
+        "b": 1.0,
+        "exact": "exp(x)/(2 - e^2)",
+    },
+}
+
+
+def reference_builtin(name: str) -> FredholmProblem:
+    """The builtin problem built field by field, with float lambda and
+    endpoints."""
+    spec = _BUILTIN_SPECS[name]
+    return FredholmProblem(
+        a_expr=parse("1"),
+        lam=-1.0,
+        kernel_expr=parse(spec["kernel"]),
+        f_expr=parse(spec["rhs"]),
+        a=spec["a"],
+        b=spec["b"],
+        exact_expr=parse(spec["exact"]),
+    )

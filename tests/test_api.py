@@ -39,6 +39,9 @@ REMOVED = [
     ("fredgal.expr", "_integer"),
     ("fredgal.expr", "_NUMBER"),
     ("fredgal.expr", "_NAME"),
+    ("fredgal.problems", "_BUILTIN_SPECS"),
+    ("fredgal.cli", "format_coefficients"),
+    ("fredgal.cli", "emit_basis_samples"),
     *(
         ("fredgal.exact", f"BivarPoly.{name}")
         for name in (

@@ -24,7 +24,7 @@ from fredgal.galerkin import (
 )
 from fredgal.quadrature import gauss_legendre
 
-from exact_oracle import legendre_in_bernstein
+from exact_oracle import legendre_in_bernstein, reference_bernstein_to_monomial
 
 
 def bernstein_value(i, spec, x):
@@ -430,3 +430,41 @@ def test_monomial_conversion_rounds_past_the_float_range_to_infinity():
     # exact input has no float range to leave
     exact = bernstein_to_monomial([Fraction(0), Fraction(10**300)], spec)
     assert exact[1] == Fraction(10**300) / Fraction(1e-10)
+
+
+PARITY_INTERVALS = [
+    (0.0, 1.0),
+    (-0.3, 1.7),
+    (0.1, 0.1 + 1e-8),
+    (1e-300, 1.0),
+    (-1e300, 1e300),
+    (Fraction(-1, 3), Fraction(7, 2)),
+    (Fraction(1, 10**40), Fraction(3, 4)),
+]
+EXTREMES = [1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0]
+
+
+@pytest.mark.parametrize("kind", ["float", "fraction"])
+def test_monomial_conversion_is_identical_to_the_hand_scaled_shift(kind):
+    # the same types, Fractions and float bits (±inf included) as the
+    # conversion that scaled its power form by hand before its Taylor shift
+    rng = np.random.default_rng([52, kind == "float"])
+    intervals = PARITY_INTERVALS
+    if kind == "fraction":  # over the float endpoints 1e-300 and ±1e300 they cost seconds
+        intervals = PARITY_INTERVALS[:3] + PARITY_INTERVALS[5:]
+    for case in range(140):
+        n = int(rng.integers(0, 51)) if case % 10 else 50
+        a, b = intervals[case % len(intervals)]
+        if kind == "float":
+            coeffs = rng.uniform(-2.0, 2.0, size=n + 1).tolist()
+            for i in rng.integers(0, n + 1, size=int(rng.integers(0, 3))):
+                coeffs[i] = EXTREMES[int(rng.integers(0, len(EXTREMES)))]
+        else:
+            coeffs = [
+                Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**6)))
+                for _ in range(n + 1)
+            ]
+        spec = BasisSpec(n, a, b)
+        assert_identical(
+            bernstein_to_monomial(coeffs, spec), reference_bernstein_to_monomial(coeffs, spec)
+        )

@@ -161,7 +161,7 @@ def test_basis_samples_equal_per_point_rows(capsys):
 
 def per_value_basis_csv(n, xs, table):
     """The basis CSV with one format() call per value: the reference for
-    the rows ``emit_basis_samples`` formats with one % string."""
+    the rows the ``basis`` subcommand formats with one % string."""
     lines = ["x," + ",".join(f"B{i}" for i in range(n + 1))]
     for x, row in zip(xs, table):
         lines.append(format(float(x), ".17g") + "," + ",".join(format(v, ".17g") for v in row))
@@ -484,6 +484,24 @@ def test_deep_expressions_and_oversized_numbers_are_input_errors(capsys, tmp_pat
     key = new.split(" =")[0]
     assert code == 1 and out == ""
     assert err.startswith("error: line ") and err.count("\n") == 1 and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact"])
+def test_exact_solve_past_the_work_bound_is_refused_before_it_starts(capsys, tmp_path, mode):
+    # a 100,000-bit endpoint kept the exact path busy for many seconds at degree 4
+    text = PROBLEM_TEXT.replace("interval_a = 0", "interval_a = 1e-30000")
+    text = text.replace("interval_b = 1", "interval_b = 0.75")
+    start = time.perf_counter()
+    code, out, err, caught = run_problem(
+        capsys, tmp_path / "p.fie", text, "solve", "--degree", "4", "--mode", mode
+    )
+    assert time.perf_counter() - start < 1.0
+    assert caught == []
+    if mode == "auto":
+        assert code == 0 and err == "" and out.startswith("mode: float\n")
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: exact solve past the work bound") and err.count("\n") == 1
 
 
 EXTREME_NUMBERS = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -24,7 +25,7 @@ from fredgal.problems import (
 )
 from fredgal.quadrature import gauss_legendre
 
-from exact_oracle import format_problem, write_problem
+from exact_oracle import format_problem, reference_builtin, write_problem
 
 
 def test_builtin_names():
@@ -45,6 +46,16 @@ def test_builtins_share_operator_form():
         assert problem.lam == -1.0
         assert evaluate(problem.a_expr, 0.37) == 1.0
         assert problem.exact_expr is not None
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_equals_the_problem_built_by_hand(name):
+    # read once from problem-file text: the same fields, with exact numbers
+    problem, reference = builtin(name), reference_builtin(name)
+    for field in dataclasses.fields(FredholmProblem):
+        assert getattr(problem, field.name) == getattr(reference, field.name), field.name
+    assert all(type(v) is Fraction for v in (problem.lam, problem.a, problem.b))
+    assert builtin(name) is problem
 
 
 def test_builtin_exact_solutions_satisfy_their_equations():
