@@ -4,12 +4,7 @@ problem data and a CSV-oriented CLI."""
 
 from .basis import BasisSpec, basis_row, bernstein_to_monomial
 from .errors import FredgalError
-from .exact import (
-    BivarPoly,
-    ExactProblem,
-    exact_assemble,
-    solve_rational_system,
-)
+from .exact import ExactProblem, exact_assemble, solve_rational_system
 from .expr import evaluate, parse, to_polynomial, variables
 from .galerkin import (
     ConvergenceRow,
@@ -36,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec",
-    "BivarPoly",
     "BUILTIN_NAMES",
     "ConvergenceRow",
     "ErrorRow",

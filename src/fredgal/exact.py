@@ -1,13 +1,14 @@
-"""Exact rational path: bivariate polynomials over Fraction and the rational
-Galerkin assembly/solve used when every piece of problem data is polynomial.
-The system is written in the shifted Legendre polynomials P_k(2u-1), where
-it is sparse.
+"""Exact rational path: the rational Galerkin assembly/solve used when
+every piece of problem data is polynomial.  The system is written in the
+shifted Legendre polynomials P_k(2u-1), where it is sparse.
 
-Problem data are ``fractions.Fraction``.  The assembly and the solve run
-on Python integers: each row of the system is a set of integers over one
-positive denominator, the elimination is fraction-free, and the solution
-comes back as integers over one common denominator.  Only the Bernstein
-coefficients are Fractions, one per coefficient
+Polynomial data are the pairs (terms, den) of ``fredgal.expr.to_polynomial``,
+integers over one denominator; lambda and the endpoints are
+``fractions.Fraction``.  The assembly and the solve run on Python integers:
+each row of the system is a set of integers over one positive denominator,
+the elimination is fraction-free, and the solution comes back as integers
+over one common denominator.  Only the Bernstein coefficients are
+Fractions, one per coefficient
 (``fredgal.basis.legendre_to_bernstein_exact``), so results like 19/9 come
 out as true fractions instead of rounded floats.
 """
@@ -20,87 +21,33 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .basis import BasisSpec, _numerators, _shift
-from .errors import (
-    InvalidDegree,
-    InvalidInterval,
-    InvalidProblem,
-    SingularSystem,
-)
+from .basis import BasisSpec, _shift
+from .errors import InvalidInterval, InvalidProblem, SingularSystem
 
-MAX_TOTAL_DEGREE = 100
 # Most work ``exact_work`` admits to the exact path.  Set from solve times
 # measured across degree, data degree and number sizes: every problem
 # measured under it solved exactly in about 1 s or less
 MAX_EXACT_WORK = 500_000
-_ZERO = Fraction(0)
 
-
-class BivarPoly:
-    """Polynomial in x and t with Fraction coefficients, held as data for
-    ``ExactProblem`` and ``exact_assemble``; it has no arithmetic, and
-    ``fredgal.expr.to_polynomial`` builds one from an expression.
-
-    Terms are stored sparsely as {(deg_x, deg_t): coefficient}; zero
-    coefficients are never kept, so equality is structural.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in (terms or {}).items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if not c:
-                continue
-            if i < 0 or j < 0:
-                raise ValueError("negative exponent in polynomial term")
-            if i + j > MAX_TOTAL_DEGREE:
-                raise InvalidDegree(
-                    f"total degree {i + j} exceeds the cap of {MAX_TOTAL_DEGREE}"
-                )
-            clean[(int(i), int(j))] = c
-        self.terms = clean
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{k}: {c}" for k, c in sorted(self.terms.items()))
-        return f"BivarPoly({{{items}}})"
-
-    @property
-    def degree_x(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
-
-    @property
-    def degree_t(self) -> int:
-        return max((j for _, j in self.terms), default=0)
-
-    def coefficients_in_x(self) -> list[Fraction]:
-        """Ascending univariate coefficients; requires no t dependence."""
-        if self.degree_t != 0:
-            raise ValueError("polynomial still depends on t")
-        out = [Fraction(0)] * (self.degree_x + 1)
-        for (i, _), c in self.terms.items():
-            out[i] = c
-        return out
+# the polynomial Σ terms[(i, j)]/den·x^i·t^j, as ``to_polynomial`` gives it
+_Polynomial = tuple[dict[tuple[int, int], int], int]
 
 
 @dataclass(frozen=True)
 class ExactProblem:
-    """a(x)·phi(x) + lam·∫ k(t,x)·phi(t) dt = f(x) with all-polynomial data."""
+    """a(x)·phi(x) + lam·∫ k(t,x)·phi(t) dt = f(x) with all-polynomial data,
+    each polynomial a pair (terms, den) as ``fredgal.expr.to_polynomial``
+    gives it."""
 
-    a_poly: BivarPoly
+    a_poly: _Polynomial
     lam: Fraction
-    kernel_poly: BivarPoly
-    f_poly: BivarPoly
+    kernel_poly: _Polynomial
+    f_poly: _Polynomial
     a: Fraction
     b: Fraction
 
     def __post_init__(self):
-        if self.a_poly.degree_t or self.f_poly.degree_t:
+        if any(j for p in (self.a_poly, self.f_poly) for _, j in p[0]):
             raise InvalidProblem("coefficient and right-hand side must not use t")
         if not self.b > self.a:
             raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
@@ -108,6 +55,16 @@ class ExactProblem:
 
 def _bits(value: Fraction) -> int:
     return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def _lowest_terms_bits(poly: _Polynomial) -> list[tuple[int, int]]:
+    """(numerator bits, denominator bits) of each coefficient in lowest terms."""
+    terms, den = poly
+    out = []
+    for c in terms.values():
+        g = math.gcd(c, den)
+        out.append(((c // g).bit_length(), (den // g).bit_length()))
+    return out
 
 
 def exact_work(problem: ExactProblem, n: int) -> int:
@@ -119,17 +76,26 @@ def exact_work(problem: ExactProblem, n: int) -> int:
     one denominator, so S = D·(bits of a and b) + the bits of lambda, of the
     largest coefficient of a(x) and the kernel, and of the largest
     denominator of f(x); a numerator of f(x) scales only the right-hand
-    side.  Bits of a Fraction count its numerator and its denominator.  The
-    form and MAX_EXACT_WORK were fitted to measured solve times.
-    Raises InvalidDegree for a degree outside the basis limits.
+    side.  Bits of a rational count its numerator and its denominator in
+    lowest terms.  The form and MAX_EXACT_WORK were fitted to measured
+    solve times.  Raises InvalidDegree for a degree outside the basis limits.
     """
     BasisSpec(n, problem.a, problem.b)
     operator = (problem.a_poly, problem.kernel_poly)
-    degree = max([1] + [i + j for p in (*operator, problem.f_poly) for i, j in p.terms])
-    size = max([0] + [_bits(c) for p in operator for c in p.terms.values()])
-    size += max([0] + [c.denominator.bit_length() for c in problem.f_poly.terms.values()])
+    degree = max([1] + [i + j for p in (*operator, problem.f_poly) for i, j in p[0]])
+    size = max([0] + [top + bottom for p in operator for top, bottom in _lowest_terms_bits(p)])
+    size += max([0] + [bottom for _, bottom in _lowest_terms_bits(problem.f_poly)])
     size += degree * (_bits(problem.a) + _bits(problem.b)) + _bits(problem.lam)
     return (n + 1) * (n + 1 + degree) * size
+
+
+def _in_x(poly: _Polynomial) -> tuple[list[int], int]:
+    """(nums, den) of a polynomial in x alone: Σ nums[s]/den·x^s."""
+    terms, den = poly
+    nums = [0] * (max((i for i, _ in terms), default=0) + 1)
+    for (i, _), c in terms.items():
+        nums[i] = c
+    return nums, den
 
 
 @lru_cache(maxsize=None)
@@ -203,19 +169,19 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
 
     # a(x)·P_j, then ∫ P_i·P_k dx = h/(2k+1)·δ_ik; the a(x) block is
     # symmetric, so row j is the expansion of a(x)·P_j over 2i+1
-    nums, common = _numerators(problem.a_poly.coefficients_in_x())
+    nums, common = _in_x(problem.a_poly)
     alpha = _shift(nums, lo, hi, g)
     band_den = common * g ** (len(alpha) - 1) * hd
 
     # kernel term c·u^r·v^s after the shift of x and t: its t-integral
     # against trial member i is h·c·M[s][i] and its x-integral against test
     # member j is h·M[r][j], M[r][j] = ∫₀¹ u^r·P_j(2u-1) du
-    kernel = problem.kernel_poly
-    dx, dt = kernel.degree_x, kernel.degree_t
-    nums, common = _numerators(
-        [kernel.terms.get((p, q), _ZERO) for p in range(dx + 1) for q in range(dt + 1)]
-    )
-    grid = [_shift(nums[p * (dt + 1) : (p + 1) * (dt + 1)], lo, hi, g) for p in range(dx + 1)]
+    kernel, common = problem.kernel_poly
+    dx = max((p for p, _ in kernel), default=0)
+    dt = max((q for _, q in kernel), default=0)
+    grid = [
+        _shift([kernel.get((p, q), 0) for q in range(dt + 1)], lo, hi, g) for p in range(dx + 1)
+    ]
     grid = [_shift(list(col), lo, hi, g) for col in zip(*grid)]  # grid[s][r]
     lam = problem.lam * h * h
     # integrate over v first (trial member i), then over u (test member j)
@@ -226,7 +192,7 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
         * math.factorial(2 * dx + 1) * math.factorial(2 * dt + 1)
     )
 
-    nums, common = _numerators(problem.f_poly.coefficients_in_x())
+    nums, common = _in_x(problem.f_poly)
     f_moments = _moments(_shift(nums, lo, hi, g), n)
     f_den = common * g ** (len(nums) - 1) * hd * math.factorial(2 * len(nums) - 1)
     shared_den = math.lcm(kernel_den, f_den)

@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import (
     MissingBinding,
     UnknownIdentifier,
 )
-from .exact import MAX_TOTAL_DEGREE, BivarPoly
 
 FUNCTIONS = {
     "exp": np.exp,
@@ -35,6 +33,8 @@ FUNCTIONS = {
 }
 CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("x", "t")
+# Highest total degree of a polynomial ``to_polynomial`` expands
+MAX_TOTAL_DEGREE = 100
 
 
 # `pos` is provenance for error messages, not part of the tree's identity.
@@ -345,30 +345,37 @@ class _NotPolynomial(ValueError):  # a ValueError, as decimal_ratio's other call
     pass
 
 
-def to_polynomial(node: Node) -> BivarPoly | None:
+def to_polynomial(node: Node) -> tuple[_Terms, int] | None:
     """Expand into a bivariate polynomial with exact rational coefficients,
     or return None when the expression is not such a polynomial.
 
+    The polynomial is a pair (terms, den): Σ terms[(i, j)]/den·x^i·t^j,
+    with integer numerators, no zero entries, den > 0 and
+    gcd(den, *terms.values()) == 1, so each polynomial has one pair.
+
     Requirements: no functions or named constants, division only by nonzero
     constants, exponents that are nonnegative integer literals, an expanded
-    total degree within the exact-path cap, and powers of bounded size: in
+    total degree within MAX_TOTAL_DEGREE, and powers of bounded size: in
     base^k, k times the bit length of the largest numerator or denominator
     of the base, written over its least common denominator, may be at most
     MAX_TOTAL_DEGREE·1024 (a float-range value raised to the degree cap).
-    The expansion runs on Python integers over one common denominator and
-    is reduced to Fractions once, at the end.
     """
     try:
-        terms, den = _poly(node)
+        return _reduced(*_poly(node))
     except _NotPolynomial:
         return None
-    return BivarPoly({key: Fraction(c, den) for key, c in terms.items()})
 
 
 # An expanded expression is a pair (terms, den): the polynomial
 # Σ terms[(i, j)]/den·x^i·t^j with integer numerators, no zero entries and
 # den > 0, not necessarily in lowest terms.
 _Terms = dict[tuple[int, int], int]
+
+
+def _reduced(terms: _Terms, den: int) -> tuple[_Terms, int]:
+    """The pair divided by its content gcd(den, *terms.values())."""
+    g = math.gcd(den, *terms.values())
+    return {key: c // g for key, c in terms.items()}, den // g
 
 
 def _oversized(bits: int) -> bool:
@@ -472,8 +479,7 @@ def _power(node: BinOp) -> tuple[_Terms, int]:
     terms, den = _poly(node.left)
     if not terms:
         return ({} if k else {(0, 0): 1}), 1
-    g = math.gcd(den, *terms.values())
-    terms, den = {key: c // g for key, c in terms.items()}, den // g
+    terms, den = _reduced(terms, den)
     if _degree(terms) * k > MAX_TOTAL_DEGREE:
         raise _NotPolynomial
     if _oversized(k * max(den, *map(abs, terms.values())).bit_length()):

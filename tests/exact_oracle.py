@@ -1,10 +1,11 @@
 """Exact oracles the tests check the solver against: polynomial arithmetic
-on ``BivarPoly`` with a Fraction per coefficient, and the expansion of an
-expression node by node with it, independent of the integer arithmetic
-``to_polynomial`` uses; the expression walker that checks the domain at
-every node, for ``evaluate``, which checks only where a result is not
-finite; the residual of a candidate solution, independent
-of the Galerkin projection; the paper's Galerkin system in the Bernstein
+on ``{(deg_x, deg_t): Fraction}`` dicts, a Fraction per coefficient, and
+the expansion of an expression node by node with it, independent of the
+integer arithmetic ``to_polynomial`` uses, with the conversions between
+those dicts and the (terms, den) pairs ``to_polynomial`` gives; the
+expression walker that checks the domain at every node, for ``evaluate``,
+which checks only where a result is not finite; the residual of a
+candidate solution, independent of the Galerkin projection; the paper's Galerkin system in the Bernstein
 basis, assembled in closed form and independent of the Legendre assembly
 the solver uses; the Legendre form of a rational Bernstein system,
 independent of the closed form ``fredgal.basis`` uses; Gaussian
@@ -33,40 +34,78 @@ from fredgal.errors import (
     MissingBinding,
     SingularSystem,
 )
-from fredgal.exact import MAX_TOTAL_DEGREE, BivarPoly, ExactProblem
-from fredgal.expr import CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, parse
+from fredgal.exact import ExactProblem
+from fredgal.expr import (
+    CONSTANTS,
+    FUNCTIONS,
+    MAX_TOTAL_DEGREE,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Num,
+    Var,
+    parse,
+)
 from fredgal.galerkin import FredholmProblem
 
 
-def poly_add(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    out = dict(p.terms)
-    for key, c in q.terms.items():
+def poly(terms) -> dict:
+    """The polynomial {(deg_x, deg_t): Fraction} of the given terms, zero
+    coefficients dropped, so equal polynomials are equal dicts; raises
+    InvalidDegree for a term past the degree cap."""
+    out = {}
+    for (i, j), c in terms.items():
+        if not c:
+            continue
+        if i + j > MAX_TOTAL_DEGREE:
+            raise InvalidDegree(f"total degree {i + j} exceeds the cap of {MAX_TOTAL_DEGREE}")
+        out[(i, j)] = Fraction(c)
+    return out
+
+
+def from_pair(pair) -> dict:
+    """The Fraction polynomial of a (terms, den) pair."""
+    terms, den = pair
+    return poly({key: Fraction(c, den) for key, c in terms.items()})
+
+
+def to_pair(p: dict) -> tuple[dict, int]:
+    """The (terms, den) pair of a Fraction polynomial: integer numerators
+    over the least common denominator."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in p.items()}, den
+
+
+def poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for key, c in q.items():
         out[key] = out.get(key, Fraction(0)) + c
-    return BivarPoly(out)
+    return poly(out)
 
 
-def poly_scale(p: BivarPoly, factor) -> BivarPoly:
+def poly_scale(p: dict, factor) -> dict:
     factor = Fraction(factor)
-    return BivarPoly({k: c * factor for k, c in p.terms.items()})
+    return poly({k: c * factor for k, c in p.items()})
 
 
-def poly_sub(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+def poly_sub(p: dict, q: dict) -> dict:
     return poly_add(p, poly_scale(q, -1))
 
 
-def poly_mul(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+def poly_mul(p: dict, q: dict) -> dict:
     """The product; raises InvalidDegree past the degree cap."""
     out = {}
-    for (i1, j1), c1 in p.terms.items():
-        for (i2, j2), c2 in q.terms.items():
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return BivarPoly(out)
+    return poly(out)
 
 
-def poly_pow(p: BivarPoly, k: int) -> BivarPoly:
+def poly_pow(p: dict, k: int) -> dict:
     """p^k by repeated squaring."""
-    result, base = BivarPoly({(0, 0): 1}), p
+    result, base = {(0, 0): Fraction(1)}, p
     while k:
         if k & 1:
             result = poly_mul(result, base)
@@ -76,26 +115,31 @@ def poly_pow(p: BivarPoly, k: int) -> BivarPoly:
     return result
 
 
+def coefficients_in_x(p: dict) -> list[Fraction]:
+    """Ascending coefficients of a polynomial in x alone."""
+    return [p.get((i, 0), Fraction(0)) for i in range(max((i for i, _ in p), default=0) + 1)]
+
+
 class _NotPolynomial(Exception):
     pass
 
 
-def reference_polynomial(node) -> BivarPoly | None:
-    """``to_polynomial`` computed node by node on ``BivarPoly``: each literal
-    read by ``Fraction(text)``, each intermediate result a BivarPoly, None
-    when the expression is not a polynomial or an intermediate result has a
-    term past the degree cap."""
+def reference_polynomial(node) -> dict | None:
+    """``to_polynomial`` computed node by node on Fraction polynomials: each
+    literal read by ``Fraction(text)``, each intermediate result a
+    polynomial, None when the expression is not a polynomial or an
+    intermediate result has a term past the degree cap."""
     try:
         return _reference(node)
     except (_NotPolynomial, InvalidDegree):
         return None
 
 
-def _reference(node) -> BivarPoly:
+def _reference(node) -> dict:
     if isinstance(node, Num):
-        return BivarPoly({(0, 0): Fraction(node.text)})
+        return poly({(0, 0): Fraction(node.text)})
     if isinstance(node, Var):
-        return BivarPoly({(1, 0) if node.name == "x" else (0, 1): 1})
+        return {(1, 0) if node.name == "x" else (0, 1): Fraction(1)}
     if isinstance(node, (Const, Call)):
         raise _NotPolynomial
     if isinstance(node, Neg):
@@ -114,9 +158,9 @@ def _reference(node) -> BivarPoly:
         return poly_sub(left, right)
     if node.op == "*":
         return poly_mul(left, right)
-    if set(right.terms) - {(0, 0)} or not right.terms:
+    if set(right) - {(0, 0)} or not right:
         raise _NotPolynomial  # division by a variable or by zero
-    return poly_scale(left, 1 / right.terms[(0, 0)])
+    return poly_scale(left, 1 / right[(0, 0)])
 
 
 def reference_evaluate(node, x, t=None):
@@ -194,24 +238,25 @@ def _reference_eval(node, x, t):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def residual_poly(problem: ExactProblem, phi: BivarPoly) -> BivarPoly:
-    """a·phi + lam·∫ k(t,x)·phi(t) dt - f for a candidate solution phi(x).
+def residual_poly(problem: ExactProblem, phi: dict) -> dict:
+    """a·phi + lam·∫ k(t,x)·phi(t) dt - f for a candidate solution phi(x),
+    a Fraction polynomial.
 
-    Identically zero exactly when phi solves the equation.
+    Identically zero, {}, exactly when phi solves the equation.
     """
-    if phi.degree_t:
+    if any(j for _, j in phi):
         raise ValueError("candidate solution must be a polynomial in x only")
     a, b = problem.a, problem.b
     # kernel term c·x^p·t^q times phi term d·t^s integrates over t in [a, b]
     # to c·d·(b^e - a^e)/e·x^p with e = q + s + 1
     integral = {}
-    for (p, q), c in problem.kernel_poly.terms.items():
-        for (s, _), d in phi.terms.items():
+    for (p, q), c in from_pair(problem.kernel_poly).items():
+        for (s, _), d in phi.items():
             e = q + s + 1
             integral[(p, 0)] = integral.get((p, 0), 0) + c * d * (b**e - a**e) / e
     return poly_sub(
-        poly_add(poly_mul(problem.a_poly, phi), poly_scale(BivarPoly(integral), problem.lam)),
-        problem.f_poly,
+        poly_add(poly_mul(from_pair(problem.a_poly), phi), poly_scale(poly(integral), problem.lam)),
+        from_pair(problem.f_poly),
     )
 
 
@@ -243,25 +288,22 @@ def bernstein_system(
     size = range(n + 1)
     comb = math.comb
     # B_i·B_j = C(n,i)·C(n,j)/C(2n,i+j)·B_{i+j}^{2n}
-    weighted = _bernstein_moments(problem.a_poly.coefficients_in_x(), a, h, 2 * n)
+    weighted = _bernstein_moments(coefficients_in_x(from_pair(problem.a_poly)), a, h, 2 * n)
     A = [
         [Fraction(comb(n, i) * comb(n, j), comb(2 * n, i + j)) * weighted[i + j] for i in size]
         for j in size
     ]
     # kernel term c·x^p·t^q: its t-integral against trial member i is c·M[q][i]
     # and its x-integral against test member j is M[p][j], M[d] = moments of x^d
-    power = {
-        d: _bernstein_moments([0] * d + [1], a, h, n)
-        for key in problem.kernel_poly.terms
-        for d in key
-    }
+    kernel = from_pair(problem.kernel_poly)
+    power = {d: _bernstein_moments([0] * d + [1], a, h, n) for key in kernel for d in key}
     trial = {}  # p -> lam·Σ_q c·M[q], summed first so A is swept once per p
-    for (p, q), c in problem.kernel_poly.terms.items():
+    for (p, q), c in kernel.items():
         previous = trial.get(p, [0] * (n + 1))
         trial[p] = [r + problem.lam * c * v for r, v in zip(previous, power[q])]
     for p, row in trial.items():
         A = [[A[j][i] + row[i] * power[p][j] for i in size] for j in size]
-    return A, _bernstein_moments(problem.f_poly.coefficients_in_x(), a, h, n)
+    return A, _bernstein_moments(coefficients_in_x(from_pair(problem.f_poly)), a, h, n)
 
 
 def bernstein_solve(problem: ExactProblem, n: int) -> list[Fraction]:

@@ -12,9 +12,10 @@ from fredgal.errors import (
     SingularSystem,
 )
 from fredgal.exact import (
-    BivarPoly,
+    MAX_EXACT_WORK,
     ExactProblem,
     exact_assemble,
+    exact_work,
     solve_rational_system,
 )
 from fredgal.expr import parse, to_polynomial
@@ -28,9 +29,12 @@ from exact_oracle import (
     integer_rows,
     legendre_system,
     orthonormal,
+    poly,
     poly_add,
+    reference_polynomial,
     reference_solve,
     residual_poly,
+    to_pair,
 )
 
 
@@ -39,7 +43,12 @@ def F(*args):
 
 
 def x_poly(*ascending):
-    return BivarPoly({(k, 0): F(c) for k, c in enumerate(ascending)})
+    return poly({(k, 0): c for k, c in enumerate(ascending)})
+
+
+# the polynomials 1 and 0 as (terms, den) pairs
+ONE = ({(0, 0): 1}, 1)
+ZERO = ({}, 1)
 
 
 def unit(i, n):
@@ -64,25 +73,18 @@ def test_fraction_addition_matches_cross_multiplication():
 
 
 def test_poly_canonical_no_zero_terms():
-    assert to_polynomial(parse("2*x + 3*t - 2*x")).terms == {(0, 1): F(3)}
-    assert to_polynomial(parse("x - x")).terms == {}
+    assert to_polynomial(parse("2*x + 3*t - 2*x")) == ({(0, 1): 3}, 1)
+    assert to_polynomial(parse("6/4*x - 1/2 + 1/2")) == ({(1, 0): 3}, 2)
+    assert to_polynomial(parse("x - x")) == ({}, 1)
 
 
 def test_poly_pow_cap():
     assert to_polynomial(parse("x^60*x^60")) is None
+    # the oracle polynomials keep the same cap
     with pytest.raises(InvalidDegree):
-        BivarPoly({(101, 0): F(1)})
-
-
-def test_bivar_poly_keeps_fractions_and_converts_other_coefficients():
-    third = F(1, 3)
-    poly = BivarPoly({(1, 0): third, (0, 1): 2, (0, 0): F(0), (2, 0): 0})
-    assert poly.terms == {(1, 0): third, (0, 1): F(2)}
-    assert poly.terms[(1, 0)] is third and type(poly.terms[(0, 1)]) is Fraction
-    with pytest.raises(ValueError, match="negative exponent"):
-        BivarPoly({(-1, 0): third})
+        poly({(101, 0): F(1)})
     with pytest.raises(InvalidDegree):
-        BivarPoly({(50, 51): third})
+        poly({(50, 51): F(1, 3)})
 
 
 def test_bernstein_exact_linear():
@@ -91,21 +93,21 @@ def test_bernstein_exact_linear():
 
 def test_bernstein_exact_degree_ten_is_one_minus_x_to_the_tenth():
     got = phi_poly(unit(0, 10), 0, 1)
-    want = BivarPoly({(k, 0): F((-1) ** k * math.comb(10, k)) for k in range(11)})
+    want = {(k, 0): F((-1) ** k * math.comb(10, k)) for k in range(11)}
     assert got == want
 
 
 def test_bernstein_exact_middle_of_quadratic_in_t():
     got = phi_poly(unit(1, 2), -1, 1)
-    assert got == BivarPoly({(0, 0): F(1, 2), (2, 0): F(-1, 2)})
+    assert got == {(0, 0): F(1, 2), (2, 0): F(-1, 2)}
 
 
 def test_partition_of_unity_is_exact_identity():
     for n in range(11):
-        total = BivarPoly()
+        total = {}
         for i in range(n + 1):
             total = poly_add(total, phi_poly(unit(i, n), F(-1, 3), F(7, 2)))
-        assert total == BivarPoly({(0, 0): F(1)})
+        assert total == {(0, 0): F(1)}
 
 
 def exact_path(problem, n):
@@ -158,14 +160,7 @@ def test_assemble_orientation_is_test_by_trial():
 
 
 def test_assemble_without_kernel_term_gives_symmetric_gram():
-    problem = ExactProblem(
-        BivarPoly({(0, 0): F(1)}),
-        F(0),
-        to_polynomial(parse("x*t")),
-        BivarPoly({(0, 0): F(1)}),
-        F(0),
-        F(1),
-    )
+    problem = ExactProblem(ONE, F(0), to_polynomial(parse("x*t")), ONE, F(0), F(1))
     A, _ = bernstein_system(problem, 3)
     legendre, _ = legendre_fractions(problem, 3)
     for i in range(4):
@@ -219,7 +214,7 @@ def test_solutions_have_zero_residual():
         for n in (3, 4, 5):
             coeffs = solve(builtin(name), n, mode="exact").coefficients
             phi = phi_poly(list(coeffs), problem.a, problem.b)
-            assert residual_poly(problem, phi) == BivarPoly(), (name, n)
+            assert residual_poly(problem, phi) == {}, (name, n)
 
 
 def shifted_problem():
@@ -229,8 +224,8 @@ def shifted_problem():
     kernel = to_polynomial(parse("x*t - 2*t^2 + 1/3"))
     lam, a, b = F(1, 3), F(1, 2), F(2)
     phi_star = x_poly(2, -1, 3)
-    unforced = ExactProblem(a_poly, lam, kernel, BivarPoly(), a, b)
-    f_poly = residual_poly(unforced, phi_star)
+    unforced = ExactProblem(a_poly, lam, kernel, ZERO, a, b)
+    f_poly = to_pair(residual_poly(unforced, phi_star))
     return ExactProblem(a_poly, lam, kernel, f_poly, a, b), phi_star
 
 
@@ -241,7 +236,7 @@ def test_shifted_interval_with_variable_coefficient_recovers_solution():
         assert coeffs == bernstein_solve(problem, n), n
         phi = phi_poly(coeffs, problem.a, problem.b)
         assert phi == phi_star, n
-        assert residual_poly(problem, phi) == BivarPoly(), n
+        assert residual_poly(problem, phi) == {}, n
 
 
 def test_closed_form_assembly_matches_quadrature():
@@ -395,45 +390,93 @@ def test_integer_elimination_matches_the_fraction_elimination(density):
     assert min(seen.values()) >= 10, seen
 
 
+def reference_work(problem: FredholmProblem, n: int) -> int:
+    """``exact_work``'s documented formula, (n+1)·(n+1+D)·S, on the
+    reference expansion's Fractions."""
+
+    def bits(value):
+        value = F(value)
+        return value.numerator.bit_length() + value.denominator.bit_length()
+
+    a_poly, kernel, f_poly = (
+        reference_polynomial(node) for node in (problem.a_expr, problem.kernel_expr, problem.f_expr)
+    )
+    degree = max([1] + [i + j for p in (a_poly, kernel, f_poly) for i, j in p])
+    size = max([0] + [bits(c) for p in (a_poly, kernel) for c in p.values()])
+    size += max([0] + [c.denominator.bit_length() for c in f_poly.values()])
+    size += degree * (bits(problem.a) + bits(problem.b)) + bits(problem.lam)
+    return (n + 1) * (n + 1 + degree) * size
+
+
+def random_polynomial_text(rng, variables):
+    """A sum of up to five terms c·x^p·t^q, c a fraction of up to 40 digits."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        digits = rng.choice([1, 3, 12, 40])
+        num = rng.randint(-(10**digits), 10**digits)
+        den = rng.randint(1, 10 ** rng.choice([1, 3, 12, 40]))
+        powers = "".join(f"*{v}^{rng.randint(0, 4)}" for v in variables)
+        terms.append(f"{num}/{den}{powers}")
+    return " + ".join(terms)
+
+
+def test_exact_work_is_the_documented_formula_on_the_reference_terms():
+    # the bound routes auto between the paths, so its value is pinned: the
+    # builtins, seeded random polynomial problems, a right-hand side with a
+    # 51,200-bit denominator, and a 100,000-bit endpoint
+    problems = [builtin(name) for name in ("example1", "example2", "example3")]
+    rng = random.Random("exact work")
+    for _ in range(150):
+        a, b = sorted(F(rng.randint(-99, 99), rng.randint(1, 10 ** rng.randint(0, 30))) for _ in "ab")
+        problems.append(
+            FredholmProblem(
+                parse(random_polynomial_text(rng, "x")),
+                F(rng.randint(-9, 9), rng.randint(1, 10 ** rng.randint(0, 20))),
+                parse(random_polynomial_text(rng, "xt")),
+                parse(random_polynomial_text(rng, "x")),
+                a,
+                b + 1,
+            )
+        )
+    problems.append(
+        FredholmProblem(parse("1"), 1, parse("x*t"), parse("x^3/(2^51200 - 1) + x"), F(0), F(1))
+    )
+    wide = FredholmProblem(parse("1"), 1, parse("x*t"), parse("x"), F("1e-30000"), F(3, 4))
+    problems.append(wide)
+    for problem in problems:
+        for n in (0, 2, 9, 20, 50):
+            assert exact_work(as_exact_problem(problem), n) == reference_work(problem, n), (problem, n)
+    assert exact_work(as_exact_problem(wide), 4) > MAX_EXACT_WORK
+    assert all(exact_work(as_exact_problem(p), 20) <= MAX_EXACT_WORK for p in problems[:3])
+
+
 def test_singular_operator_detected():
     # phi - integral of phi over [0,1] annihilates constants
-    problem = ExactProblem(
-        BivarPoly({(0, 0): F(1)}),
-        F(-1),
-        BivarPoly({(0, 0): F(1)}),
-        BivarPoly({(0, 0): F(1)}),
-        F(0),
-        F(1),
-    )
+    problem = ExactProblem(ONE, F(-1), ONE, ONE, F(0), F(1))
     with pytest.raises(SingularSystem):
         solve_rational_system(exact_assemble(problem, 2)[0])
 
 
 def test_problem_shape_validation():
     with pytest.raises(InvalidProblem):
-        ExactProblem(
-            BivarPoly({(0, 1): F(1)}),
-            F(1),
-            BivarPoly({(0, 0): F(1)}),
-            BivarPoly({(0, 0): F(1)}),
-            F(0),
-            F(1),
-        )
+        ExactProblem(({(0, 1): 1}, 1), F(1), ONE, ONE, F(0), F(1))
+    with pytest.raises(InvalidProblem):
+        ExactProblem(ONE, F(1), ONE, ({(2, 0): 1, (1, 1): 3}, 2), F(0), F(1))
 
 
 def test_residual_poly_flags_nonsolutions():
     problem = as_exact_problem(builtin("example1"))
-    assert residual_poly(problem, x_poly(1)) != BivarPoly()
+    assert residual_poly(problem, x_poly(1)) != {}
 
 
 def test_residual_poly_integrates_the_kernel_over_t():
     # with a = 0, lam = 1 and f = 0 the residual of phi is ∫ k(t,x)·phi(t) dt
     def integral(kernel, phi, a, b):
-        problem = ExactProblem(BivarPoly(), F(1), to_polynomial(parse(kernel)), BivarPoly(), a, b)
+        problem = ExactProblem(ZERO, F(1), to_polynomial(parse(kernel)), ZERO, a, b)
         return residual_poly(problem, phi)
 
-    assert integral("t^2", x_poly(1), F(-1), F(1)) == BivarPoly({(0, 0): F(2, 3)})
+    assert integral("t^2", x_poly(1), F(-1), F(1)) == {(0, 0): F(2, 3)}
     assert integral("x*t + x^2*t^2", x_poly(1), F(-1), F(1)) == x_poly(0, 0, F(2, 3))
-    assert integral("t", x_poly(1), F(0), F(1)) == BivarPoly({(0, 0): F(1, 2)})
+    assert integral("t", x_poly(1), F(0), F(1)) == {(0, 0): F(1, 2)}
     # phi(t) = t against the kernel x: ∫ x·t dt over [0, 2] is 2x
     assert integral("x", x_poly(0, 1), F(0), F(2)) == x_poly(0, 2)

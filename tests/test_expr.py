@@ -31,11 +31,11 @@ from fredgal.expr import (
     to_polynomial,
     variables,
 )
-from fredgal.exact import BivarPoly
 from fredgal.problems import BUILTIN_NAMES, builtin
 from fredgal.quadrature import gauss_legendre
 
 from exact_oracle import (
+    from_pair,
     reference_evaluate,
     reference_literal,
     reference_polynomial,
@@ -155,13 +155,13 @@ def test_variables():
 
 def test_to_polynomial_difference_of_powers():
     poly = to_polynomial(parse("x^4 - t^4"))
-    assert poly.terms == {(4, 0): Fraction(1), (0, 4): Fraction(-1)}
+    assert from_pair(poly) == {(4, 0): Fraction(1), (0, 4): Fraction(-1)}
 
 
 def test_to_polynomial_binomial_square():
     # oracle: binomial expansion of (x+t)^2
     expected = {(k, 2 - k): Fraction(math.comb(2, k)) for k in range(3)}
-    assert to_polynomial(parse("(x+t)^2")).terms == expected
+    assert from_pair(to_polynomial(parse("(x+t)^2"))) == expected
 
 
 @pytest.mark.parametrize(
@@ -174,12 +174,12 @@ def test_not_polynomial(text):
 
 def test_polynomial_fraction_folding():
     poly = to_polynomial(parse("260/119*x - 0.25"))
-    assert poly.terms == {(1, 0): Fraction(260, 119), (0, 0): Fraction(-1, 4)}
+    assert from_pair(poly) == {(1, 0): Fraction(260, 119), (0, 0): Fraction(-1, 4)}
 
 
 def test_decimal_literals_are_exact():
     # 0.1 as text folds to 1/10, not the binary double
-    assert to_polynomial(parse("0.1")).terms == {(0, 0): Fraction(1, 10)}
+    assert from_pair(to_polynomial(parse("0.1"))) == {(0, 0): Fraction(1, 10)}
 
 
 CORPUS = [
@@ -254,7 +254,7 @@ def test_polynomial_matches_evaluation():
             direct = evaluate(ast, x, t)
             # the expansion evaluated exactly at the same point
             x_, t_ = Fraction(x), Fraction(t)
-            via_poly = float(sum(c * x_**i * t_**j for (i, j), c in poly.terms.items()))
+            via_poly = float(sum(c * x_**i * t_**j for (i, j), c in from_pair(poly).items()))
             assert via_poly == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -417,16 +417,22 @@ def random_expression(rng: random.Random, depth: int) -> str:
 
 
 def assert_same_expansion(node) -> bool:
-    """to_polynomial gives the reference's terms and Fractions, or None
-    where the reference does; True when the expression is a polynomial."""
+    """to_polynomial gives the reference's polynomial as integer numerators
+    over one positive denominator with no common factor, or None where the
+    reference does; True when the expression is a polynomial."""
     want = reference_polynomial(node)
     got = to_polynomial(node)
     if want is None:
         assert got is None, to_text(node)
         return False
     assert got is not None, to_text(node)
-    assert got.terms == want.terms, to_text(node)
-    assert all(type(c) is Fraction for c in got.terms.values()), to_text(node)
+    terms, den = got
+    assert (
+        type(den) is int and den > 0
+        and all(type(c) is int and c for c in terms.values())
+        and math.gcd(den, *terms.values()) == 1
+    ), to_text(node)
+    assert from_pair(got) == want, to_text(node)
     return True
 
 
@@ -449,21 +455,6 @@ def test_to_polynomial_matches_the_reference_on_random_expressions():
     outcomes = [assert_same_expansion(parse(random_expression(rng, 3))) for _ in range(2000)]
     # both kinds occur in quantity
     assert 500 < sum(outcomes) < 1500
-
-
-def test_to_polynomial_builds_one_bivar_poly_and_none_for_a_non_polynomial(monkeypatch):
-    built = []
-    init = BivarPoly.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BivarPoly, "__init__", counted)
-    for text in benchmark_texts("exact_poly", 1) + tuple(CORPUS):
-        built.clear()
-        poly = to_polynomial(parse(text))
-        assert built == ([] if poly is None else [poly]), text
 
 
 @pytest.mark.parametrize(
@@ -501,7 +492,7 @@ def test_powers_within_the_size_bound_expand_exactly():
     }
     assert (2 * 10**30825).bit_length() == 102400
     for text, terms in cases.items():
-        assert to_polynomial(parse(text)).terms == terms, text
+        assert from_pair(to_polynomial(parse(text))) == terms, text
 
 
 def test_literals_past_the_int_string_limit_are_read_exactly():
@@ -522,7 +513,7 @@ def test_literals_past_the_int_string_limit_are_read_exactly():
         "0." + "0" * 5000 + "1e" + "0" * 5000 + "5002": {(0, 0): 10},
     }
     for text, terms in within.items():
-        assert to_polynomial(parse(text)).terms == terms, text[:20]
+        assert from_pair(to_polynomial(parse(text))) == terms, text[:20]
     huge_exponents = ("1e" + "0" * 4301 + "1" + "0" * 4300, "1e-" + "9" * 5000, "1e" + "1" * 19)
     for text in ("4" + "0" * 30825, "1" * 40000, "1" * 1_000_000, "0." + "1" * 1_000_000, *huge_exponents):
         start = time.perf_counter()
