@@ -5,8 +5,9 @@ shifted Legendre polynomials P_k(2u-1), where it is sparse.
 Polynomial data are the pairs (terms, den) of ``fredgal.expr.to_polynomial``,
 integers over one denominator; lambda and the endpoints are
 ``fractions.Fraction``.  The assembly and the solve run on Python integers:
-each row of the system is a set of integers over one positive denominator,
-the elimination is fraction-free, and the solution comes back as integers
+every entry of the system is summed from the moments ∫₀¹ u^r·P_j(2u-1) du,
+each row is held as integers over one positive denominator, the
+elimination is fraction-free, and the solution comes back as integers
 over one common denominator.  Only the Bernstein coefficients are
 Fractions, one per coefficient
 (``fredgal.basis.legendre_to_bernstein_exact``), so results like 19/9 come
@@ -99,14 +100,22 @@ def _in_x(poly: _Polynomial) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=None)
+def _moment_den(d: int) -> int:
+    """lcm(1, ..., 2d+1), a denominator of ∫₀¹ u^r·P_j(2u-1) du for all
+    r, j <= d: P_j(2u-1) has integer coefficients c_s, so the integral is
+    Σ_s c_s/(r+s+1)."""
+    return math.lcm(*range(1, 2 * d + 2))
+
+
+@lru_cache(maxsize=None)
 def _moment_weights(d: int) -> tuple[tuple[int, ...], ...]:
-    """W[j][r] = (2d+1)!·∫₀¹ u^r·P_j(2u-1) du for j, r = 0..d, integers over
-    the one denominator (2d+1)!.
+    """W[j][r] = ∫₀¹ u^r·P_j(2u-1) du for j, r = 0..d, as integers over the
+    one denominator ``_moment_den(d)``.
 
     The integral is r!²/((r-j)!·(r+j+1)!) for j <= r and zero for j > r.
     """
     f = math.factorial
-    top = f(2 * d + 1)
+    top = _moment_den(d)
     return tuple(
         tuple(
             f(r) ** 2 * top // (f(r - j) * f(r + j + 1)) if j <= r else 0
@@ -117,35 +126,18 @@ def _moment_weights(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _moments(nums: list[int], n: int) -> list[int]:
-    """(2d+1)!·∫₀¹ q(u)·P_j(2u-1) du for j up to min(d, n), integers, with
-    q = Σ nums[r]·u^r of degree d; the integral vanishes for j > d."""
+    """∫₀¹ q(u)·P_j(2u-1) du for j up to min(d, n), as integers over
+    ``_moment_den(d)``, with q = Σ nums[r]·u^r of degree d; the integral
+    vanishes for j > d, and u^r contributes to it only for r >= j."""
     weights = _moment_weights(len(nums) - 1)
-    return [sum(map(mul, weights[j], nums)) for j in range(min(len(nums) - 1, n) + 1)]
+    return [sum(map(mul, weights[j][j:], nums[j:])) for j in range(min(len(nums) - 1, n) + 1)]
 
 
-def _times_a(alpha: list[int], j: int) -> tuple[int, list[int], int]:
-    """(lo, c, scale) with α(u)·P_j = Σ_k c[k - lo]/scale·P_k, for
-    α = Σ alpha[r]·u^r, all P in the argument 2u-1.
-
-    Horner over α's coefficients, with
-    u·P_k = P_k/2 + (k+1)/(2(2k+1))·P_{k+1} + k/(2(2k+1))·P_{k-1}, each
-    step over the lcm of its denominators.
-    """
-    lo, c, scale = j, [alpha[-1]], 1
-    for coeff in reversed(alpha[:-1]):
-        lcm = 2 * math.lcm(*range(2 * lo + 1, 2 * (lo + len(c)), 2))
-        half, start = lcm // 2, max(lo - 1, 0)
-        out = [0] * (lo + len(c) + 1 - start)
-        for k, v in enumerate(c, lo):
-            out[k - start] += v * half
-            v = v * lcm // (4 * k + 2)
-            out[k + 1 - start] += v * (k + 1)
-            if k:
-                out[k - 1 - start] += v * k
-        scale *= lcm
-        out[j - start] += coeff * scale
-        lo, c = start, out
-    return lo, c, scale
+@lru_cache(maxsize=None)
+def _legendre(i: int) -> tuple[int, ...]:
+    """Integer coefficients of P_i(2u-1), from u^i down to u^0:
+    (-1)^(i+s)·C(i,s)·C(i+s,s) for s = i..0."""
+    return tuple((-1) ** (i + s) * math.comb(i, s) * math.comb(i + s, s) for s in range(i, -1, -1))
 
 
 def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]], list[int]]:
@@ -156,9 +148,13 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     solution.  Each row holds its nonzero entries only, over one positive
     denominator, in lowest terms.
 
-    The a(x) block is banded (bandwidth deg a) and the kernel block is
-    nonzero only in its leading (deg_x k + 1)-by-(deg_t k + 1) corner, so
-    most entries are zero.  Everything is summed on Python integers.
+    Every entry is the integral of a polynomial in u against a member
+    P_j, summed from the moments ∫₀¹ u^r·P_j(2u-1) du
+    (``_moment_weights``), which vanish for r < j.  So the a(x) block is
+    banded (bandwidth deg a) and the kernel block is nonzero only in its
+    leading (deg_x k + 1)-by-(deg_t k + 1) corner.  The whole system is
+    summed on Python integers over one denominator, and each row is then
+    divided by its content.
     """
     BasisSpec(n, problem.a, problem.b)  # degree and interval within the basis limits
     a, h = problem.a, problem.b - problem.a
@@ -166,12 +162,6 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     # x = (lo + hi·u)/g; _shift scales degree d by g^d
     g, lo, hi = a.denominator * hd, a.numerator * hd, hn * a.denominator
     rhs = n + 1
-
-    # a(x)·P_j, then ∫ P_i·P_k dx = h/(2k+1)·δ_ik; the a(x) block is
-    # symmetric, so row j is the expansion of a(x)·P_j over 2i+1
-    nums, common = _in_x(problem.a_poly)
-    alpha = _shift(nums, lo, hi, g)
-    band_den = common * g ** (len(alpha) - 1) * hd
 
     # kernel term c·u^r·v^s after the shift of x and t: its t-integral
     # against trial member i is h·c·M[s][i] and its x-integral against test
@@ -187,38 +177,41 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     # integrate over v first (trial member i), then over u (test member j)
     by_r = [_moments(list(row), n) for row in zip(*grid)]  # by_r[r][i]
     corner = list(zip(*[_moments(list(col), n) for col in zip(*by_r)]))  # corner[j][i]
-    kernel_den = (
-        common * g ** (dx + dt) * lam.denominator
-        * math.factorial(2 * dx + 1) * math.factorial(2 * dt + 1)
-    )
+    kernel_den = common * g ** (dx + dt) * lam.denominator * _moment_den(dx) * _moment_den(dt)
 
     nums, common = _in_x(problem.f_poly)
     f_moments = _moments(_shift(nums, lo, hi, g), n)
-    f_den = common * g ** (len(nums) - 1) * hd * math.factorial(2 * len(nums) - 1)
-    shared_den = math.lcm(kernel_den, f_den)
-    kernel_scale = lam.numerator * (shared_den // kernel_den)
-    f_scale = hn * (shared_den // f_den)
+    f_den = common * g ** (len(nums) - 1) * hd * _moment_den(len(nums) - 1)
 
-    rows, dens = [], []
-    for j in range(n + 1):
-        first, c, scale = _times_a(alpha, j)
-        stop = min(first + len(c), n + 1)
-        odd = math.lcm(*range(2 * first + 1, 2 * stop, 2))
-        band = band_den * scale * odd
-        den = math.lcm(band, shared_den)
-        band_scale, other = hn * (den // band), den // shared_den
-        row = {
-            i: v * band_scale * (odd // (2 * i + 1))
-            for i, v in enumerate(c[: stop - first], first)
-            if v
-        }
-        if j < len(f_moments) and f_moments[j]:
-            row[rhs] = f_moments[j] * f_scale * other
+    # ∫ a(x)·P_i·P_j dx = h·∫₀¹ q(u)·P_j du with q = α·P_i, α = a(x) in u.
+    # For j >= i only q's coefficients of u^i..u^(i + deg a) count, so j
+    # runs over the band i..i + deg a, and symmetry fills in j < i
+    nums, common = _in_x(problem.a_poly)
+    alpha = _shift(nums, lo, hi, g)
+    da = len(alpha) - 1
+    weights = _moment_weights(da + n)
+    band_den = common * g**da * hd * _moment_den(da + n)
+
+    den = math.lcm(band_den, kernel_den, f_den)
+    band_scale = hn * (den // band_den)
+    kernel_scale = lam.numerator * (den // kernel_den)
+    f_scale = hn * (den // f_den)
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for i in range(n + 1):
+        p = _legendre(i)
+        # q[k] is the coefficient of u^(i+k) in α·P_i
+        q = [sum(map(mul, alpha[k:], p)) for k in range(da + 1)]
+        for j in range(i, min(i + da, n) + 1):
+            v = sum(map(mul, weights[j][j : i + da + 1], q[j - i :]))
+            rows[j][i] = rows[i][j] = v * band_scale
+    dens = []
+    for j, row in enumerate(rows):
+        if j < len(f_moments):
+            row[rhs] = f_moments[j] * f_scale
         for i, v in enumerate(corner[j] if j < len(corner) else ()):
-            if v:
-                row[i] = row.get(i, 0) + v * kernel_scale * other
+            row[i] = row.get(i, 0) + v * kernel_scale
         content = math.gcd(den, *row.values())
-        rows.append({i: v // content for i, v in row.items() if v})
+        rows[j] = {i: v // content for i, v in row.items() if v}
         dens.append(den // content)
     return rows, dens
 

@@ -126,7 +126,8 @@ class _NotPolynomial(Exception):
 
 def reference_polynomial(node) -> dict | None:
     """``to_polynomial`` computed node by node on Fraction polynomials: each
-    literal read by ``Fraction(text)``, each intermediate result a
+    literal read by ``Fraction(Decimal(text))`` (``Fraction(text)`` stops at
+    Python's 4,300-digit int-string limit), each intermediate result a
     polynomial, None when the expression is not a polynomial or an
     intermediate result has a term past the degree cap."""
     try:
@@ -137,7 +138,7 @@ def reference_polynomial(node) -> dict | None:
 
 def _reference(node) -> dict:
     if isinstance(node, Num):
-        return poly({(0, 0): Fraction(node.text)})
+        return poly({(0, 0): Fraction(Decimal(node.text))})
     if isinstance(node, Var):
         return {(1, 0) if node.name == "x" else (0, 1): Fraction(1)}
     if isinstance(node, (Const, Call)):
@@ -147,7 +148,7 @@ def _reference(node) -> dict:
     if node.op == "^":
         if not isinstance(node.right, Num):
             raise _NotPolynomial
-        k = Fraction(node.right.text)
+        k = Fraction(Decimal(node.right.text))
         if k.denominator != 1 or k < 0:
             raise _NotPolynomial
         return poly_pow(_reference(node.left), int(k))

@@ -283,6 +283,9 @@ def test_monomial_conversion_constant_row():
     spec = BasisSpec(4, 0.25, 2.0)
     coeffs = [Fraction(7, 2)] * 5
     assert bernstein_to_monomial(coeffs, spec) == [Fraction(7, 2)] + [Fraction(0)] * 4
+    for count in (4, 6):
+        with pytest.raises(ValueError, match=f"expected 5 coefficients, got {count}"):
+            bernstein_to_monomial([Fraction(7, 2)] * count, spec)
 
 
 def test_monomial_conversion_float_agrees_with_direct_sum():

@@ -221,6 +221,12 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "converge", "--builtin", "example4", "--degrees", "three")
     assert code == 1
 
+    code, out, err = run(capsys, "converge", "--builtin", "example1", "--degrees", ",")
+    assert code == 1 and out == "" and err == "error: --degrees must list at least one degree\n"
+
+    code, out, err = run(capsys, "basis", "--degree", "2", "--samples", "1")
+    assert code == 1 and out == "" and err == "error: --samples must be at least 2\n"
+
     bad = tmp_path / "bad.fie"
     bad.write_text("interval_a = 0\ninterval_b = 1\n")
     code, _, err = run(capsys, "solve", "--problem", str(bad), "--degree", "3")
@@ -248,6 +254,18 @@ def test_exit_code_solver_errors(capsys, tmp_path):
     )
     code, _, err = run(capsys, "solve", "--problem", str(singular), "--degree", "2")
     assert code == 2 and err != ""
+
+    # a = 0 and lambda = 0 give the zero matrix, which numpy cannot invert
+    zero = tmp_path / "zero.fie"
+    zero.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 0\nlambda = 0\n"
+        "kernel = x*t\nrhs = 1\n"
+    )
+    code, out, err = run(capsys, "solve", "--problem", str(zero), "--degree", "2", "--mode", "float")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: projection system is singular (condition inf ")
+    code, out, err = run(capsys, "solve", "--problem", str(zero), "--degree", "2")
+    assert code == 2 and out == "" and err == "error: no nonzero pivot in column 0\n"
 
 
 def test_oversized_power_is_refused_by_both_paths(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from fredgal.basis import BasisSpec, bernstein_to_monomial, legendre_to_bernstein_exact
 from fredgal.errors import (
     InvalidDegree,
+    InvalidInterval,
     InvalidProblem,
     SingularSystem,
 )
@@ -217,16 +218,29 @@ def test_solutions_have_zero_residual():
             assert residual_poly(problem, phi) == {}, (name, n)
 
 
-def shifted_problem():
-    # non-constant a(x) on [1/2, 2]: a != 0 and b - a != 1; f is manufactured
-    # so that phi* = 2 - x + 3x^2 solves the equation
-    a_poly = to_polynomial(parse("1 + x"))
-    kernel = to_polynomial(parse("x*t - 2*t^2 + 1/3"))
-    lam, a, b = F(1, 3), F(1, 2), F(2)
-    phi_star = x_poly(2, -1, 3)
+def manufactured_problem(a_text, kernel_text, lam, a, b, phi_star):
+    """(problem, phi_star): the problem with these data and f manufactured
+    so that phi_star solves it."""
+    a_poly = to_polynomial(parse(a_text))
+    kernel = to_polynomial(parse(kernel_text))
     unforced = ExactProblem(a_poly, lam, kernel, ZERO, a, b)
     f_poly = to_pair(residual_poly(unforced, phi_star))
     return ExactProblem(a_poly, lam, kernel, f_poly, a, b), phi_star
+
+
+def shifted_problem():
+    # non-constant a(x) on [1/2, 2]: a != 0 and b - a != 1; f is manufactured
+    # so that phi* = 2 - x + 3x^2 solves the equation
+    return manufactured_problem("1 + x", "x*t - 2*t^2 + 1/3", F(1, 3), F(1, 2), F(2), x_poly(2, -1, 3))
+
+
+def quartic_problem():
+    # a(x) of degree 4, so an a(x) block of bandwidth 4, on [-1/3, 5/2], with
+    # a kernel in both x and t; phi* = 1 + 2x - x^3/4
+    return manufactured_problem(
+        "3 - x/2 + x^2/5 - x^3/7 + x^4/11", "x^2*t - 3*x*t^3 + t/2 - 1/5",
+        F(2, 5), F(-1, 3), F(5, 2), x_poly(1, 2, 0, F(-1, 4)),
+    )
 
 
 def test_shifted_interval_with_variable_coefficient_recovers_solution():
@@ -256,10 +270,14 @@ def test_closed_form_assembly_matches_quadrature():
 def legendre_cases():
     problems = {name: as_exact_problem(builtin(name)) for name in ("example1", "example2", "example3")}
     problems["shifted"] = shifted_problem()[0]
+    problems["quartic"] = quartic_problem()[0]
     return problems
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
+LEGENDRE_CASES = ["example1", "example2", "example3", "shifted", "quartic"]
+
+
+@pytest.mark.parametrize("name", LEGENDRE_CASES)
 def test_legendre_system_is_the_bernstein_system_transformed(name):
     # R.T @ A_B @ R == A_L and R.T @ F_B == F_L exactly, with R the rational
     # Legendre-to-Bernstein map: the paper's formulation, in another basis
@@ -268,7 +286,7 @@ def test_legendre_system_is_the_bernstein_system_transformed(name):
         assert legendre_system(*bernstein_system(problem, n)) == legendre_fractions(problem, n), n
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
+@pytest.mark.parametrize("name", LEGENDRE_CASES)
 def test_assembled_rows_are_integers_in_lowest_terms(name):
     # each row holds nonzero integers only, the right-hand side in column
     # n + 1, over one positive denominator that shares no factor with all
@@ -283,7 +301,7 @@ def test_assembled_rows_are_integers_in_lowest_terms(name):
             assert math.gcd(den, *row.values()) == 1
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "example3", "shifted"])
+@pytest.mark.parametrize("name", LEGENDRE_CASES)
 def test_exact_coefficients_equal_the_bernstein_oracle(name):
     problem = legendre_cases()[name]
     for n in range(25):
@@ -462,6 +480,9 @@ def test_problem_shape_validation():
         ExactProblem(({(0, 1): 1}, 1), F(1), ONE, ONE, F(0), F(1))
     with pytest.raises(InvalidProblem):
         ExactProblem(ONE, F(1), ONE, ({(2, 0): 1, (1, 1): 3}, 2), F(0), F(1))
+    for b in (F(0), F(-1, 3)):
+        with pytest.raises(InvalidInterval):
+            ExactProblem(ONE, F(1), ONE, ONE, F(0), b)
 
 
 def test_residual_poly_flags_nonsolutions():

@@ -383,6 +383,16 @@ EDGE_CASES = [
     "(2/4)^3",
     "x^1.5e1",
     "x^1e-1",
+    # literals past the 4,300-digit int-string limit that the size rule admits
+    "1" * 5000 + "*x",
+    "0" * 5000 + "7",
+    "1" * 5000 + ".5*x - t/" + "3" * 4400,
+    "2" + "0" * 30825,
+    "3e" + "0" * 5000 + "2*x",
+    "3e-" + "0" * 5000 + "1*t^2",
+    "0." + "0" * 5000 + "1e" + "0" * 5000 + "5002",
+    "x^" + "0" * 5000 + "3",
+    "(" + "7" * 4400 + "/" + "9" * 4301 + " + x)^2",
 ]
 
 LITERALS = ["0", "1", "2", "7", "12", "0.5", "0.25", "3.125", "0.001", "1e2", "2.5e-3",

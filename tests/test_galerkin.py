@@ -136,6 +136,8 @@ def test_auto_mode_routing():
     assert solve(builtin("example4"), 3).mode == "float"
     with pytest.raises(ExactPathUnavailable):
         solve(builtin("example4"), 3, mode="exact")
+    with pytest.raises(ValueError, match="mode must be auto, float or exact"):
+        solve(builtin("example1"), 3, mode="bogus")
 
 
 @pytest.mark.parametrize("n", [21, 24, 40, 50])
