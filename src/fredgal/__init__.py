@@ -1,20 +1,20 @@
 """Galerkin solver for linear Fredholm integral equations of the second kind
 on a Bernstein polynomial basis, with an exact rational path for polynomial
-problem data and a CSV-oriented CLI."""
+problem data and a CSV-oriented CLI.
+
+The package exports what a caller of ``solve`` needs; the stages behind it
+are module-level helpers with no stability promise.
+"""
 
 from .basis import BasisSpec, basis_row, bernstein_to_monomial
 from .errors import FredgalError
-from .exact import ExactProblem, exact_assemble, solve_rational_system
-from .expr import evaluate, parse, to_polynomial, variables
+from .expr import evaluate, parse
 from .galerkin import (
     ConvergenceRow,
     ErrorRow,
     FredholmProblem,
     Solution,
-    as_exact_problem,
-    assemble,
     convergence_study,
-    default_quadrature_order,
     error_table,
     evaluate_solution,
     solve,
@@ -25,7 +25,6 @@ from .problems import (
     load_problem,
     parse_problem,
 )
-from .quadrature import QuadratureRule, gauss_legendre
 
 __version__ = "0.1.0"
 
@@ -34,28 +33,18 @@ __all__ = [
     "BUILTIN_NAMES",
     "ConvergenceRow",
     "ErrorRow",
-    "ExactProblem",
     "FredgalError",
     "FredholmProblem",
-    "QuadratureRule",
     "Solution",
-    "as_exact_problem",
-    "assemble",
     "basis_row",
     "bernstein_to_monomial",
     "builtin",
     "convergence_study",
-    "default_quadrature_order",
     "error_table",
     "evaluate",
     "evaluate_solution",
-    "exact_assemble",
-    "gauss_legendre",
     "load_problem",
     "parse",
     "parse_problem",
     "solve",
-    "solve_rational_system",
-    "to_polynomial",
-    "variables",
 ]

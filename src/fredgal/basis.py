@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import InvalidDegree, InvalidInterval
+from .errors import InvalidDegree, InvalidInterval, number_text
 
 # Bernstein coefficients amplify errors in the solved system by up to
 # ||legendre_to_bernstein(n)||_inf, about 1.3e15 at degree 50: refuse
@@ -45,9 +45,11 @@ class BasisSpec:
         except OverflowError:  # a Fraction too large for a float
             finite = False
         if not finite:
-            raise InvalidInterval(f"endpoints must be finite, got [{self.a}, {self.b}]")
+            raise InvalidInterval(
+                f"endpoints must be finite, got [{number_text(self.a)}, {number_text(self.b)}]"
+            )
         if not self.b > self.a:
-            raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
+            raise InvalidInterval(f"need b > a, got [{number_text(self.a)}, {number_text(self.b)}]")
 
 
 def basis_row(spec: BasisSpec, x) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
     OrderOutOfRange,
     ProblemFileError,
     UnknownBuiltin,
+    number_text,
 )
 from .galerkin import convergence_study, error_table, solve
 from .problems import BUILTIN_NAMES, builtin, load_problem
@@ -70,27 +71,19 @@ def gfmt(value: float) -> str:
     return format(float(value), ".10g")
 
 
-def exact_text(c: Fraction) -> str:
-    """The text of str(c), written through Decimal so that a numerator or
-    denominator past the interpreter's limit on int/str conversion prints
-    too."""
-    text = str(Decimal(c.numerator))
-    return text if c.denominator == 1 else f"{text}/{Decimal(c.denominator)}"
-
-
 def scalar_text(c) -> str:
     """A coefficient as printed: exact for a Fraction, else 10 digits."""
-    return exact_text(c) if isinstance(c, Fraction) else gfmt(c)
+    return number_text(c) if isinstance(c, Fraction) else gfmt(c)
 
 
-def format_polynomial(coeffs, var: str = "x") -> str:
-    """Human-readable ascending-power polynomial, exact or float."""
+def format_polynomial(coeffs) -> str:
+    """Human-readable ascending-power polynomial in x, exact or float."""
     parts: list[str] = []
     for power, c in enumerate(coeffs):
         if c == 0:
             continue
         mag = -c if c < 0 else c
-        term = var if power == 1 else f"{var}^{power}"
+        term = "x" if power == 1 else f"x^{power}"
         if power == 0:
             body = scalar_text(mag)
         elif mag == 1:
@@ -113,6 +106,11 @@ def _resolve_problem(args):
 def _default_grid(problem, step: float | None) -> list[float]:
     a, b = float(problem.a), float(problem.b)
     width = b - a
+    if step is None and not width > 0:  # exact endpoints closer than the float spacing
+        raise UsageError(
+            f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
+            f"in floating point: both endpoints round to {a}"
+        )
     h = width / 10.0 if step is None else step
     if not (h > 0 and math.isfinite(h)):
         raise UsageError(f"--grid-step must be a finite positive number, got {h}")
@@ -207,37 +205,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_problem_source(p):
+    def add_solve_command(name, summary, handler, *degree, **degree_options):
+        """A subcommand that solves one problem: its source, its degree
+        flag, --quadrature, --mode and --out."""
+        p = sub.add_parser(name, help=summary)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--builtin", choices=BUILTIN_NAMES, metavar="NAME",
                            help=f"bundled problem ({', '.join(BUILTIN_NAMES)})")
         group.add_argument("--problem", metavar="PATH", help="problem file to load")
-
-    def add_solve_flags(p):
-        p.add_argument("--degree", type=int, required=True, metavar="N")
+        p.add_argument(*degree, required=True, **degree_options)
         p.add_argument("--quadrature", type=int, default=None, metavar="Q")
         p.add_argument("--mode", choices=("auto", "float", "exact"), default="auto")
         p.add_argument("--out", default=None, metavar="PATH")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_solve = sub.add_parser("solve", help="print expansion coefficients")
-    add_problem_source(p_solve)
-    add_solve_flags(p_solve)
-    p_solve.set_defaults(handler=_cmd_solve)
-
-    p_table = sub.add_parser("table", help="CSV error table on a point grid")
-    add_problem_source(p_table)
-    add_solve_flags(p_table)
+    add_solve_command("solve", "print expansion coefficients", _cmd_solve,
+                      "--degree", type=int, metavar="N")
+    p_table = add_solve_command("table", "CSV error table on a point grid", _cmd_table,
+                                "--degree", type=int, metavar="N")
     p_table.add_argument("--grid-step", type=float, default=None, metavar="H")
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_conv = sub.add_parser("converge", help="CSV max-error study over degrees")
-    add_problem_source(p_conv)
-    p_conv.add_argument("--degrees", type=_parse_degrees, required=True,
-                        metavar="N1,N2,...")
-    p_conv.add_argument("--quadrature", type=int, default=None, metavar="Q")
-    p_conv.add_argument("--mode", choices=("auto", "float", "exact"), default="auto")
-    p_conv.add_argument("--out", default=None, metavar="PATH")
-    p_conv.set_defaults(handler=_cmd_converge)
+    add_solve_command("converge", "CSV max-error study over degrees", _cmd_converge,
+                      "--degrees", type=_parse_degrees, metavar="N1,N2,...")
 
     p_basis = sub.add_parser("basis", help="CSV of sampled basis functions")
     p_basis.add_argument("--degree", type=int, required=True, metavar="N")

@@ -1,4 +1,17 @@
-"""Exception types shared across the solver."""
+"""Exception types shared across the solver, and the text of a number in
+their messages."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+
+def number_text(value) -> str:
+    """str(value), but an int or a Fraction is written through Decimal, which
+    prints digits past the interpreter's limit on int/str conversion too."""
+    if not isinstance(value, (int, Fraction)):
+        return str(value)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 class FredgalError(Exception):

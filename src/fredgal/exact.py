@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import mul
 
 from .basis import BasisSpec, _shift
-from .errors import InvalidInterval, InvalidProblem, SingularSystem
+from .errors import InvalidInterval, InvalidProblem, SingularSystem, number_text
 
 # Most work ``exact_work`` admits to the exact path.  Set from solve times
 # measured across degree, data degree and number sizes: every problem
@@ -51,7 +51,7 @@ class ExactProblem:
         if any(j for p in (self.a_poly, self.f_poly) for _, j in p[0]):
             raise InvalidProblem("coefficient and right-hand side must not use t")
         if not self.b > self.a:
-            raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
+            raise InvalidInterval(f"need b > a, got [{number_text(self.a)}, {number_text(self.b)}]")
 
 
 def _bits(value: Fraction) -> int:

@@ -38,6 +38,7 @@ from .errors import (
     OrderOutOfRange,
     OutOfInterval,
     SingularSystem,
+    number_text,
 )
 from .exact import MAX_EXACT_WORK, ExactProblem, exact_assemble, exact_work, solve_rational_system
 from .expr import Node, evaluate, to_polynomial, variables
@@ -80,9 +81,9 @@ class FredholmProblem:
             except OverflowError:  # a Fraction too large for a float
                 finite = False
             if not finite:
-                raise InvalidProblem(f"{label} must be finite, got {value}")
+                raise InvalidProblem(f"{label} must be finite, got {number_text(value)}")
         if not self.b > self.a:
-            raise InvalidInterval(f"need b > a, got [{self.a}, {self.b}]")
+            raise InvalidInterval(f"need b > a, got [{number_text(self.a)}, {number_text(self.b)}]")
         for label, node in (
             ("coefficient", self.a_expr),
             ("rhs", self.f_expr),
@@ -140,6 +141,11 @@ def assemble(
     """
     # Fraction * ndarray would give an object array: go to floats first
     a, b, lam = float(problem.a), float(problem.b), float(problem.lam)
+    if not b > a:  # exact endpoints closer than the float spacing
+        raise InvalidInterval(
+            f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
+            f"in floating point: both endpoints round to {a}"
+        )
     spec = BasisSpec(n, a, b)
     rule = gauss_legendre(default_quadrature_order(n) if q is None else q)
     half = 0.5 * (b - a)
@@ -221,16 +227,6 @@ def _float_view(rows: list[dict[int, int]], dens: list[int]) -> np.ndarray:
     return view
 
 
-def _warn_if_ill_conditioned(cond: float) -> None:
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"system condition number {cond:.3e} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be unreliable",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-
-
 def solve(
     problem: FredholmProblem,
     n: int,
@@ -262,7 +258,7 @@ def solve(
 
     if exact_view is not None:
         rows, dens = exact_assemble(exact_view, n)
-        coeffs = legendre_to_bernstein_exact(*solve_rational_system(rows))
+        coeffs = tuple(legendre_to_bernstein_exact(*solve_rational_system(rows)))
         # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
         scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:
@@ -271,23 +267,28 @@ def solve(
         except (SingularSystem, OverflowError):
             # the float view is singular, or an entry is beyond the float range
             cond = math.inf
-        _warn_if_ill_conditioned(cond)
-        spec = BasisSpec(n, problem.a, problem.b)
-        return Solution(spec, tuple(coeffs), "exact", None, cond)
+        spec, path, q = BasisSpec(n, problem.a, problem.b), "exact", None
+    else:
+        if q is None:
+            q = default_quadrature_order(n)
+        if q <= n:
+            raise OrderOutOfRange(
+                f"quadrature order {q} must exceed the degree {n}: with q <= n "
+                "nodes the projection system is singular"
+            )
+        A, F = assemble(problem, n, q)
+        inverse, cond = _invert(A)
+        coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
+        spec, path = BasisSpec(n, float(problem.a), float(problem.b)), "float"
 
-    if q is None:
-        q = default_quadrature_order(n)
-    if q <= n:
-        raise OrderOutOfRange(
-            f"quadrature order {q} must exceed the degree {n}: with q <= n "
-            "nodes the projection system is singular"
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"system condition number {cond:.3e} exceeds "
+            f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be unreliable",
+            IllConditionedWarning,
+            stacklevel=2,
         )
-    A, F = assemble(problem, n, q)
-    inverse, cond = _invert(A)
-    coeffs = legendre_to_bernstein(n) @ (inverse @ F)
-    _warn_if_ill_conditioned(cond)
-    spec = BasisSpec(n, float(problem.a), float(problem.b))
-    return Solution(spec, tuple(coeffs.tolist()), "float", q, cond)
+    return Solution(spec, coeffs, path, q, cond)
 
 
 def evaluate_solution(solution: Solution, x):
@@ -303,7 +304,7 @@ def evaluate_solution(solution: Solution, x):
     outside = (xs < float(spec.a)) | (xs > float(spec.b))
     if outside.any():
         x = float(xs.flat[np.argmax(outside)])
-        raise OutOfInterval(f"x={x} outside [{spec.a}, {spec.b}]")
+        raise OutOfInterval(f"x={x} outside [{number_text(spec.a)}, {number_text(spec.b)}]")
     try:
         coeffs = np.array([float(c) for c in solution.coefficients])
     except OverflowError:  # an exact coefficient beyond the float range

@@ -1,11 +1,14 @@
 """The package's public surface: each exported name resolves and is listed
-once, names removed from the package are neither exported nor left behind
-on their modules, every name the benchmark's tracer wraps still resolves,
-and the package needs nothing beyond the standard library and numpy."""
+once, the exports are what a caller of ``solve`` needs and what the README
+documents, the stages behind ``solve`` stay on their modules only, names
+removed from the package are neither exported nor left behind on their
+modules, every name the benchmark's tracer wraps still resolves, and the
+package needs nothing beyond the standard library and numpy."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -54,10 +57,49 @@ REMOVED = [
 ]
 
 
+EXPORTED = {
+    "BasisSpec", "BUILTIN_NAMES", "ConvergenceRow", "ErrorRow", "FredgalError",
+    "FredholmProblem", "Solution", "basis_row", "bernstein_to_monomial", "builtin",
+    "convergence_study", "error_table", "evaluate", "evaluate_solution",
+    "load_problem", "parse", "parse_problem", "solve",
+}
+
+# the stages behind solve: module-level helpers, not package API
+STAGES = [
+    ("fredgal.galerkin", "assemble"),
+    ("fredgal.galerkin", "as_exact_problem"),
+    ("fredgal.galerkin", "default_quadrature_order"),
+    ("fredgal.exact", "ExactProblem"),
+    ("fredgal.exact", "exact_assemble"),
+    ("fredgal.exact", "solve_rational_system"),
+    ("fredgal.expr", "to_polynomial"),
+    ("fredgal.expr", "variables"),
+    ("fredgal.quadrature", "gauss_legendre"),
+    ("fredgal.quadrature", "QuadratureRule"),
+]
+
+
 def test_every_exported_name_resolves_once():
     assert len(fredgal.__all__) == len(set(fredgal.__all__))
     for name in fredgal.__all__:
         assert getattr(fredgal, name, None) is not None, name
+
+
+def test_the_exports_are_what_a_caller_of_solve_needs():
+    assert set(fredgal.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("module, name", STAGES)
+def test_stage_resolves_on_its_module_only(module, name):
+    assert not hasattr(fredgal, name)
+    assert getattr(importlib.import_module(module), name, None) is not None
+
+
+def test_the_readme_library_section_uses_exported_names_only():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    used = set(re.findall(r"\bfg\.(\w+)", section))
+    assert used and used <= set(fredgal.__all__)
 
 
 def test_the_package_imports_only_the_standard_library_and_numpy():

@@ -46,7 +46,14 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, Fraction(10**400))]
+    "a, b",
+    [
+        (0.0, math.inf),
+        (-math.inf, 1.0),
+        (math.nan, 1.0),
+        (0.0, Fraction(10**400)),
+        (-Fraction(10**5000), Fraction(1)),
+    ],
 )
 def test_spec_rejects_nonfinite_endpoints(a, b):
     with pytest.raises(InvalidInterval):

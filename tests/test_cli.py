@@ -240,6 +240,24 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "table", "--problem", str(no_exact), "--degree", "3")
     assert code == 1 and "exact" in err
 
+    # the exact path solves on [1, 1 + 1e-20]; as floats both ends are 1.0
+    empty = (
+        "error: interval [1, 100000000000000000001/100000000000000000000] is empty "
+        "in floating point: both endpoints round to 1.0\n"
+    )
+    collapsed = tmp_path / "collapsed.fie"
+    for kernel, argv in [
+        ("x*t", ["table", "--degree", "2"]),
+        ("x*t", ["solve", "--degree", "2", "--mode", "float"]),
+        ("exp(x*t)", ["solve", "--degree", "2"]),
+    ]:
+        collapsed.write_text(
+            "interval_a = 1\ninterval_b = 1.00000000000000000001\ncoefficient = 1\n"
+            f"lambda = 1\nkernel = {kernel}\nrhs = x\nexact = x\n"
+        )
+        code, out, err = run(capsys, *argv, "--problem", str(collapsed))
+        assert code == 1 and out == "" and err == empty
+
 
 def test_exit_code_solver_errors(capsys, tmp_path):
     code, _, err = run(

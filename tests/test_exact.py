@@ -480,9 +480,9 @@ def test_problem_shape_validation():
         ExactProblem(({(0, 1): 1}, 1), F(1), ONE, ONE, F(0), F(1))
     with pytest.raises(InvalidProblem):
         ExactProblem(ONE, F(1), ONE, ({(2, 0): 1, (1, 1): 3}, 2), F(0), F(1))
-    for b in (F(0), F(-1, 3)):
+    for a, b in ((F(0), F(0)), (F(0), F(-1, 3)), (F(1, 10**5000), F(0))):
         with pytest.raises(InvalidInterval):
-            ExactProblem(ONE, F(1), ONE, ONE, F(0), b)
+            ExactProblem(ONE, F(1), ONE, ONE, a, b)
 
 
 def test_residual_poly_flags_nonsolutions():

@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fredgal import galerkin
 from fredgal.basis import bernstein_to_monomial, legendre_to_bernstein
 from fredgal.errors import (
     DomainError,
@@ -51,6 +53,11 @@ def test_problem_validation():
     one = parse("1")
     with pytest.raises(InvalidInterval):
         FredholmProblem(one, -1.0, parse("x*t"), one, 1.0, 1.0)
+    # rationals past the interpreter's int/str limit print in the message too
+    with pytest.raises(InvalidInterval, match=r"^need b > a, got \[1/10{5000}, 0\]$"):
+        FredholmProblem(one, 1, parse("x*t"), parse("x"), Fraction(1, 10**5000), Fraction(0))
+    with pytest.raises(InvalidProblem, match=r"^a must be finite, got 10{5000}$"):
+        FredholmProblem(one, 1, parse("x*t"), parse("x"), Fraction(10**5000), Fraction(0))
     with pytest.raises(InvalidProblem):
         FredholmProblem(parse("t"), -1.0, parse("x*t"), one, 0.0, 1.0)
     with pytest.raises(InvalidProblem):
@@ -60,7 +67,14 @@ def test_problem_validation():
 @pytest.mark.parametrize("mode", ["auto", "exact", "float"])
 @pytest.mark.parametrize(
     "lam,b",
-    [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (Fraction(10**400), 1.0)],
+    [
+        (math.inf, 1.0),
+        (-math.inf, 1.0),
+        (math.nan, 1.0),
+        (1.0, math.inf),
+        (Fraction(10**400), 1.0),
+        (Fraction(10**5000), 1.0),
+    ],
 )
 def test_nonfinite_problem_numbers_are_invalid(lam, b, mode):
     with pytest.raises(InvalidProblem):
@@ -218,6 +232,14 @@ def test_evaluate_solution_refuses_extrapolation():
         evaluate_solution(solution, -0.1)
     with pytest.raises(OutOfInterval, match=r"x=1\.25 outside"):
         evaluate_solution(solution, np.array([0.0, 0.5, 1.25, 1.0]))
+    narrow = FredholmProblem(
+        parse("1"), 1, parse("x*t"), parse("x"), Fraction(0), Fraction(1, 10**5000)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        solution = solve(narrow, 1, mode="exact")
+    with pytest.raises(OutOfInterval, match=r"^x=0\.5 outside \[0, 1/10{5000}\]$"):
+        evaluate_solution(solution, 0.5)
 
 
 def grid_11(problem):
@@ -322,10 +344,17 @@ def test_condition_warning_on_high_degree():
         gram = solve(near_singular(0.0), 22, mode="float")
     assert gram.condition == pytest.approx(1.0, rel=1e-12)
     assert not any(issubclass(w.category, IllConditionedWarning) for w in caught)
-    with pytest.warns(IllConditionedWarning):
+    with pytest.warns(IllConditionedWarning) as record:
         solution = solve(near_singular(-1.0 + 2e-13), 22, mode="float")
     assert solution.condition == pytest.approx(5.0e12, rel=1e-2)
     assert all(c == pytest.approx(5.0e12, rel=1e-2) for c in solution.coefficients)
+    # the warning points at the caller of solve: this file for a direct
+    # call, galerkin.py for a call through convergence_study
+    assert [w.filename for w in record] == [__file__]
+    studied = replace(near_singular(-1.0 + 2e-13), exact_expr=parse("5e12"))
+    with pytest.warns(IllConditionedWarning) as record:
+        convergence_study(studied, [22], mode="float")
+    assert [w.filename for w in record] == [galerkin.__file__]
 
 
 def test_condition_warning_names_the_condition_number():
