@@ -54,6 +54,11 @@ _USAGE_ERRORS = (
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError; flags count only in full (`--degree` is no `--degrees`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

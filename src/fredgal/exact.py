@@ -58,16 +58,6 @@ def _bits(value: Fraction) -> int:
     return value.numerator.bit_length() + value.denominator.bit_length()
 
 
-def _lowest_terms_bits(poly: _Polynomial) -> list[tuple[int, int]]:
-    """(numerator bits, denominator bits) of each coefficient in lowest terms."""
-    terms, den = poly
-    out = []
-    for c in terms.values():
-        g = math.gcd(c, den)
-        out.append(((c // g).bit_length(), (den // g).bit_length()))
-    return out
-
-
 def exact_work(problem: ExactProblem, n: int) -> int:
     """An estimate of the work of an exact degree-n solve, taken before any
     of it is done: (n + 1)·(n + 1 + D)·S, with D the largest total degree of
@@ -75,17 +65,19 @@ def exact_work(problem: ExactProblem, n: int) -> int:
 
     The endpoints enter an entry to the power D, and every row is put over
     one denominator, so S = D·(bits of a and b) + the bits of lambda, of the
-    largest coefficient of a(x) and the kernel, and of the largest
-    denominator of f(x); a numerator of f(x) scales only the right-hand
-    side.  Bits of a rational count its numerator and its denominator in
-    lowest terms.  The form and MAX_EXACT_WORK were fitted to measured
-    solve times.  Raises InvalidDegree for a degree outside the basis limits.
+    largest numerator of a(x) or the kernel plus those of its ``den``, and
+    of f(x)'s ``den``; a numerator of f(x) scales only the right-hand side.
+    These are the integers of the (terms, den) pairs the rows are built
+    from, ``den`` the lcm of a piece's denominators; lambda's and the
+    endpoints' bits count numerator and denominator in lowest terms.  The
+    form and MAX_EXACT_WORK were fitted to measured solve times.  Raises
+    InvalidDegree for a degree outside the basis limits.
     """
     BasisSpec(n, problem.a, problem.b)
     operator = (problem.a_poly, problem.kernel_poly)
     degree = max([1] + [i + j for p in (*operator, problem.f_poly) for i, j in p[0]])
-    size = max([0] + [top + bottom for p in operator for top, bottom in _lowest_terms_bits(p)])
-    size += max([0] + [bottom for _, bottom in _lowest_terms_bits(problem.f_poly)])
+    size = max([0] + [c.bit_length() + den.bit_length() for p, den in operator for c in p.values()])
+    size += problem.f_poly[1].bit_length()
     size += degree * (_bits(problem.a) + _bits(problem.b)) + _bits(problem.lam)
     return (n + 1) * (n + 1 + degree) * size
 

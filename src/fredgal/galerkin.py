@@ -214,16 +214,19 @@ def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _float_view(rows: list[dict[int, int]], dens: list[int]) -> np.ndarray:
-    """The float matrix of the integer rows ``exact_assemble`` gives, one
-    int/int division per nonzero entry: correctly rounded, as float() of
-    the entry's Fraction is.  OverflowError for an entry beyond the float
-    range."""
+    """The float matrix of the integer rows ``exact_assemble`` gives, over
+    one power-of-two scale: entry v of a row over den is one int/int
+    division v/(den·2^s), which rounds as float() of its Fraction does,
+    with s = max(bitlen(v) - bitlen(den)) over the matrix.  No entry
+    overflows, and the exact scale leaves the condition of an in-range
+    matrix as it is."""
     m = len(rows)
     view = np.zeros((m, m))
-    for j, (row, den) in enumerate(zip(rows, dens)):
-        for i, v in row.items():
-            if i < m:
-                view[j, i] = v / den
+    entries = [(j, i, v, d) for j, (row, d) in enumerate(zip(rows, dens)) for i, v in row.items()]
+    s = max((v.bit_length() - d.bit_length() for _, i, v, d in entries if i < m), default=0)
+    for j, i, v, d in entries:
+        if i < m:
+            view[j, i] = (v << max(-s, 0)) / (d << max(s, 0))
     return view
 
 
@@ -262,10 +265,8 @@ def solve(
         # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
         scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, cond = _invert(_float_view(rows, dens) * np.outer(scale, scale))
-        except (SingularSystem, OverflowError):
-            # the float view is singular, or an entry is beyond the float range
+            _, cond = _invert(_float_view(rows, dens) * np.outer(scale, scale))
+        except SingularSystem:  # the float view is singular to working precision
             cond = math.inf
         spec, path, q = BasisSpec(n, problem.a, problem.b), "exact", None
     else:

@@ -1,6 +1,7 @@
 """The package's public surface: each exported name resolves and is listed
 once, the exports are what a caller of ``solve`` needs and what the README
-documents, the stages behind ``solve`` stay on their modules only, names
+documents, the stages behind ``solve`` stay on their modules only, every
+public function or class is exported or used by the package, names
 removed from the package are neither exported nor left behind on their
 modules, every name the benchmark's tracer wraps still resolves, and the
 package needs nothing beyond the standard library and numpy."""
@@ -116,6 +117,30 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_every_public_function_or_class_is_exported_or_used_by_the_package():
+    # no public function that only the tests call: a module-level function
+    # or class without a leading underscore is in __all__, or some module of
+    # the package reads its name
+    src = Path(fredgal.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = [
+        f"{filename}:{node.name}"
+        for filename, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in fredgal.__all__
+        and node.name not in used
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("module, name", REMOVED)

@@ -224,6 +224,14 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "converge", "--builtin", "example1", "--degrees", ",")
     assert code == 1 and out == "" and err == "error: --degrees must list at least one degree\n"
 
+    # flags are taken as spelled in full, never as an abbreviation of another
+    code, out, err = run(
+        capsys, "converge", "--builtin", "example1", "--degrees", "1", "--degree", "3"
+    )
+    assert code == 1 and out == "" and err == "error: unrecognized arguments: --degree 3\n"
+    code, out, err = run(capsys, "solve", "--builtin", "example1", "--deg", "3")
+    assert code == 1 and out == "" and "--degree" in err
+
     code, out, err = run(capsys, "basis", "--degree", "2", "--samples", "1")
     assert code == 1 and out == "" and err == "error: --samples must be at least 2\n"
 

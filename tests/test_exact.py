@@ -7,6 +7,7 @@ import pytest
 
 from fredgal.basis import BasisSpec, bernstein_to_monomial, legendre_to_bernstein_exact
 from fredgal.errors import (
+    ExactPathUnavailable,
     InvalidDegree,
     InvalidInterval,
     InvalidProblem,
@@ -410,18 +411,30 @@ def test_integer_elimination_matches_the_fraction_elimination(density):
 
 def reference_work(problem: FredholmProblem, n: int) -> int:
     """``exact_work``'s documented formula, (n+1)·(n+1+D)·S, on the
-    reference expansion's Fractions."""
+    reference expansion's Fractions: each piece written over the lcm of
+    its denominators."""
 
     def bits(value):
         value = F(value)
         return value.numerator.bit_length() + value.denominator.bit_length()
 
+    def over_lcm(p):
+        den = math.lcm(*(c.denominator for c in p.values()))
+        return [int(c * den) for c in p.values()], den
+
     a_poly, kernel, f_poly = (
         reference_polynomial(node) for node in (problem.a_expr, problem.kernel_expr, problem.f_expr)
     )
     degree = max([1] + [i + j for p in (a_poly, kernel, f_poly) for i, j in p])
-    size = max([0] + [bits(c) for p in (a_poly, kernel) for c in p.values()])
-    size += max([0] + [c.denominator.bit_length() for c in f_poly.values()])
+    size = max(
+        [0]
+        + [
+            abs(c).bit_length() + den.bit_length()
+            for nums, den in map(over_lcm, (a_poly, kernel))
+            for c in nums
+        ]
+    )
+    size += over_lcm(f_poly)[1].bit_length()
     size += degree * (bits(problem.a) + bits(problem.b)) + bits(problem.lam)
     return (n + 1) * (n + 1 + degree) * size
 
@@ -461,11 +474,25 @@ def test_exact_work_is_the_documented_formula_on_the_reference_terms():
     )
     wide = FredholmProblem(parse("1"), 1, parse("x*t"), parse("x"), F("1e-30000"), F(3, 4))
     problems.append(wide)
+    # a(x) with 16 coefficients over distinct 32-bit denominators: each
+    # coefficient is small, but the rows carry the lcm of all of them
+    rng = random.Random(7)
+    a_text = " + ".join(
+        ["2"] + [f"{rng.getrandbits(64)}/{rng.getrandbits(32) | 1}*x^{k}" for k in range(1, 17)]
+    )
+    many_dens = FredholmProblem(
+        parse(a_text), F(1, 3), parse("x^6*t^5 + 1"), parse("x^8 - 1/7"), F(-1), F(3, 4)
+    )
+    problems.append(many_dens)
     for problem in problems:
         for n in (0, 2, 9, 20, 50):
             assert exact_work(as_exact_problem(problem), n) == reference_work(problem, n), (problem, n)
     assert exact_work(as_exact_problem(wide), 4) > MAX_EXACT_WORK
     assert all(exact_work(as_exact_problem(p), 20) <= MAX_EXACT_WORK for p in problems[:3])
+    assert exact_work(as_exact_problem(many_dens), 30) > MAX_EXACT_WORK
+    assert solve(many_dens, 30).mode == "float"
+    with pytest.raises(ExactPathUnavailable, match="work bound"):
+        solve(many_dens, 30, mode="exact")
 
 
 def test_singular_operator_detected():

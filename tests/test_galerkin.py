@@ -417,6 +417,19 @@ def test_no_warning_on_well_conditioned_solve():
         warnings.simplefilter("always")
         solve(builtin("example4"), 3)
     assert not any(issubclass(w.category, IllConditionedWarning) for w in caught)
+    # an exact solve on [0, 10^-k] has entries far below the float range,
+    # but its condition is that of [0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conditions = [
+            solve(
+                FredholmProblem(parse("1"), 1, parse("x*t"), parse("x"), 0, Fraction(1, 10**k)),
+                1,
+                mode="exact",
+            ).condition
+            for k in (300, 400, 5000)
+        ]
+    assert conditions == [conditions[0]] * 3 and conditions[0] < 1.1
 
 
 def test_domain_error_names_offending_piece():
@@ -498,16 +511,33 @@ def test_exact_condition_equals_the_dense_float_view():
 
 def test_exact_float_view_rounds_each_entry_once():
     # numerators and denominators far past 2**53: the view divides each
-    # integer entry by its row denominator once, which rounds as float() of
-    # the entry's Fraction does
+    # integer entry by its row denominator times one power of two for the
+    # whole matrix, once, which rounds as float() of the scaled entry's
+    # Fraction does; the scale takes the largest entry to [1/2, 2]
     problem = FredholmProblem(parse("1 + x/999999937"), Fraction(1, 1000000007),
                               parse("123456789123456789/1000000009*x*t^2 - x^3/998244353"),
                               parse("x^2"), Fraction(1, 99991), Fraction(7, 5))
-    for n in (3, 12):
-        rows, dens = exact_assemble(as_exact_problem(problem), n)
-        assert max(dens).bit_length() > 53
-        want = np.array(fraction_system(rows, dens)[0], dtype=float)
-        assert _float_view(rows, dens).tobytes() == want.tobytes()
+    # entries far below and far above the float range
+    narrow = replace(problem, a=Fraction(0), b=Fraction(1, 10**400))
+    huge = FredholmProblem(parse("1"), -1, parse("1e400*x*t"), parse("x"), 0, 1)
+    shifts = []
+    for case, n in [(problem, 3), (problem, 12), (narrow, 12), (huge, 2)]:
+        rows, dens = exact_assemble(as_exact_problem(case), n)
+        if case is problem:
+            assert max(dens).bit_length() > 53
+        shift = max(
+            abs(v).bit_length() - den.bit_length()
+            for row, den in zip(rows, dens)
+            for i, v in row.items()
+            if i <= n
+        )
+        scale = Fraction(2) ** shift
+        want = np.array([[float(v / scale) for v in row] for row in fraction_system(rows, dens)[0]])
+        view = _float_view(rows, dens)
+        assert view.tobytes() == want.tobytes()
+        assert 0.5 <= np.abs(view).max() <= 2.0
+        shifts.append(shift)
+    assert shifts[0] == shifts[1] == 0 and shifts[2] < -1000 and shifts[3] > 1000
 
 
 def test_exact_solve_with_an_entry_beyond_float_range():
