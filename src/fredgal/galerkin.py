@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import (
+    MAX_DEGREE,
     BasisSpec,
     basis_row,
     legendre_row,
@@ -127,6 +130,25 @@ def _eval_grid(node: Node, label: str, x, t=None) -> np.ndarray:
         raise DomainError(f"{label} expression: {exc}") from exc
 
 
+@lru_cache(maxsize=None)
+def _legendre_table(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal members of degree up to MAX_DEGREE at the nodes of
+    the q-point rule on [-1, 1], and the same table with row m scaled by
+    the node's weight w_m: two (q, MAX_DEGREE + 1) arrays.  They depend on
+    the rule alone, since the affine map onto [a, b] leaves the members'
+    values at the mapped nodes as they are; a degree-n solve reads the
+    first n + 1 columns.
+
+    Built on first use and cached per rule, read-only: at most MAX_ORDER
+    entries of 816·q bytes (104 KB at q = 128, 6.7 MB for all 128 rules).
+    """
+    rule = gauss_legendre(q)
+    table = legendre_row(BasisSpec(MAX_DEGREE, -1.0, 1.0), rule.nodes)
+    weighted = rule.weights[:, None] * table
+    table.flags.writeable = weighted.flags.writeable = False
+    return table, weighted
+
+
 def assemble(
     problem: FredholmProblem, n: int, q: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +158,23 @@ def assemble(
     A and F are T.T @ A_B @ T and T.T @ F_B for the Bernstein system (A_B, F_B),
     and T @ coefficients are the Bernstein coefficients.
 
-    The kernel contribution needs the inner t-integral at every outer node,
-    so the kernel is sampled on the full q-by-q tensor grid.
+    The basis values at the nodes are the first n + 1 columns of the
+    rule's Legendre table, built once per rule and kept for the process
+    (``_legendre_table``: 816·q bytes per rule, at most 128 rules), so
+    the kernel integral is one product ``kernel @ (w·L)``.  The kernel
+    contribution needs the inner t-integral at every outer node, so the
+    kernel is sampled on the full q-by-q tensor grid, once per call here
+    and once per distinct q in a ``convergence_study`` sweep.
     """
+    return _assemble(problem, n, default_quadrature_order(n) if q is None else q, {})
+
+
+def _assemble(
+    problem: FredholmProblem, n: int, q: int, samples: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """``assemble`` at order q, with a(x), f(x) and the kernel sampled at
+    the rule's nodes only when ``samples`` holds nothing under q; the
+    samples are stored there for the next degree of a sweep."""
     # Fraction * ndarray would give an object array: go to floats first
     a, b, lam = float(problem.a), float(problem.b), float(problem.lam)
     if not b > a:  # exact endpoints closer than the float spacing
@@ -146,23 +182,26 @@ def assemble(
             f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
             f"in floating point: both endpoints round to {a}"
         )
-    spec = BasisSpec(n, a, b)
-    rule = gauss_legendre(default_quadrature_order(n) if q is None else q)
+    BasisSpec(n, a, b)  # refuses a degree past the basis cap
+    rule = gauss_legendre(q)
     half = 0.5 * (b - a)
-    pts = half * rule.nodes + 0.5 * (a + b)
-    w = half * rule.weights
-
-    basis = legendre_row(spec, pts)  # (q, n+1)
-    a_vals = _eval_grid(problem.a_expr, "coefficient", pts)
-    f_vals = _eval_grid(problem.f_expr, "rhs", pts)
-    kernel = _eval_grid(problem.kernel_expr, "kernel", pts[:, None], pts[None, :])  # [x, t]
+    if q not in samples:
+        pts = half * rule.nodes + 0.5 * (a + b)
+        samples[q] = (
+            _eval_grid(problem.a_expr, "coefficient", pts),
+            _eval_grid(problem.f_expr, "rhs", pts),
+            _eval_grid(problem.kernel_expr, "kernel", pts[:, None], pts[None, :]),  # [x, t]
+        )
+    a_vals, f_vals, kernel = samples[q]
+    table, weighted = _legendre_table(q)
+    basis, weighted = table[:, : n + 1], weighted[:, : n + 1]  # L_i(x_m), w_m·L_i(x_m) on [-1, 1]
 
     # data beyond the float range make nonfinite entries, refused below
     with np.errstate(all="ignore"):
-        inner = (kernel * w) @ basis  # inner[m, i] = ∫ k(t, x_m)·L_i(t) dt
+        inner = half * (kernel @ weighted)  # inner[m, i] = ∫ k(t, x_m)·L_i(t) dt
         operator = a_vals[:, None] * basis + lam * inner
-        matrix = (basis * w[:, None]).T @ operator  # Σ_m w_m·L_j(x_m)·operator[m, i]
-        f_vec = (w * f_vals) @ basis
+        matrix = (half * weighted).T @ operator  # Σ_m w_m·L_j(x_m)·operator[m, i]
+        f_vec = (half * f_vals) @ weighted
     if not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
         raise DomainError("assembled system contains nonfinite entries")
     return matrix, f_vec
@@ -245,22 +284,41 @@ def solve(
     The float path needs a quadrature order q above n: with q <= n nodes the
     system has rank at most q and is always singular.
     """
+    return _solve(
+        problem, n, mode, q, partial(as_exact_problem, problem), partial(assemble, problem), 3
+    )
+
+
+def _solve(
+    problem: FredholmProblem,
+    n: int,
+    mode: str,
+    q: int | None,
+    exact_view: Callable[[], ExactProblem | None],
+    system: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    stacklevel: int,
+) -> Solution:
+    """``solve``, with the problem-only work handed in: ``exact_view()``
+    gives the exact view and ``system(n, q)`` the float system A, F, so
+    that a sweep can pass versions that keep their work across degrees.
+    The condition warning points ``stacklevel`` frames up.
+    """
     if mode not in ("auto", "float", "exact"):
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
 
-    exact_view = None
+    view = None
     if mode != "float":
-        exact_view = as_exact_problem(problem)
-        if exact_view is None:
+        view = exact_view()
+        if view is None:
             reason = "exact mode requires polynomial data with rational coefficients"
-        elif (work := exact_work(exact_view, n)) > MAX_EXACT_WORK:
-            exact_view = None
+        elif (work := exact_work(view, n)) > MAX_EXACT_WORK:
+            view = None
             reason = f"exact solve past the work bound ({work} > {MAX_EXACT_WORK})"
-        if mode == "exact" and exact_view is None:
+        if mode == "exact" and view is None:
             raise ExactPathUnavailable(reason)
 
-    if exact_view is not None:
-        rows, dens = exact_assemble(exact_view, n)
+    if view is not None:
+        rows, dens = exact_assemble(view, n)
         coeffs = tuple(legendre_to_bernstein_exact(*solve_rational_system(rows)))
         # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
         scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
@@ -277,7 +335,7 @@ def solve(
                 f"quadrature order {q} must exceed the degree {n}: with q <= n "
                 "nodes the projection system is singular"
             )
-        A, F = assemble(problem, n, q)
+        A, F = system(n, q)
         inverse, cond = _invert(A)
         coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
         spec, path = BasisSpec(n, float(problem.a), float(problem.b)), "float"
@@ -287,7 +345,7 @@ def solve(
             f"system condition number {cond:.3e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be unreliable",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     return Solution(spec, coeffs, path, q, cond)
 
@@ -328,14 +386,19 @@ def error_table(solution: Solution, exact: Node, grid) -> list[ErrorRow]:
     xs = np.array(grid, dtype=float)
     approx = evaluate_solution(solution, xs)
     reference = evaluate(exact, xs)
+    error, at_zero = _errors(reference, approx)
+    kinds = ["absolute-at-zero" if z else "relative" for z in at_zero.tolist()]
+    return list(
+        map(ErrorRow, xs.tolist(), reference.tolist(), approx.tolist(), error.tolist(), kinds)
+    )
+
+
+def _errors(reference: np.ndarray, approx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The errors of ``error_table`` and where the reference counts as zero."""
     at_zero = np.abs(reference) < ZERO_REFERENCE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.abs((reference - approx) / reference)
-    error = np.where(at_zero, np.abs(reference - approx), relative)
-    return [
-        ErrorRow(float(x), float(r), float(p), float(e), "absolute-at-zero" if z else "relative")
-        for x, r, p, e, z in zip(xs, reference, approx, error, at_zero)
-    ]
+    return np.where(at_zero, np.abs(reference - approx), relative), at_zero
 
 
 def convergence_study(
@@ -344,15 +407,27 @@ def convergence_study(
     q: int | None = None,
     mode: str = "auto",
 ) -> list[ConvergenceRow]:
-    """Max error over a 101-point grid for each requested degree."""
+    """Max error over a 101-point grid for each requested degree.
+
+    Each row is what ``solve`` at that degree and the largest error of
+    ``error_table`` on the grid give, but the degrees share the work that
+    depends on the problem alone: the exact view is expanded once, a(x),
+    f(x) and the kernel are sampled once per quadrature order, and the
+    known solution is evaluated on the grid once.  All of it is held by
+    this call and dropped when it returns.
+    """
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
     grid = np.linspace(float(problem.a), float(problem.b), 101)
+    exact_view = cache(partial(as_exact_problem, problem))
+    system = partial(_assemble, problem, samples={})
+    # evaluated after the first solve and its approximation, as error_table does
+    reference = cache(partial(evaluate, problem.exact_expr, grid))
     out = []
     for n in n_values:
-        solution = solve(problem, n, mode=mode, q=q)
-        rows = error_table(solution, problem.exact_expr, grid)
-        out.append(
-            ConvergenceRow(n, max(r.error for r in rows), solution.condition)
-        )
+        solution = _solve(problem, n, mode, q, exact_view, system, 2)
+        approx = evaluate_solution(solution, grid)
+        error, _ = _errors(reference(), approx)
+        # Python's max over the floats in grid order, as over the table's rows
+        out.append(ConvergenceRow(n, max(error.tolist()), solution.condition))
     return out

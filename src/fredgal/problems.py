@@ -19,6 +19,7 @@ from .errors import (
     DuplicateKey,
     ExpressionError,
     ExpressionSyntaxError,
+    InvalidProblem,
     MissingKey,
     UnknownBuiltin,
     UnknownKey,
@@ -27,6 +28,7 @@ from .galerkin import FredholmProblem
 
 REQUIRED_KEYS = ("interval_a", "interval_b", "coefficient", "lambda", "kernel", "rhs")
 ALL_KEYS = REQUIRED_KEYS + ("exact",)
+_EXPRESSION_KEYS = ("coefficient", "kernel", "rhs", "exact")
 
 def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
     """key -> (raw value, line number), validating key set and uniqueness."""
@@ -70,16 +72,12 @@ def _number(pairs, key: str) -> Fraction:
 
 
 def _expression(pairs, key: str):
-    """The parsed value of an expression key; only the kernel may use t."""
+    """The parsed value of an expression key."""
     text, lineno = pairs[key]
     try:
-        node = expr.parse(text)
+        return expr.parse(text)
     except ExpressionSyntaxError as exc:
         raise ExpressionError(f"bad expression for '{key}': {exc}", lineno) from exc
-    # variables() finds only x and t, so the kernel has nothing to check
-    if key != "kernel" and "t" in expr.variables(node):
-        raise ExpressionError(f"'{key}' may only use ['x'], found ['t']", lineno)
-    return node
 
 
 def parse_problem(text: str) -> FredholmProblem:
@@ -94,11 +92,24 @@ def parse_problem(text: str) -> FredholmProblem:
         # as written: str() of a Fraction fails past 4,300 digits
         raise BadInterval(f"interval [{pairs['interval_a'][0]}, {pairs['interval_b'][0]}] is empty")
     lam = _number(pairs, "lambda")
-    a_expr = _expression(pairs, "coefficient")
-    kernel_expr = _expression(pairs, "kernel")
-    f_expr = _expression(pairs, "rhs")
-    exact_expr = _expression(pairs, "exact") if "exact" in pairs else None
-    return FredholmProblem(a_expr, lam, kernel_expr, f_expr, a, b, exact_expr)
+    nodes = {}
+    try:
+        for key in _EXPRESSION_KEYS:
+            if key in pairs:
+                nodes[key] = _expression(pairs, key)
+        return FredholmProblem(
+            nodes["coefficient"], lam, nodes["kernel"], nodes["rhs"], a, b, nodes.get("exact")
+        )
+    except (ExpressionError, InvalidProblem):
+        # FredholmProblem walks each expression for t once; only on an error
+        # are the keys parsed so far walked again, so that the first one that
+        # uses t is reported, before a bad expression on a later key
+        # (variables() finds only x and t, so the kernel has nothing to check)
+        for key, node in nodes.items():
+            if key != "kernel" and "t" in expr.variables(node):
+                message = f"'{key}' may only use ['x'], found ['t']"
+                raise ExpressionError(message, pairs[key][1]) from None
+        raise
 
 
 def load_problem(path) -> FredholmProblem:

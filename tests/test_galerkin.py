@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from fredgal import galerkin
-from fredgal.basis import bernstein_to_monomial, legendre_to_bernstein
+from fredgal.basis import (
+    MAX_DEGREE,
+    BasisSpec,
+    bernstein_to_monomial,
+    legendre_row,
+    legendre_to_bernstein,
+)
 from fredgal.errors import (
     DomainError,
     ExactPathUnavailable,
@@ -33,6 +39,7 @@ from fredgal.galerkin import (
     solve,
 )
 from fredgal.problems import builtin
+from fredgal.quadrature import gauss_legendre
 
 from exact_oracle import (
     bernstein_solve,
@@ -550,3 +557,103 @@ def test_exact_solve_with_an_entry_beyond_float_range():
     assert [sum(a * c for a, c in zip(row, solution.coefficients)) for row in A] == F
     with pytest.raises(DomainError), np.errstate(invalid="ignore"):
         solve(problem, 2, mode="float")
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (-4.0, 4.0), (0.0, 0.5), (-1.0, 1.0)])
+def test_legendre_table_is_the_basis_at_the_mapped_nodes(a, b):
+    # on intervals whose affine map rounds as the table's own does, the
+    # cached columns are legendre_row at the nodes assemble samples on
+    for q in (4, 32, 51, 128):
+        rule = gauss_legendre(q)
+        pts = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
+        table, weighted = galerkin._legendre_table(q)
+        for n in sorted({1, min(q - 1, 20), min(q - 1, 50)}):
+            want = legendre_row(BasisSpec(n, a, b), pts)
+            assert np.abs(table[:, : n + 1] - want).max() <= 1e-15
+        assert np.array_equal(weighted, rule.weights[:, None] * table)
+
+
+def test_legendre_table_is_cached_and_read_only():
+    table, weighted = galerkin._legendre_table(32)
+    assert galerkin._legendre_table(32)[0] is table
+    assert table.shape == weighted.shape == (32, MAX_DEGREE + 1)
+    for array in (table, weighted):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_sweep_samples_each_piece_once_per_quadrature_order(monkeypatch):
+    problem = builtin("example4")
+    calls, probes = [], []
+    evaluate, as_exact_problem = galerkin.evaluate, galerkin.as_exact_problem
+    monkeypatch.setattr(
+        galerkin, "evaluate", lambda node, *xt: calls.append(node) or evaluate(node, *xt)
+    )
+    monkeypatch.setattr(
+        galerkin, "as_exact_problem", lambda p: probes.append(p) or as_exact_problem(p)
+    )
+    # degrees 3-14 share q = 32, and 16 and 20 take 36 and 44
+    convergence_study(problem, [3, 14, 16, 4, 20, 16])
+    for node in (problem.a_expr, problem.f_expr, problem.kernel_expr):
+        assert sum(c is node for c in calls) == 3
+    assert sum(c is problem.exact_expr for c in calls) == 1
+    assert len(calls) == 10
+    assert probes == [problem]
+    # a float sweep never builds the exact view
+    calls.clear()
+    convergence_study(problem, [3, 4], q=40, mode="float")
+    assert len(calls) == 4 and probes == [problem]
+
+
+def big_denominator_problem():
+    # the kernel's 1,500-digit decimal puts exact_work past MAX_EXACT_WORK
+    # from n = 6 on, so auto solves n <= 4 exactly and the rest in floats
+    literal = "0.5" + "0" * 1500 + "1"
+    return FredholmProblem(
+        parse("1"), 1, parse(f"x*t*{literal}"), parse("x"), 0, 1, parse("6*x/7")
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, n_values, q, mode, paths",
+    [
+        (builtin("example4"), range(10, 21), None, "auto", {"float"}),
+        (builtin("example4"), [5, 3, 5, 8], 40, "float", {"float"}),
+        (big_denominator_problem(), [2, 6, 4, 8], None, "auto", {"exact", "float"}),
+        (builtin("example1"), [2, 3, 5], None, "auto", {"exact"}),
+    ],
+)
+def test_sweep_rows_equal_solve_and_error_table(problem, n_values, q, mode, paths):
+    grid = np.linspace(float(problem.a), float(problem.b), 101)
+    want, seen = [], set()
+    for n in n_values:
+        solution = solve(problem, n, mode=mode, q=q)
+        seen.add(solution.mode)
+        rows = error_table(solution, problem.exact_expr, grid)
+        want.append((n, max(r.error for r in rows), solution.condition))
+    assert seen == paths
+    assert [tuple(row) for row in convergence_study(problem, n_values, q=q, mode=mode)] == want
+
+
+def test_sweep_domain_errors_are_those_of_solve_and_error_table():
+    kernel = FredholmProblem(
+        parse("1"), -1.0, parse("sqrt(t - x)"), parse("1"), 0.0, 1.0, parse("1")
+    )
+    with pytest.raises(DomainError) as direct:
+        solve(kernel, 2)
+    with pytest.raises(DomainError) as swept:
+        convergence_study(kernel, [2, 3])
+    assert str(swept.value) == str(direct.value)
+    assert str(swept.value) == (
+        "kernel expression: sqrt of negative value -0.005826175152106594 (offset 0)"
+    )
+    # the reference is evaluated after the first solve, as error_table does
+    reference = replace(builtin("example4"), exact_expr=parse("log(x - 1/2)"))
+    with pytest.raises(DomainError) as direct:
+        error_table(solve(reference, 3), reference.exact_expr, np.linspace(0.0, 1.0, 101))
+    with pytest.raises(DomainError) as swept:
+        convergence_study(reference, [3, 4])
+    assert str(swept.value) == str(direct.value)
+    assert str(swept.value) == "log of nonpositive value -0.5 (offset 0)"
+    with pytest.raises(OrderOutOfRange):
+        convergence_study(reference, [3], q=3)
