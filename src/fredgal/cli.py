@@ -28,7 +28,7 @@ from .errors import (
     UnknownBuiltin,
     number_text,
 )
-from .galerkin import convergence_study, error_table, solve
+from .galerkin import convergence_study, error_table, float_interval, solve
 from .problems import BUILTIN_NAMES, builtin, load_problem
 
 
@@ -109,13 +109,8 @@ def _resolve_problem(args):
 
 
 def _default_grid(problem, step: float | None) -> list[float]:
-    a, b = float(problem.a), float(problem.b)
+    a, b = float_interval(problem) if step is None else (float(problem.a), float(problem.b))
     width = b - a
-    if step is None and not width > 0:  # exact endpoints closer than the float spacing
-        raise UsageError(
-            f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
-            f"in floating point: both endpoints round to {a}"
-        )
     h = width / 10.0 if step is None else step
     if not (h > 0 and math.isfinite(h)):
         raise UsageError(f"--grid-step must be a finite positive number, got {h}")

@@ -6,12 +6,11 @@ Polynomial data are the pairs (terms, den) of ``fredgal.expr.to_polynomial``,
 integers over one denominator; lambda and the endpoints are
 ``fractions.Fraction``.  The assembly and the solve run on Python integers:
 every entry of the system is summed from the moments ∫₀¹ u^r·P_j(2u-1) du,
-each row is held as integers over one positive denominator, the
-elimination is fraction-free, and the solution comes back as integers
-over one common denominator.  Only the Bernstein coefficients are
-Fractions, one per coefficient
-(``fredgal.basis.legendre_to_bernstein_exact``), so results like 19/9 come
-out as true fractions instead of rounded floats.
+each row of the matrix is held as integers over one positive denominator
+with f(x)'s denominator kept apart, the elimination is fraction-free, and
+the solution comes back as integers over one common denominator.  Only
+the Bernstein coefficients are Fractions, one per coefficient
+(``fredgal.basis.legendre_to_bernstein_exact``).
 """
 
 from __future__ import annotations
@@ -63,12 +62,12 @@ def exact_work(problem: ExactProblem, n: int) -> int:
     of it is done: (n + 1)·(n + 1 + D)·S, with D the largest total degree of
     the data and S a bound on the bits of an entry of the system.
 
-    The endpoints enter an entry to the power D, and every row is put over
-    one denominator, so S = D·(bits of a and b) + the bits of lambda, of the
-    largest numerator of a(x) or the kernel plus those of its ``den``, and
-    of f(x)'s ``den``; a numerator of f(x) scales only the right-hand side.
-    These are the integers of the (terms, den) pairs the rows are built
-    from, ``den`` the lcm of a piece's denominators; lambda's and the
+    The endpoints enter an entry to the power D, and each row of the
+    matrix is put over one denominator, so S = D·(bits of a and b) + the
+    bits of lambda and of the largest numerator of a(x) or the kernel plus
+    those of its ``den``, the lcm of that piece's denominators.  f(x) builds
+    only the right-hand-side column, so its integers do not count; its
+    degree does, since its shift to u costs g^deg f.  Lambda's and the
     endpoints' bits count numerator and denominator in lowest terms.  The
     form and MAX_EXACT_WORK were fitted to measured solve times.  Raises
     InvalidDegree for a degree outside the basis limits.
@@ -77,7 +76,6 @@ def exact_work(problem: ExactProblem, n: int) -> int:
     operator = (problem.a_poly, problem.kernel_poly)
     degree = max([1] + [i + j for p in (*operator, problem.f_poly) for i, j in p[0]])
     size = max([0] + [c.bit_length() + den.bit_length() for p, den in operator for c in p.values()])
-    size += problem.f_poly[1].bit_length()
     size += degree * (_bits(problem.a) + _bits(problem.b)) + _bits(problem.lam)
     return (n + 1) * (n + 1 + degree) * size
 
@@ -132,21 +130,23 @@ def _legendre(i: int) -> tuple[int, ...]:
     return tuple((-1) ** (i + s) * math.comb(i, s) * math.comb(i + s, s) for s in range(i, -1, -1))
 
 
-def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]], list[int]]:
+def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]], list[int], int]:
     """Rational system A·c = F in the basis P_k(2u-1), k = 0..n, with
-    u = (x-a)/(b-a), as integer rows: A[j][i] = rows[j][i]/dens[j] pairs
-    test member j with trial member i, F[j] = rows[j][n+1]/dens[j] is the
-    projected right-hand side, and Σ c_k·P_k(2u-1) is the Galerkin
-    solution.  Each row holds its nonzero entries only, over one positive
-    denominator, in lowest terms.
+    u = (x-a)/(b-a), as integer rows (rows, dens, f_den): A[j][i] =
+    rows[j][i]/dens[j] pairs test member j with trial member i, F[j] =
+    rows[j][n+1]/(dens[j]·f_den) is the projected right-hand side, and
+    Σ c_k·P_k(2u-1) is the Galerkin solution.  Each row holds its nonzero
+    entries only, its matrix entries over dens[j] > 0 in lowest terms; the
+    rows solve for f_den·c, so f(x)'s denominator stays out of the matrix.
 
     Every entry is the integral of a polynomial in u against a member
     P_j, summed from the moments ∫₀¹ u^r·P_j(2u-1) du
     (``_moment_weights``), which vanish for r < j.  So the a(x) block is
     banded (bandwidth deg a) and the kernel block is nonzero only in its
-    leading (deg_x k + 1)-by-(deg_t k + 1) corner.  The whole system is
-    summed on Python integers over one denominator, and each row is then
-    divided by its content.
+    leading (deg_x k + 1)-by-(deg_t k + 1) corner.  The matrix is summed
+    on Python integers over one denominator, each row is divided by the
+    content of its matrix entries, and f's moments are then put over
+    dens[j]·f_den.
     """
     BasisSpec(n, problem.a, problem.b)  # degree and interval within the basis limits
     a, h = problem.a, problem.b - problem.a
@@ -184,10 +184,9 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     weights = _moment_weights(da + n)
     band_den = common * g**da * hd * _moment_den(da + n)
 
-    den = math.lcm(band_den, kernel_den, f_den)
+    den = math.lcm(band_den, kernel_den)
     band_scale = hn * (den // band_den)
     kernel_scale = lam.numerator * (den // kernel_den)
-    f_scale = hn * (den // f_den)
     rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for i in range(n + 1):
         p = _legendre(i)
@@ -198,14 +197,14 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
             rows[j][i] = rows[i][j] = v * band_scale
     dens = []
     for j, row in enumerate(rows):
-        if j < len(f_moments):
-            row[rhs] = f_moments[j] * f_scale
         for i, v in enumerate(corner[j] if j < len(corner) else ()):
             row[i] = row.get(i, 0) + v * kernel_scale
         content = math.gcd(den, *row.values())
-        rows[j] = {i: v // content for i, v in row.items() if v}
+        rows[j] = row = {i: v // content for i, v in row.items() if v}
         dens.append(den // content)
-    return rows, dens
+        if j < len(f_moments) and f_moments[j]:
+            row[rhs] = f_moments[j] * hn * dens[j]
+    return rows, dens, f_den
 
 
 def solve_rational_system(rows: list[dict[int, int]]) -> tuple[list[int], int]:

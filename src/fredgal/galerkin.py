@@ -169,6 +169,18 @@ def assemble(
     return _assemble(problem, n, default_quadrature_order(n) if q is None else q, {})
 
 
+def float_interval(problem: FredholmProblem) -> tuple[float, float]:
+    """The endpoints as floats.  Raises InvalidInterval when exact endpoints
+    closer than the float spacing round to one point."""
+    a, b = float(problem.a), float(problem.b)
+    if not b > a:
+        raise InvalidInterval(
+            f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
+            f"in floating point: both endpoints round to {a}"
+        )
+    return a, b
+
+
 def _assemble(
     problem: FredholmProblem, n: int, q: int, samples: dict
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,12 +188,8 @@ def _assemble(
     the rule's nodes only when ``samples`` holds nothing under q; the
     samples are stored there for the next degree of a sweep."""
     # Fraction * ndarray would give an object array: go to floats first
-    a, b, lam = float(problem.a), float(problem.b), float(problem.lam)
-    if not b > a:  # exact endpoints closer than the float spacing
-        raise InvalidInterval(
-            f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
-            f"in floating point: both endpoints round to {a}"
-        )
+    a, b = float_interval(problem)
+    lam = float(problem.lam)
     BasisSpec(n, a, b)  # refuses a degree past the basis cap
     rule = gauss_legendre(q)
     half = 0.5 * (b - a)
@@ -282,7 +290,8 @@ def solve(
     quadrature and numpy.linalg; "auto" prefers exact when the data and the
     work bound allow it.
     The float path needs a quadrature order q above n: with q <= n nodes the
-    system has rank at most q and is always singular.
+    system has rank at most q and is always singular.  A q outside 1..128
+    is refused on either path.
     """
     return _solve(
         problem, n, mode, q, partial(as_exact_problem, problem), partial(assemble, problem), 3
@@ -318,8 +327,11 @@ def _solve(
             raise ExactPathUnavailable(reason)
 
     if view is not None:
-        rows, dens = exact_assemble(view, n)
-        coeffs = tuple(legendre_to_bernstein_exact(*solve_rational_system(rows)))
+        if q is not None:
+            gauss_legendre(q)  # no rule is used, but an order outside 1..128 is refused
+        rows, dens, f_den = exact_assemble(view, n)
+        nums, den = solve_rational_system(rows)
+        coeffs = tuple(legendre_to_bernstein_exact(nums, den * f_den))
         # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
         scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:

@@ -21,6 +21,7 @@ from .errors import (
     ExpressionSyntaxError,
     InvalidProblem,
     MissingKey,
+    ProblemFileError,
     UnknownBuiltin,
     UnknownKey,
 )
@@ -113,9 +114,20 @@ def parse_problem(text: str) -> FredholmProblem:
 
 
 def load_problem(path) -> FredholmProblem:
-    """Read and parse a problem file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_problem(handle.read())
+    """Read and parse a UTF-8 problem file; a leading byte-order mark is
+    dropped, as the utf-8-sig codec does.  Raises ProblemFileError for a
+    file that is not UTF-8, naming the byte offset of the fault."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        # decoded as utf-8, not utf-8-sig, so the offset counts the mark too
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start} "
+            f"({exc.reason})"
+        ) from None
+    return parse_problem(text)
 
 
 # Classic second-kind benchmark equations, all written as

@@ -354,13 +354,14 @@ def reference_solve(A: list[list[Fraction]], F: list[Fraction]) -> list[Fraction
     return coeffs
 
 
-def fraction_system(rows, dens) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """The dense rational system (A, F) of the integer rows and row
-    denominators ``exact_assemble`` returns."""
+def fraction_system(rows, dens, f_den) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The dense rational system (A, F) of the integer rows, row
+    denominators and right-hand-side denominator ``exact_assemble``
+    returns."""
     m = len(rows)
     return (
         [[Fraction(row.get(i, 0), den) for i in range(m)] for row, den in zip(rows, dens)],
-        [Fraction(row.get(m, 0), den) for row, den in zip(rows, dens)],
+        [Fraction(row.get(m, 0), den * f_den) for row, den in zip(rows, dens)],
     )
 
 

@@ -331,6 +331,57 @@ def test_quadrature_order_not_above_the_degree_is_an_input_error(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("q", ["0", "-5", "500"])
+def test_quadrature_order_outside_the_rules_is_an_input_error_on_either_path(capsys, q):
+    # the exact path uses no rule, but an order outside 1..128 is refused there too
+    for argv in (
+        ["solve", "--builtin", "example1", "--degree", "2"],
+        ["converge", "--builtin", "example1", "--degrees", "2,3"],
+        ["solve", "--builtin", "example1", "--degree", "2", "--mode", "exact"],
+    ):
+        code, out, err = run(capsys, *argv, "--quadrature", q)
+        assert (code, out, err) == (1, "", f"error: order {q} outside 1..128\n"), argv
+    # the float path's messages and the order of its checks are kept
+    code, out, err = run(
+        capsys, "solve", "--builtin", "example4", "--degree", "2", "--quadrature", q
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: order 500 outside 1..128\n" if q == "500" else
+        f"error: quadrature order {q} must exceed the degree 2: with q <= n nodes the "
+        "projection system is singular\n"
+    )
+
+
+def test_problem_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.fie"
+    path.write_bytes(PROBLEM_TEXT.replace("rhs = x", "rhs = x\xff").encode("latin-1"))
+    code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    offset = PROBLEM_TEXT.index("rhs = x") + len("rhs = x")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: not UTF-8 text: byte 0xff at offset {offset} (invalid start byte)\n"
+    )
+    # a binary file, with a byte-order mark counted in the offset
+    path.write_bytes(b"\xef\xbb\xbf\x7fELF\x02\x01\x01\x00\xd0\x00")
+    code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: not UTF-8 text: byte 0xd0 at offset 11 (invalid continuation byte)\n"
+    )
+
+
+def test_problem_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    plain = tmp_path / "plain.fie"
+    plain.write_text(PROBLEM_TEXT, encoding="utf-8")
+    marked = tmp_path / "marked.fie"
+    marked.write_text(PROBLEM_TEXT, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfinterval_a")
+    want = run(capsys, "solve", "--problem", str(plain), "--degree", "2")
+    assert want[0] == 0
+    assert run(capsys, "solve", "--problem", str(marked), "--degree", "2") == want
+
+
 def test_exact_solve_reports_infinite_condition_of_float_singular_system(capsys, tmp_path):
     # exactly read, lambda leaves the system regular; as a float it is -1.0
     path = tmp_path / "near.fie"

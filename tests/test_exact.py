@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -114,8 +115,9 @@ def test_partition_of_unity_is_exact_identity():
 
 def exact_path(problem, n):
     """Bernstein coefficients as ``solve`` computes them on the exact path."""
-    rows, _ = exact_assemble(problem, n)
-    return legendre_to_bernstein_exact(*solve_rational_system(rows))
+    rows, _, f_den = exact_assemble(problem, n)
+    nums, den = solve_rational_system(rows)
+    return legendre_to_bernstein_exact(nums, den * f_den)
 
 
 def legendre_fractions(problem, n):
@@ -180,7 +182,7 @@ def test_assemble_degree_cap():
     for n in (-1, 51):
         with pytest.raises(InvalidDegree):
             exact_assemble(problem, n)
-    rows, dens = exact_assemble(problem, 50)
+    rows, dens, _ = exact_assemble(problem, 50)
     assert len(rows) == len(dens) == 51
 
 
@@ -290,16 +292,18 @@ def test_legendre_system_is_the_bernstein_system_transformed(name):
 @pytest.mark.parametrize("name", LEGENDRE_CASES)
 def test_assembled_rows_are_integers_in_lowest_terms(name):
     # each row holds nonzero integers only, the right-hand side in column
-    # n + 1, over one positive denominator that shares no factor with all
-    # of them
+    # n + 1; the matrix entries are over one positive denominator that
+    # shares no factor with all of them
     problem = legendre_cases()[name]
     for n in range(21):
-        rows, dens = exact_assemble(problem, n)
+        rows, dens, f_den = exact_assemble(problem, n)
+        assert type(f_den) is int and f_den > 0
         for row, den in zip(rows, dens):
             assert type(den) is int and den > 0
             assert set(row) <= set(range(n + 2))
             assert all(type(v) is int and v for v in row.values())
             assert math.gcd(den, *row.values()) == 1
+            assert math.gcd(den, *(v for i, v in row.items() if i <= n)) == 1
 
 
 @pytest.mark.parametrize("name", LEGENDRE_CASES)
@@ -434,7 +438,6 @@ def reference_work(problem: FredholmProblem, n: int) -> int:
             for c in nums
         ]
     )
-    size += over_lcm(f_poly)[1].bit_length()
     size += degree * (bits(problem.a) + bits(problem.b)) + bits(problem.lam)
     return (n + 1) * (n + 1 + degree) * size
 
@@ -493,6 +496,68 @@ def test_exact_work_is_the_documented_formula_on_the_reference_terms():
     assert solve(many_dens, 30).mode == "float"
     with pytest.raises(ExactPathUnavailable, match="work bound"):
         solve(many_dens, 30, mode="exact")
+
+
+def test_the_matrix_is_the_operators_alone():
+    # f(x) builds only the right-hand side: over a 51,200-bit denominator
+    # it leaves every matrix entry and row denominator as rhs = x does, and
+    # only column n + 1 and f's denominator differ
+    plain, wide = (
+        as_exact_problem(
+            FredholmProblem(
+                parse("2 + x^4"), F(1, 3), parse("x*t - t^2/7"), parse(rhs), F(-1), F(3, 4)
+            )
+        )
+        for rhs in ("x", "x^3/(2^51200 - 1) + x")
+    )
+    for n in (0, 1, 3, 12):
+        rows, dens, f_den = exact_assemble(plain, n)
+        wide_rows, wide_dens, wide_f_den = exact_assemble(wide, n)
+        assert wide_dens == dens
+        for row, wide_row in zip(rows, wide_rows):
+            assert {i: v for i, v in wide_row.items() if i <= n} == {
+                i: v for i, v in row.items() if i <= n
+            }
+        assert [row.get(n + 1) for row in wide_rows] != [row.get(n + 1) for row in rows]
+        assert max(v.bit_length() for row in rows for v in row.values()) < 100
+        assert f_den.bit_length() < 100 and wide_f_den.bit_length() > 51200
+
+
+def big_rhs_problem():
+    """a(x) = 2 + x^4 on [1e-11, 0.75], kernel x·t, lambda 1, and f(x) over
+    the 102,000-bit denominator 10^30800 - 1."""
+    rhs = "x^3/" + "9" * 30800 + " + x"
+    return FredholmProblem(parse("2 + x^4"), F(1), parse("x*t"), parse(rhs), F("1e-11"), F(3, 4))
+
+
+def test_a_large_rhs_denominator_keeps_the_exact_answer():
+    problem = big_rhs_problem()
+    got = solve(problem, 8, mode="exact").coefficients
+    assert list(got) == bernstein_solve(as_exact_problem(problem), 8)
+
+
+def test_a_large_rhs_denominator_stays_on_the_exact_path():
+    # f's denominator enters only the right-hand side, so it does not count
+    # in the work, and the largest matrix entry has a few hundred bits
+    # against the denominator's 102,000
+    problem = big_rhs_problem()
+    view = as_exact_problem(problem)
+    assert exact_work(view, 50) <= MAX_EXACT_WORK
+    rows, _, f_den = exact_assemble(view, 50)
+    assert max(abs(v).bit_length() for row in rows for i, v in row.items() if i <= 50) <= 300
+    assert f_den.bit_length() > 102_000
+    start = time.perf_counter()
+    solution = solve(problem, 50)
+    assert time.perf_counter() - start < 5.0
+    assert solution.mode == "exact"
+
+
+def test_the_degree_of_f_still_counts_in_the_work():
+    # shifting f(x) to u costs g^(deg f), so f's degree stays in D: with a
+    # 10,000-bit endpoint this problem is far past the bound at degree 2
+    problem = FredholmProblem(parse("1"), 1, parse("x*t"), parse("x^100 + x"), F("1e-3000"), F(1))
+    assert exact_work(as_exact_problem(problem), 2) > MAX_EXACT_WORK
+    assert solve(problem, 2).mode == "float"
 
 
 def test_singular_operator_detected():

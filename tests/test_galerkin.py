@@ -406,6 +406,20 @@ def test_quadrature_order_must_exceed_the_degree():
     assert solve(problem, 3, q=4).quadrature_order == 4
 
 
+@pytest.mark.parametrize("q", [0, -5, 129, 500])
+def test_exact_path_refuses_an_order_outside_the_rules(q):
+    # the exact path uses no quadrature rule, but an order no rule has is
+    # refused on both paths
+    problem = builtin("example1")
+    for mode in ("auto", "exact"):
+        with pytest.raises(OrderOutOfRange, match=rf"^order {q} outside 1\.\.128$"):
+            solve(problem, 2, mode=mode, q=q)
+        with pytest.raises(OrderOutOfRange, match=rf"^order {q} outside 1\.\.128$"):
+            convergence_study(problem, [2, 3], q=q, mode=mode)
+    solution = solve(problem, 2, q=128)
+    assert solution.mode == "exact" and solution.quadrature_order is None
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_float_coefficients_match_exact_ones_at_degree_20(name):
     problem = builtin(name)
@@ -529,7 +543,7 @@ def test_exact_float_view_rounds_each_entry_once():
     huge = FredholmProblem(parse("1"), -1, parse("1e400*x*t"), parse("x"), 0, 1)
     shifts = []
     for case, n in [(problem, 3), (problem, 12), (narrow, 12), (huge, 2)]:
-        rows, dens = exact_assemble(as_exact_problem(case), n)
+        rows, dens, f_den = exact_assemble(as_exact_problem(case), n)
         if case is problem:
             assert max(dens).bit_length() > 53
         shift = max(
@@ -539,7 +553,8 @@ def test_exact_float_view_rounds_each_entry_once():
             if i <= n
         )
         scale = Fraction(2) ** shift
-        want = np.array([[float(v / scale) for v in row] for row in fraction_system(rows, dens)[0]])
+        A, _ = fraction_system(rows, dens, f_den)
+        want = np.array([[float(v / scale) for v in row] for row in A])
         view = _float_view(rows, dens)
         assert view.tobytes() == want.tobytes()
         assert 0.5 <= np.abs(view).max() <= 2.0
