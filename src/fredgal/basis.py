@@ -162,10 +162,27 @@ def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
     return out
 
 
+def _float_width(a, b) -> float:
+    """b - a as a float, for float or Fraction endpoints that each lie in
+    the float range.  Raises InvalidInterval when b - a, or the difference
+    of the endpoints as floats, is beyond the float range: no point of such
+    an interval has a float u = (x-a)/(b-a), nor a float grid."""
+    try:
+        # b - a before float(): Fraction endpoints give their width rounded once
+        width = float(b - a)
+    except OverflowError:  # a Fraction width
+        width = math.inf
+    if not (width < math.inf and float(b) - float(a) < math.inf):
+        raise InvalidInterval(
+            f"interval [{number_text(a)}, {number_text(b)}] is wider than the float range"
+        )
+    return width
+
+
 def _unit(spec: BasisSpec, x) -> np.ndarray:
     """u = (x-a)/(b-a) as floats."""
-    # b - a before float(): Fraction endpoints give their width rounded once
-    return (np.asarray(x, dtype=float) - float(spec.a)) / float(spec.b - spec.a)
+    width = _float_width(spec.a, spec.b)
+    return (np.asarray(x, dtype=float) - float(spec.a)) / width
 
 
 def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import BasisSpec, basis_row, bernstein_to_monomial
+from .basis import BasisSpec, _float_width, basis_row, bernstein_to_monomial
 from .errors import (
     FredgalError,
     InvalidDegree,
@@ -109,6 +109,7 @@ def _resolve_problem(args):
 
 
 def _default_grid(problem, step: float | None) -> list[float]:
+    _float_width(problem.a, problem.b)  # a wider interval has no float grid
     a, b = float_interval(problem) if step is None else (float(problem.a), float(problem.b))
     width = b - a
     h = width / 10.0 if step is None else step
@@ -177,6 +178,7 @@ def _cmd_basis(args) -> str:
     if samples > MAX_GRID_POINTS:
         raise UsageError(f"--samples must be at most {MAX_GRID_POINTS}")
     spec = BasisSpec(n, a, b)
+    _float_width(a, b)  # a wider interval has no float samples
     header = "x," + ",".join(f"B{i}" for i in range(n + 1))
     xs = np.linspace(a, b, samples)
     table = np.column_stack([xs, basis_row(spec, xs)]).tolist()

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .basis import BasisSpec, _shift
+from .basis import _shift
 from .errors import InvalidInterval, InvalidProblem, SingularSystem, number_text
 
 # Most work ``exact_work`` admits to the exact path.  Set from solve times
@@ -69,10 +69,8 @@ def exact_work(problem: ExactProblem, n: int) -> int:
     only the right-hand-side column, so its integers do not count; its
     degree does, since its shift to u costs g^deg f.  Lambda's and the
     endpoints' bits count numerator and denominator in lowest terms.  The
-    form and MAX_EXACT_WORK were fitted to measured solve times.  Raises
-    InvalidDegree for a degree outside the basis limits.
+    form and MAX_EXACT_WORK were fitted to measured solve times.
     """
-    BasisSpec(n, problem.a, problem.b)
     operator = (problem.a_poly, problem.kernel_poly)
     degree = max([1] + [i + j for p in (*operator, problem.f_poly) for i, j in p[0]])
     size = max([0] + [c.bit_length() + den.bit_length() for p, den in operator for c in p.values()])
@@ -148,7 +146,6 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     content of its matrix entries, and f's moments are then put over
     dens[j]·f_den.
     """
-    BasisSpec(n, problem.a, problem.b)  # degree and interval within the basis limits
     a, h = problem.a, problem.b - problem.a
     hn, hd = h.numerator, h.denominator
     # x = (lo + hi·u)/g; _shift scales degree d by g^d

@@ -27,6 +27,7 @@ import numpy as np
 from .basis import (
     MAX_DEGREE,
     BasisSpec,
+    _float_width,
     basis_row,
     legendre_row,
     legendre_to_bernstein,
@@ -149,26 +150,6 @@ def _legendre_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return table, weighted
 
 
-def assemble(
-    problem: FredholmProblem, n: int, q: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build A and F of A @ coefficients = F in the orthonormal basis
-    ``legendre_row`` by Gauss-Legendre quadrature of order q: A[j, i] pairs
-    test member j with trial member i.  With T = legendre_to_bernstein(n),
-    A and F are T.T @ A_B @ T and T.T @ F_B for the Bernstein system (A_B, F_B),
-    and T @ coefficients are the Bernstein coefficients.
-
-    The basis values at the nodes are the first n + 1 columns of the
-    rule's Legendre table, built once per rule and kept for the process
-    (``_legendre_table``: 816·q bytes per rule, at most 128 rules), so
-    the kernel integral is one product ``kernel @ (w·L)``.  The kernel
-    contribution needs the inner t-integral at every outer node, so the
-    kernel is sampled on the full q-by-q tensor grid, once per call here
-    and once per distinct q in a ``convergence_study`` sweep.
-    """
-    return _assemble(problem, n, default_quadrature_order(n) if q is None else q, {})
-
-
 def float_interval(problem: FredholmProblem) -> tuple[float, float]:
     """The endpoints as floats.  Raises InvalidInterval when exact endpoints
     closer than the float spacing round to one point."""
@@ -181,12 +162,28 @@ def float_interval(problem: FredholmProblem) -> tuple[float, float]:
     return a, b
 
 
-def _assemble(
-    problem: FredholmProblem, n: int, q: int, samples: dict
+def assemble(
+    problem: FredholmProblem, n: int, q: int | None = None, *, samples: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``assemble`` at order q, with a(x), f(x) and the kernel sampled at
-    the rule's nodes only when ``samples`` holds nothing under q; the
-    samples are stored there for the next degree of a sweep."""
+    """Build A and F of A @ coefficients = F in the orthonormal basis
+    ``legendre_row`` by Gauss-Legendre quadrature of order q: A[j, i] pairs
+    test member j with trial member i.  With T = legendre_to_bernstein(n),
+    A and F are T.T @ A_B @ T and T.T @ F_B for the Bernstein system (A_B, F_B),
+    and T @ coefficients are the Bernstein coefficients.
+
+    The basis values at the nodes are the first n + 1 columns of the
+    rule's Legendre table, built once per rule and kept for the process
+    (``_legendre_table``: 816·q bytes per rule, at most 128 rules), so
+    the kernel integral is one product ``kernel @ (w·L)``.  The kernel
+    contribution needs the inner t-integral at every outer node, so the
+    kernel is sampled on the full q-by-q tensor grid.  a(x), f(x) and the
+    kernel are sampled only when ``samples`` holds nothing under q, and
+    stored there, so that a ``convergence_study`` sweep samples them once
+    per distinct q.
+    """
+    if q is None:
+        q = default_quadrature_order(n)
+    samples = {} if samples is None else samples
     # Fraction * ndarray would give an object array: go to floats first
     a, b = float_interval(problem)
     lam = float(problem.lam)
@@ -238,19 +235,17 @@ def as_exact_problem(problem: FredholmProblem) -> ExactProblem | None:
 
 
 def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """The inverse of an orthonormal-basis system matrix and its 1-norm
-    condition ||A||_1·||A^-1||_1.
+    """The inverse of a finite orthonormal-basis system matrix and its
+    1-norm condition ||A||_1·||A^-1||_1.
 
     Raises SingularSystem when the matrix is singular to working precision:
-    not finite, not invertible, or conditioned beyond SINGULAR_CONDITION.
+    not invertible, or conditioned beyond SINGULAR_CONDITION.
     """
-    cond = math.inf
-    if np.isfinite(matrix).all():
-        try:
-            inverse = np.linalg.inv(matrix)
-            cond = float(np.linalg.norm(matrix, 1)) * float(np.linalg.norm(inverse, 1))
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        inverse = np.linalg.inv(matrix)
+        cond = float(np.linalg.norm(matrix, 1)) * float(np.linalg.norm(inverse, 1))
+    except np.linalg.LinAlgError:
+        cond = math.inf
     if not cond <= SINGULAR_CONDITION:
         raise SingularSystem(
             f"projection system is singular (condition {cond:.3e} beyond "
@@ -294,7 +289,7 @@ def solve(
     is refused on either path.
     """
     return _solve(
-        problem, n, mode, q, partial(as_exact_problem, problem), partial(assemble, problem), 3
+        problem, n, mode, q, partial(as_exact_problem, problem), partial(assemble, problem)
     )
 
 
@@ -305,12 +300,12 @@ def _solve(
     q: int | None,
     exact_view: Callable[[], ExactProblem | None],
     system: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    stacklevel: int,
 ) -> Solution:
     """``solve``, with the problem-only work handed in: ``exact_view()``
     gives the exact view and ``system(n, q)`` the float system A, F, so
     that a sweep can pass versions that keep their work across degrees.
-    The condition warning points ``stacklevel`` frames up.
+    Called by ``solve`` or ``convergence_study`` only: the condition
+    warning names the caller of that function.
     """
     if mode not in ("auto", "float", "exact"):
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
@@ -320,9 +315,11 @@ def _solve(
         view = exact_view()
         if view is None:
             reason = "exact mode requires polynomial data with rational coefficients"
-        elif (work := exact_work(view, n)) > MAX_EXACT_WORK:
-            view = None
-            reason = f"exact solve past the work bound ({work} > {MAX_EXACT_WORK})"
+        else:
+            spec = BasisSpec(n, problem.a, problem.b)  # refuses a degree past the cap first
+            if (work := exact_work(view, n)) > MAX_EXACT_WORK:
+                view = None
+                reason = f"exact solve past the work bound ({work} > {MAX_EXACT_WORK})"
         if mode == "exact" and view is None:
             raise ExactPathUnavailable(reason)
 
@@ -338,7 +335,7 @@ def _solve(
             _, cond = _invert(_float_view(rows, dens) * np.outer(scale, scale))
         except SingularSystem:  # the float view is singular to working precision
             cond = math.inf
-        spec, path, q = BasisSpec(n, problem.a, problem.b), "exact", None
+        path, q = "exact", None
     else:
         if q is None:
             q = default_quadrature_order(n)
@@ -357,7 +354,7 @@ def _solve(
             f"system condition number {cond:.3e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; coefficients may be unreliable",
             IllConditionedWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     return Solution(spec, coeffs, path, q, cond)
 
@@ -430,14 +427,15 @@ def convergence_study(
     """
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
+    _float_width(problem.a, problem.b)  # a wider interval has no float grid
     grid = np.linspace(float(problem.a), float(problem.b), 101)
     exact_view = cache(partial(as_exact_problem, problem))
-    system = partial(_assemble, problem, samples={})
+    system = partial(assemble, problem, samples={})
     # evaluated after the first solve and its approximation, as error_table does
     reference = cache(partial(evaluate, problem.exact_expr, grid))
     out = []
     for n in n_values:
-        solution = _solve(problem, n, mode, q, exact_view, system, 2)
+        solution = _solve(problem, n, mode, q, exact_view, system)
         approx = evaluate_solution(solution, grid)
         error, _ = _errors(reference(), approx)
         # Python's max over the floats in grid order, as over the table's rows

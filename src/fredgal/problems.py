@@ -90,7 +90,7 @@ def parse_problem(text: str) -> FredholmProblem:
     a = _number(pairs, "interval_a")
     b = _number(pairs, "interval_b")
     if not b > a:
-        # as written: str() of a Fraction fails past 4,300 digits
+        # quoted as written in the file, which is what the user can find
         raise BadInterval(f"interval [{pairs['interval_a'][0]}, {pairs['interval_b'][0]}] is empty")
     lam = _number(pairs, "lambda")
     nodes = {}

@@ -60,6 +60,26 @@ def test_spec_rejects_nonfinite_endpoints(a, b):
         BasisSpec(2, a, b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (-1e308, 1e308),
+        (Fraction(-10**308), Fraction(10**308)),
+        # the exact width overflows, the endpoints' float difference does not
+        (Fraction(-(2**960)), Fraction(2**1024 - 2**971) + 2**970 - 1),
+        # the endpoints' float difference overflows, the exact width does not
+        (Fraction(-8.98846567431158e307), Fraction(2**1024 - 2**971, 2) - 1),
+    ],
+)
+def test_spec_wider_than_the_float_range_gives_no_rows(a, b):
+    # where b - a overflows, u = (x-a)/(b-a) reads 0 at every x; where
+    # x - a does, u is inf at b and the row NaN
+    spec = BasisSpec(2, a, b)
+    for row in (basis_row, legendre_row):
+        with pytest.raises(InvalidInterval, match="wider than the float range"):
+            row(spec, np.array([float(a), float(b)]))
+
+
 def test_value_midpoint_degree_ten():
     spec = BasisSpec(10, 0.0, 1.0)
     assert basis_row(spec, 0.5)[0] == 0.5**10  # 0.0009765625

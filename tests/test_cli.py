@@ -557,6 +557,42 @@ def test_float_solve_of_data_beyond_the_float_range_writes_one_error_line(capsys
     assert err == "error: assembled system contains nonfinite entries\n"
 
 
+WIDE_TEXT = (
+    "interval_a = -1e308\ninterval_b = 1e308\ncoefficient = 1\nlambda = 0\n"
+    "kernel = x*t\nrhs = 1\nexact = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [("table", "--degree", "2"), ("converge", "--degrees", "1,2")]
+)
+def test_interval_wider_than_the_float_range_has_no_grid(capsys, tmp_path, argv):
+    # b - a overflows: a grid would blame --grid-step, or hold inf and NaN
+    code, out, err, caught = run_problem(capsys, tmp_path / "wide.fie", WIDE_TEXT, *argv)
+    assert (code, out, caught) == (1, "", [])
+    assert err.startswith("error: interval [-1") and err.count("\n") == 1
+    assert err.endswith("] is wider than the float range\n")
+
+
+def test_interval_wider_than_the_float_range_solves_exactly(capsys, tmp_path):
+    code, out, err, caught = run_problem(
+        capsys, tmp_path / "wide.fie", WIDE_TEXT, "solve", "--degree", "2"
+    )
+    assert (code, err, caught) == (0, "", [])
+    assert "coefficients: 1 1 1\n" in out
+
+
+def test_basis_interval_wider_than_the_float_range_is_an_input_error(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "basis", "--degree", "2", "--interval-a=-1e308", "--interval-b=1e308",
+            "--samples", "3",
+        )
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: interval [-1e+308, 1e+308] is wider than the float range\n"
+
+
 @pytest.mark.parametrize(
     "old, new",
     [

@@ -177,12 +177,12 @@ def test_assemble_without_kernel_term_gives_symmetric_gram():
 
 
 def test_assemble_degree_cap():
-    # the basis cap of 50 is the only limit
-    problem = as_exact_problem(builtin("example1"))
+    # the basis cap of 50 is the only limit; solve checks it before any
+    # exact work
     for n in (-1, 51):
         with pytest.raises(InvalidDegree):
-            exact_assemble(problem, n)
-    rows, dens, _ = exact_assemble(problem, 50)
+            solve(builtin("example1"), n, mode="exact")
+    rows, dens, _ = exact_assemble(as_exact_problem(builtin("example1")), 50)
     assert len(rows) == len(dens) == 51
 
 

@@ -355,13 +355,12 @@ def test_condition_warning_on_high_degree():
         solution = solve(near_singular(-1.0 + 2e-13), 22, mode="float")
     assert solution.condition == pytest.approx(5.0e12, rel=1e-2)
     assert all(c == pytest.approx(5.0e12, rel=1e-2) for c in solution.coefficients)
-    # the warning points at the caller of solve: this file for a direct
-    # call, galerkin.py for a call through convergence_study
+    # the warning points at the caller of solve or of convergence_study
     assert [w.filename for w in record] == [__file__]
     studied = replace(near_singular(-1.0 + 2e-13), exact_expr=parse("5e12"))
     with pytest.warns(IllConditionedWarning) as record:
         convergence_study(studied, [22], mode="float")
-    assert [w.filename for w in record] == [galerkin.__file__]
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_condition_warning_names_the_condition_number():
@@ -618,6 +617,34 @@ def test_sweep_samples_each_piece_once_per_quadrature_order(monkeypatch):
     calls.clear()
     convergence_study(problem, [3, 4], q=40, mode="float")
     assert len(calls) == 4 and probes == [problem]
+
+
+def test_sweep_assembles_through_assemble(monkeypatch):
+    calls = []
+    assemble = galerkin.assemble
+
+    def counting(problem, n, q, **samples):
+        calls.append(n)
+        return assemble(problem, n, q, **samples)
+
+    monkeypatch.setattr(galerkin, "assemble", counting)
+    convergence_study(builtin("example4"), [3, 4, 5], mode="float")
+    assert calls == [3, 4, 5]
+
+
+def test_interval_wider_than_the_float_range_is_refused_where_it_becomes_floats():
+    # the exact path solves it; evaluating the solution in floats is refused
+    problem = FredholmProblem(
+        parse("1"), 0, parse("x*t"), parse("1"), Fraction(-10**308), Fraction(10**308), parse("1")
+    )
+    solution = solve(problem, 2, mode="exact")
+    assert solution.coefficients == (1, 1, 1)
+    with pytest.raises(InvalidInterval, match="wider than the float range"):
+        evaluate_solution(solution, 0.0)
+    with pytest.raises(InvalidInterval, match="wider than the float range"):
+        error_table(solution, problem.exact_expr, [0.0])
+    with pytest.raises(InvalidInterval, match="wider than the float range"):
+        convergence_study(problem, [1, 2])
 
 
 def big_denominator_problem():
