@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -36,6 +36,10 @@ class BasisSpec:
     b: float
 
     def __post_init__(self):
+        try:
+            index(self.n)
+        except TypeError:
+            raise InvalidDegree(f"degree must be an integer, got {self.n}") from None
         if self.n < 0:
             raise InvalidDegree("degree must be nonnegative")
         if self.n > MAX_DEGREE:
@@ -162,27 +166,32 @@ def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
     return out
 
 
-def _float_width(a, b) -> float:
-    """b - a as a float, for float or Fraction endpoints that each lie in
-    the float range.  Raises InvalidInterval when b - a, or the difference
-    of the endpoints as floats, is beyond the float range: no point of such
-    an interval has a float u = (x-a)/(b-a), nor a float grid."""
+def float_interval(a, b) -> tuple[float, float]:
+    """(float(a), float(b)) for float or Fraction endpoints a < b that each
+    lie in the float range.  Raises InvalidInterval when [a, b] has no float
+    points: both endpoints round to one float, or b - a, or the difference
+    of the endpoints as floats, is beyond the float range.  Either way no
+    point has a float u = (x-a)/(b-a), nor does the interval a float grid."""
+    fa, fb = float(a), float(b)
+    if not fb > fa:
+        raise InvalidInterval(
+            f"interval [{number_text(a)}, {number_text(b)}] is empty in floating point: "
+            f"both endpoints round to {fa}"
+        )
     try:
         # b - a before float(): Fraction endpoints give their width rounded once
-        width = float(b - a)
+        wide = float(b - a) == math.inf or fb - fa == math.inf
     except OverflowError:  # a Fraction width
-        width = math.inf
-    if not (width < math.inf and float(b) - float(a) < math.inf):
-        raise InvalidInterval(
-            f"interval [{number_text(a)}, {number_text(b)}] is wider than the float range"
-        )
-    return width
+        wide = True
+    if wide:
+        raise InvalidInterval(f"interval [{fa}, {fb}] is wider than the float range")
+    return fa, fb
 
 
 def _unit(spec: BasisSpec, x) -> np.ndarray:
     """u = (x-a)/(b-a) as floats."""
-    width = _float_width(spec.a, spec.b)
-    return (np.asarray(x, dtype=float) - float(spec.a)) / width
+    a, _ = float_interval(spec.a, spec.b)
+    return (np.asarray(x, dtype=float) - a) / float(spec.b - spec.a)
 
 
 def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:

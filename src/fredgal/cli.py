@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import BasisSpec, _float_width, basis_row, bernstein_to_monomial
+from .basis import BasisSpec, basis_row, bernstein_to_monomial, float_interval
 from .errors import (
     FredgalError,
     InvalidDegree,
@@ -28,7 +28,7 @@ from .errors import (
     UnknownBuiltin,
     number_text,
 )
-from .galerkin import convergence_study, error_table, float_interval, solve
+from .galerkin import convergence_study, error_table, solve
 from .problems import BUILTIN_NAMES, builtin, load_problem
 
 
@@ -109,8 +109,7 @@ def _resolve_problem(args):
 
 
 def _default_grid(problem, step: float | None) -> list[float]:
-    _float_width(problem.a, problem.b)  # a wider interval has no float grid
-    a, b = float_interval(problem) if step is None else (float(problem.a), float(problem.b))
+    a, b = float_interval(problem.a, problem.b)
     width = b - a
     h = width / 10.0 if step is None else step
     if not (h > 0 and math.isfinite(h)):
@@ -178,9 +177,8 @@ def _cmd_basis(args) -> str:
     if samples > MAX_GRID_POINTS:
         raise UsageError(f"--samples must be at most {MAX_GRID_POINTS}")
     spec = BasisSpec(n, a, b)
-    _float_width(a, b)  # a wider interval has no float samples
     header = "x," + ",".join(f"B{i}" for i in range(n + 1))
-    xs = np.linspace(a, b, samples)
+    xs = np.linspace(*float_interval(a, b), samples)
     table = np.column_stack([xs, basis_row(spec, xs)]).tolist()
     row_format = ",".join(["%.17g"] * (n + 2))
     lines = [header, *[row_format % tuple(row) for row in table]]

@@ -40,11 +40,13 @@ class MissingBinding(FredgalError):
 
 
 class InvalidInterval(FredgalError):
-    """Interval endpoints do not satisfy b > a."""
+    """Interval endpoints do not satisfy b > a, or the interval has no
+    float points where it is turned into floats."""
 
 
 class InvalidDegree(FredgalError):
-    """Basis or polynomial degree outside the supported range."""
+    """Basis or polynomial degree not an integer, or outside the supported
+    range."""
 
 
 class InvalidProblem(FredgalError):

@@ -27,8 +27,8 @@ import numpy as np
 from .basis import (
     MAX_DEGREE,
     BasisSpec,
-    _float_width,
     basis_row,
+    float_interval,
     legendre_row,
     legendre_to_bernstein,
     legendre_to_bernstein_exact,
@@ -150,18 +150,6 @@ def _legendre_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return table, weighted
 
 
-def float_interval(problem: FredholmProblem) -> tuple[float, float]:
-    """The endpoints as floats.  Raises InvalidInterval when exact endpoints
-    closer than the float spacing round to one point."""
-    a, b = float(problem.a), float(problem.b)
-    if not b > a:
-        raise InvalidInterval(
-            f"interval [{number_text(problem.a)}, {number_text(problem.b)}] is empty "
-            f"in floating point: both endpoints round to {a}"
-        )
-    return a, b
-
-
 def assemble(
     problem: FredholmProblem, n: int, q: int | None = None, *, samples: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +173,7 @@ def assemble(
         q = default_quadrature_order(n)
     samples = {} if samples is None else samples
     # Fraction * ndarray would give an object array: go to floats first
-    a, b = float_interval(problem)
+    a, b = float_interval(problem.a, problem.b)
     lam = float(problem.lam)
     BasisSpec(n, a, b)  # refuses a degree past the basis cap
     rule = gauss_legendre(q)
@@ -369,7 +357,7 @@ def evaluate_solution(solution: Solution, x):
     """
     spec = solution.spec
     xs = np.asarray(x, dtype=float)
-    outside = (xs < float(spec.a)) | (xs > float(spec.b))
+    outside = ~((xs >= float(spec.a)) & (xs <= float(spec.b)))  # NaN is outside too
     if outside.any():
         x = float(xs.flat[np.argmax(outside)])
         raise OutOfInterval(f"x={x} outside [{number_text(spec.a)}, {number_text(spec.b)}]")
@@ -427,8 +415,7 @@ def convergence_study(
     """
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
-    _float_width(problem.a, problem.b)  # a wider interval has no float grid
-    grid = np.linspace(float(problem.a), float(problem.b), 101)
+    grid = np.linspace(*float_interval(problem.a, problem.b), 101)
     exact_view = cache(partial(as_exact_problem, problem))
     system = partial(assemble, problem, samples={})
     # evaluated after the first solve and its approximation, as error_table does

@@ -42,7 +42,10 @@ def test_spec_validation():
         BasisSpec(-1, 0.0, 1.0)
     with pytest.raises(InvalidDegree):
         BasisSpec(51, 0.0, 1.0)
+    with pytest.raises(InvalidDegree, match=r"^degree must be an integer, got 2\.5$"):
+        BasisSpec(2.5, 0.0, 1.0)
     assert BasisSpec(50, 0.0, 1.0).n == 50
+    assert basis_row(BasisSpec(np.int64(3), 0.0, 1.0), 0.5).shape == (4,)
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,8 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     collapsed = tmp_path / "collapsed.fie"
     for kernel, argv in [
         ("x*t", ["table", "--degree", "2"]),
+        ("x*t", ["table", "--degree", "2", "--grid-step", "0.1"]),
+        ("x*t", ["converge", "--degrees", "2"]),
         ("x*t", ["solve", "--degree", "2", "--mode", "float"]),
         ("exp(x*t)", ["solve", "--degree", "2"]),
     ]:
@@ -265,6 +267,15 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         )
         code, out, err = run(capsys, *argv, "--problem", str(collapsed))
         assert code == 1 and out == "" and err == empty
+    # [0, 1e-400] is empty in floating point too, and there u = (x-a)/(b-a) is 0/0
+    for argv in (
+        ["converge", "--degrees", "1,2"],
+        ["table", "--degree", "1", "--grid-step", "0.1"],
+    ):
+        code, out, err, caught = run_problem(capsys, tmp_path / "tiny.fie", TINY_TEXT, *argv)
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: interval [0, 1/1000") and err.count("\n") == 1
+        assert err.endswith("] is empty in floating point: both endpoints round to 0.0\n")
 
 
 def test_exit_code_solver_errors(capsys, tmp_path):
@@ -563,15 +574,27 @@ WIDE_TEXT = (
 )
 
 
+# [0, 1e-400]: the upper end rounds to 0.0
+TINY_TEXT = (
+    "interval_a = 0\ninterval_b = 1e-400\ncoefficient = 1\nlambda = 1\n"
+    "kernel = x*t\nrhs = x\nexact = x\n"
+)
+
+
 @pytest.mark.parametrize(
-    "argv", [("table", "--degree", "2"), ("converge", "--degrees", "1,2")]
+    "argv",
+    [
+        ("table", "--degree", "2"),
+        ("converge", "--degrees", "1,2"),
+        ("solve", "--degree", "2", "--mode", "float"),
+    ],
 )
 def test_interval_wider_than_the_float_range_has_no_grid(capsys, tmp_path, argv):
-    # b - a overflows: a grid would blame --grid-step, or hold inf and NaN
+    # b - a overflows: a grid would blame --grid-step, or hold inf and NaN,
+    # and the float system would not be finite
     code, out, err, caught = run_problem(capsys, tmp_path / "wide.fie", WIDE_TEXT, *argv)
     assert (code, out, caught) == (1, "", [])
-    assert err.startswith("error: interval [-1") and err.count("\n") == 1
-    assert err.endswith("] is wider than the float range\n")
+    assert err == "error: interval [-1e+308, 1e+308] is wider than the float range\n"
 
 
 def test_interval_wider_than_the_float_range_solves_exactly(capsys, tmp_path):
@@ -580,6 +603,12 @@ def test_interval_wider_than_the_float_range_solves_exactly(capsys, tmp_path):
     )
     assert (code, err, caught) == (0, "", [])
     assert "coefficients: 1 1 1\n" in out
+    # an interval with no float points is no obstacle to the exact path either
+    code, out, err, caught = run_problem(
+        capsys, tmp_path / "tiny.fie", TINY_TEXT, "solve", "--degree", "2"
+    )
+    assert (code, err, caught) == (0, "", [])
+    assert out.startswith("mode: exact\ndegree: 2\ninterval: [0, 0]\n")
 
 
 def test_basis_interval_wider_than_the_float_range_is_an_input_error(capsys):

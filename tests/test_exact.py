@@ -182,6 +182,11 @@ def test_assemble_degree_cap():
     for n in (-1, 51):
         with pytest.raises(InvalidDegree):
             solve(builtin("example1"), n, mode="exact")
+    # a degree that is no integer is refused on either path (example4 is
+    # not polynomial), before range() or a slice sees it
+    for name in ("example1", "example4"):
+        with pytest.raises(InvalidDegree, match=r"^degree must be an integer, got 2\.0$"):
+            solve(builtin(name), 2.0)
     rows, dens, _ = exact_assemble(as_exact_problem(builtin("example1")), 50)
     assert len(rows) == len(dens) == 51
 

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -239,6 +240,11 @@ def test_evaluate_solution_refuses_extrapolation():
         evaluate_solution(solution, -0.1)
     with pytest.raises(OutOfInterval, match=r"x=1\.25 outside"):
         evaluate_solution(solution, np.array([0.0, 0.5, 1.25, 1.0]))
+    # NaN compares false with both endpoints: it is outside, not a NaN value
+    with pytest.raises(OutOfInterval, match=r"^x=nan outside \[0\.0, 1\.0\]$"):
+        evaluate_solution(solution, math.nan)
+    with pytest.raises(OutOfInterval, match=r"^x=nan outside"):
+        error_table(solution, builtin("example4").exact_expr, [0.5, math.nan])
     narrow = FredholmProblem(
         parse("1"), 1, parse("x*t"), parse("x"), Fraction(0), Fraction(1, 10**5000)
     )
@@ -645,6 +651,19 @@ def test_interval_wider_than_the_float_range_is_refused_where_it_becomes_floats(
         error_table(solution, problem.exact_expr, [0.0])
     with pytest.raises(InvalidInterval, match="wider than the float range"):
         convergence_study(problem, [1, 2])
+    # [0, 1e-400] has no float points either: its upper end rounds to 0.0,
+    # where u = (x-a)/(b-a) would be 0/0
+    tiny = FredholmProblem(
+        parse("1"), 1, parse("x*t"), parse("x"), Fraction(0), Fraction(1, 10**400), parse("x")
+    )
+    solution = solve(tiny, 2, mode="exact")
+    for call in (
+        partial(evaluate_solution, solution, 0.0),
+        partial(error_table, solution, tiny.exact_expr, [0.0]),
+        partial(convergence_study, tiny, [1, 2]),
+    ):
+        with pytest.raises(InvalidInterval, match=r"empty in floating point: .* round to 0\.0$"):
+            call()
 
 
 def big_denominator_problem():
