@@ -19,7 +19,7 @@ from operator import index, mul
 
 import numpy as np
 
-from .errors import InvalidDegree, InvalidInterval, number_text
+from .errors import InvalidDegree, InvalidInterval, _endpoint_text, number_text
 
 # Bernstein coefficients amplify errors in the solved system by up to
 # ||legendre_to_bernstein(n)||_inf, about 1.3e15 at degree 50: refuse
@@ -175,7 +175,7 @@ def float_interval(a, b) -> tuple[float, float]:
     fa, fb = float(a), float(b)
     if not fb > fa:
         raise InvalidInterval(
-            f"interval [{number_text(a)}, {number_text(b)}] is empty in floating point: "
+            f"interval [{_endpoint_text(a)}, {_endpoint_text(b)}] is empty in floating point: "
             f"both endpoints round to {fa}"
         )
     try:

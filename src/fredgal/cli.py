@@ -26,6 +26,7 @@ from .errors import (
     OrderOutOfRange,
     ProblemFileError,
     UnknownBuiltin,
+    _endpoint_text,
     number_text,
 )
 from .galerkin import convergence_study, error_table, solve
@@ -127,10 +128,14 @@ def _cmd_solve(args) -> str:
     problem = _resolve_problem(args)
     solution = solve(problem, args.degree, mode=args.mode, q=args.quadrature)
     monomial = bernstein_to_monomial(list(solution.coefficients), solution.spec)
+    a, b = solution.spec.a, solution.spec.b
+    # an exact solve's interval may have no float points: then the float
+    # views would print it as a single point
+    endpoint = _endpoint_text if float(a) == float(b) else gfmt
     lines = [
         f"mode: {solution.mode}",
         f"degree: {solution.spec.n}",
-        f"interval: [{gfmt(solution.spec.a)}, {gfmt(solution.spec.b)}]",
+        f"interval: [{endpoint(a)}, {endpoint(b)}]",
         f"coefficients: {' '.join(map(scalar_text, solution.coefficients))}",
         f"monomial: {format_polynomial(monomial)}",
         f"condition: {solution.condition:.6g}",
@@ -197,7 +202,8 @@ def _parse_degrees(text: str) -> list[int]:
 
 # built once per process: argparse set-up costs about ten times a parse
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = _Parser(
         prog="fredgal",
         description="Solve second-kind Fredholm integral equations with a "
@@ -236,13 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--out", default=None, metavar="PATH")
     p_basis.set_defaults(handler=_cmd_basis)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # the top-level parser hands everything after a subcommand's name to
+        # that subcommand's parser; calling it directly skips half the work
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         text = args.handler(args)
         if args.out is None:
             sys.stdout.write(text)

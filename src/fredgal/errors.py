@@ -1,8 +1,14 @@
 """Exception types shared across the solver, and the text of a number in
 their messages."""
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
+
+# Decimal(int) takes time quadratic in the digits; past this many bits the
+# split conversion of _integer_text is faster
+_SPLIT_BITS = 50_000
+# the pieces the split conversion writes with Decimal(int) directly
+_LEAF_BITS = 128
 
 
 def number_text(value) -> str:
@@ -10,8 +16,52 @@ def number_text(value) -> str:
     prints digits past the interpreter's limit on int/str conversion too."""
     if not isinstance(value, (int, Fraction)):
         return str(value)
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+    text = _integer_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_integer_text(value.denominator)}"
+
+
+def _endpoint_text(value) -> str:
+    """An interval endpoint as quoted where its float view cannot tell it
+    apart: number_text(value) when that takes at most 64 characters, else
+    the exact value rounded to 10 significant digits, in exponent form
+    (1e-400, not a 401-digit denominator)."""
+    text = number_text(value)
+    if len(text) <= 64:
+        return text
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 10, MAX_EMAX, MIN_EMIN
+        rounded = Decimal(value.numerator) / Decimal(value.denominator)
+    mantissa, exponent = f"{rounded:.9e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
+def _integer_text(n: int) -> str:
+    """str(Decimal(n)).  Past _SPLIT_BITS, n is split by bits into a high and
+    a low half, each half converted the same way, and the two joined as
+    high·2^k + low by decimal's multiplication, which is subquadratic, under
+    a context that keeps every digit (the method of CPython 3.12's
+    ``_pylong.int_to_decimal_string``)."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(Decimal(n))
+    powers = {}  # 2^k as a Decimal; the halves' widths differ by at most one
+
+    def power(k: int) -> Decimal:
+        if k not in powers:
+            powers[k] = Decimal(2) ** k if k <= _LEAF_BITS else power(k >> 1) * power(k - (k >> 1))
+        return powers[k]
+
+    def split(n: int, bits: int) -> Decimal:
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        k = bits >> 1
+        high = n >> k
+        return split(n - (high << k), k) + split(high, bits - k) * power(k)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        digits = str(split(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
 
 
 class FredgalError(Exception):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -37,52 +37,110 @@ VARIABLES = ("x", "t")
 MAX_TOTAL_DEGREE = 100
 
 
-# `pos` is provenance for error messages, not part of the tree's identity.
-@dataclass(frozen=True)
-class Num:
-    text: str
-    pos: int = field(default=-1, compare=False)
+class _Node:
+    """An immutable AST node.  Nodes compare and hash by type and fields;
+    ``pos``, the offset of the node's token in the text, is provenance for
+    error messages, not part of the tree's identity.  The fields live in
+    slots, written once by ``__init__`` through the slots' own setters."""
+
+    __slots__ = ("pos",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = "".join(f"{name}={getattr(self, name)!r}, " for name in self.__slots__)
+        return f"{type(self).__name__}({fields}pos={self.pos!r})"
+
+    def __reduce__(self):
+        return type(self), (*self._fields(), self.pos)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = field(default=-1, compare=False)
+class Num(_Node):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, pos: int = -1):
+        _set_text(self, text)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    pos: int = field(default=-1, compare=False)
+class Var(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, pos: int = -1):
+        _set_var(self, name)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-    pos: int = field(default=-1, compare=False)
+class Const(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, pos: int = -1):
+        _set_const(self, name)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-    pos: int = field(default=-1, compare=False)
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Node, pos: int = -1):
+        _set_operand(self, operand)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-    pos: int = field(default=-1, compare=False)
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
 
+    def __init__(self, op: str, left: Node, right: Node, pos: int = -1):
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_pos(self, pos)
+
+
+class Call(_Node):
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Node, pos: int = -1):
+        _set_func(self, func)
+        _set_arg(self, arg)
+        _set_pos(self, pos)
+
+
+# each slot's setter, which writes past the classes' refusing __setattr__
+_set_pos = _Node.pos.__set__
+_set_text = Num.text.__set__
+_set_var = Var.name.__set__
+_set_const = Const.name.__set__
+_set_operand = Neg.operand.__set__
+_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
+_set_func, _set_arg = Call.func.__set__, Call.arg.__set__
 
 Node = Num | Var | Const | Neg | BinOp | Call
+for _cls in Node.__args__:  # positional patterns, as the dataclasses gave them
+    _cls.__match_args__ = (*_cls.__slots__, "pos")
+del _cls
+# the children of each inner node, in field order
+_CHILDREN = {BinOp: ("left", "right"), Neg: ("operand",), Call: ("arg",)}
 
 # whitespace, then one token: a number, a name, an operator or parenthesis,
 # or any other character, which is an error
 _TOKEN = re.compile(
-    r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))"
+    r"(\s*)(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))"
 )
 
 # deepest nesting allowed: far above the benchmark's 11, far inside the recursion limit
@@ -91,123 +149,116 @@ _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens (kind, text, offset) of expression text, ending in an
+    ("end", "", len(text)) token; an operator's kind is its own text."""
     tokens = []
+    pos = 0
     # without trailing whitespace, where each start would rescan the rest
-    for m in _TOKEN.finditer(text.rstrip()):
-        group = m.lastindex
-        token = m[group]
-        if group == 4:
-            raise ExpressionSyntaxError(f"unexpected character {token!r}", m.start(group))
-        tokens.append((("num", "name", token)[group - 1], token, m.start(group)))
+    for space, num, name, op, other in _TOKEN.findall(text.rstrip()):
+        pos += len(space)
+        if op:
+            tokens.append((op, op, pos))
+            pos += 1
+        elif num:
+            tokens.append(("num", num, pos))
+            pos += len(num)
+        elif name:
+            tokens.append(("name", name, pos))
+            pos += len(name)
+        else:
+            raise ExpressionSyntaxError(f"unexpected character {other!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the grammar
+def parse(text: str) -> Node:
+    """Parse expression text into an immutable AST of at most MAX_DEPTH levels.
+
+    Recursive descent over the grammar
 
         expr   := term (("+"|"-") term)*
         term   := factor (("*"|"/") factor)*
-        factor := "-" factor | power
-        power  := atom ("^" factor)?
+        factor := "-" factor | atom ("^" factor)?
         atom   := NUMBER | "x" | "t" | "pi" | "e" | NAME "(" expr ")" | "(" expr ")"
+
+    The tokens are held in reverse, so the next one is ``tokens[-1]`` and
+    ``tokens.pop()`` takes it; the end token is never taken.
     """
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0  # factors open; every recursion of the parser opens one
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExpressionSyntaxError(f"expected {what}", tok[2])
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        # a tree has no more levels than tokens, so only a long text can chain
-        # sums or products deeper than the parser's own nesting
-        if len(self.tokens) > MAX_DEPTH:
-            _check_depth(node)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
-            node = BinOp(op, node, self.term(), pos)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
-            node = BinOp(op, node, self.factor(), pos)
-        return node
-
-    def factor(self) -> Node:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ExpressionSyntaxError(_TOO_DEEP, self.peek()[2])
-        if self.peek()[0] == "-":
-            _, _, pos = self.advance()
-            node = Neg(self.factor(), pos)
-        else:
-            node = self.power()
-        self.depth -= 1
-        return node
-
-    def power(self) -> Node:
-        node = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.advance()
-            node = BinOp("^", node, self.factor(), pos)
-        return node
-
-    def atom(self) -> Node:
-        kind, text, pos = self.peek()
-        if kind == "num":
-            self.advance()
-            return Num(text, pos)
-        if kind == "name":
-            self.advance()
-            if text in VARIABLES:
-                return Var(text, pos)
-            if text in CONSTANTS:
-                return Const(text, pos)
-            if text in FUNCTIONS:
-                self.expect("(", f"'(' after function {text!r}")
-                arg = self.expr()
-                self.expect(")", "')'")
-                return Call(text, arg, pos)
-            raise UnknownIdentifier(f"unknown identifier {text!r}", pos)
-        if kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", "')'")
-            return node
-        if kind == "end":
-            raise ExpressionSyntaxError("unexpected end of expression", pos)
-        raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
-
-
-def parse(text: str) -> Node:
-    """Parse expression text into an immutable AST of at most MAX_DEPTH levels."""
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    count = len(tokens)
+    tokens.reverse()
+    node = _expr(tokens, 0)
+    kind, token, pos = tokens[-1]
+    if kind != "end":
+        raise ExpressionSyntaxError(f"unexpected {token!r}", pos)
+    # a tree has no more levels than tokens, so only a long text can chain
+    # sums or products deeper than the parser's own nesting
+    if count > MAX_DEPTH:
+        _check_depth(node)
+    return node
+
+
+# ``depth`` counts the factors open around a call: every recursion of the
+# parser opens one, and a factor past MAX_DEPTH is refused at its first token.
+def _expr(tokens: list, depth: int) -> Node:
+    node = _term(tokens, depth)
+    while tokens[-1][0] in ("+", "-"):
+        op, _, pos = tokens.pop()
+        node = BinOp(op, node, _term(tokens, depth), pos)
+    return node
+
+
+def _term(tokens: list, depth: int) -> Node:
+    depth += 1
+    node = _factor(tokens, depth)
+    while tokens[-1][0] in ("*", "/"):
+        op, _, pos = tokens.pop()
+        node = BinOp(op, node, _factor(tokens, depth), pos)
+    return node
+
+
+def _factor(tokens: list, depth: int) -> Node:
+    kind, text, pos = tokens[-1]
+    if depth > MAX_DEPTH:
+        raise ExpressionSyntaxError(_TOO_DEEP, pos)
+    if kind == "num":
+        tokens.pop()
+        node = Num(text, pos)
+    elif kind == "name":
+        tokens.pop()
+        if text in VARIABLES:
+            node = Var(text, pos)
+        elif text in CONSTANTS:
+            node = Const(text, pos)
+        elif text in FUNCTIONS:
+            _expect(tokens, "(", f"'(' after function {text!r}")
+            node = Call(text, _expr(tokens, depth), pos)
+            _expect(tokens, ")", "')'")
+        else:
+            raise UnknownIdentifier(f"unknown identifier {text!r}", pos)
+    elif kind == "-":
+        tokens.pop()
+        return Neg(_factor(tokens, depth + 1), pos)
+    elif kind == "(":
+        tokens.pop()
+        node = _expr(tokens, depth)
+        _expect(tokens, ")", "')'")
+    elif kind == "end":
+        raise ExpressionSyntaxError("unexpected end of expression", pos)
+    else:
+        raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
+    if tokens[-1][0] == "^":
+        _, _, pos = tokens.pop()
+        node = BinOp("^", node, _factor(tokens, depth + 1), pos)
+    return node
+
+
+def _expect(tokens: list, kind: str, what: str) -> None:
+    if tokens[-1][0] != kind:
+        raise ExpressionSyntaxError(f"expected {what}", tokens[-1][2])
+    tokens.pop()
 
 
 def _check_depth(node: Node) -> None:
@@ -217,7 +268,7 @@ def _check_depth(node: Node) -> None:
         node, level = stack.pop()
         if level > MAX_DEPTH:
             raise ExpressionSyntaxError(_TOO_DEEP, node.pos)
-        stack += ((child, level + 1) for child in vars(node).values() if isinstance(child, Node))
+        stack += ((getattr(node, name), level + 1) for name in _CHILDREN.get(type(node), ()))
 
 
 def evaluate(node: Node, x, t=None):
@@ -428,54 +479,72 @@ def _mul(left: _Terms, right: _Terms) -> _Terms:
     return {key: c for key, c in out.items() if c}
 
 
+# the keys of a constant polynomial: none (zero) or the constant term
+_CONSTANT = {(0, 0)}
+
+
 def _poly(node: Node) -> tuple[_Terms, int]:
-    if isinstance(node, Num):
-        num, den = _literal(node.text)
-        return ({(0, 0): num} if num else {}), den
-    if isinstance(node, Var):
-        return {(1, 0) if node.name == "x" else (0, 1): 1}, 1
-    if isinstance(node, (Const, Call)):
-        raise _NotPolynomial
-    if isinstance(node, Neg):
-        terms, den = _poly(node.operand)
-        return {key: -c for key, c in terms.items()}, den
-    if isinstance(node, BinOp):
-        if node.op == "^":
+    kind = type(node)
+    if kind is BinOp:
+        op = node.op
+        if op == "^":
             return _power(node)
         left, lden = _poly(node.left)
         right, rden = _poly(node.right)
-        if node.op in ("+", "-"):
+        if op == "+" or op == "-":
             den = math.lcm(lden, rden)
             lscale, rscale = den // lden, den // rden
-            if node.op == "-":
+            if op == "-":
                 rscale = -rscale
             out = {key: c * lscale for key, c in left.items()}
             for key, c in right.items():
                 out[key] = out.get(key, 0) + c * rscale
             return {key: c for key, c in out.items() if c}, den
-        if node.op == "/":
+        if op == "/":
             divisor = right.get((0, 0))
             if not divisor or len(right) > 1:
                 raise _NotPolynomial
             # multiply by rden/divisor, the sign kept in the numerator
             right, rden = {(0, 0): rden if divisor > 0 else -rden}, abs(divisor)
-        # over the rationals deg(p·q) = deg p + deg q, so the cap is checked
-        # before the product is formed
+        # a constant factor only scales the other; over the rationals
+        # deg(p·q) = deg p + deg q, so the cap is checked before a product
+        # of two polynomials in x and t is formed
+        if right.keys() <= _CONSTANT:
+            return _scaled(left, right.get((0, 0))), lden * rden
+        if left.keys() <= _CONSTANT:
+            return _scaled(right, left.get((0, 0))), lden * rden
         if _degree(left) + _degree(right) > MAX_TOTAL_DEGREE:
             raise _NotPolynomial
         return _mul(left, right), lden * rden
+    if kind is Num:
+        num, den = _literal(node.text)
+        return ({(0, 0): num} if num else {}), den
+    if kind is Var:
+        return {(1, 0) if node.name == "x" else (0, 1): 1}, 1
+    if kind is Neg:
+        terms, den = _poly(node.operand)
+        return {key: -c for key, c in terms.items()}, den
+    if kind is Const or kind is Call:
+        raise _NotPolynomial
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _scaled(terms: _Terms, factor: int | None) -> _Terms:
+    """terms times a constant factor, None standing for zero."""
+    return {key: c * factor for key, c in terms.items()} if factor else {}
 
 
 def _power(node: BinOp) -> tuple[_Terms, int]:
     """base^k for a nonnegative integer literal k; the degree cap and the
     size bound are checked before anything is expanded."""
-    if not isinstance(node.right, Num):
+    if type(node.right) is not Num:
         raise _NotPolynomial
     num, den = _literal(node.right.text)
     if num < 0 or num % den:
         raise _NotPolynomial
     k = num // den
+    if type(node.left) is Var and k <= MAX_TOTAL_DEGREE:
+        return {(k, 0) if node.left.name == "x" else (0, k): 1}, 1
     terms, den = _poly(node.left)
     if not terms:
         return ({} if k else {(0, 0): 1}), 1

@@ -15,6 +15,8 @@ parenthesized text of an expression and of a problem file, for round
 trips through the parsers; and the character-loop tokenizer and the
 digit-string literal reader the expression front end used before it
 scanned with one regex and read literals through ``Decimal``; the
+method-per-rule recursive descent parser ``fredgal.expr.parse`` used
+before it held its tokens reversed and merged the factor rules; the
 Bernstein-to-monomial conversion with its own hand-scaled Taylor shift,
 which ``bernstein_to_monomial`` replaced by the shift the exact assembly
 uses; and the builtin problems built field by field, as they were before
@@ -33,12 +35,15 @@ from fredgal.errors import (
     InvalidDegree,
     MissingBinding,
     SingularSystem,
+    UnknownIdentifier,
 )
 from fredgal.exact import ExactProblem
 from fredgal.expr import (
     CONSTANTS,
     FUNCTIONS,
+    MAX_DEPTH,
     MAX_TOTAL_DEGREE,
+    VARIABLES,
     BinOp,
     Call,
     Const,
@@ -489,6 +494,136 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
         raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", length))
     return tokens
+
+
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar
+
+        expr   := term (("+"|"-") term)*
+        term   := factor (("*"|"/") factor)*
+        factor := "-" factor | power
+        power  := atom ("^" factor)?
+        atom   := NUMBER | "x" | "t" | "pi" | "e" | NAME "(" expr ")" | "(" expr ")"
+    """
+
+    def __init__(self, text: str):
+        self.tokens = reference_tokenize(text)
+        self.i = 0
+        self.depth = 0  # factors open; every recursion of the parser opens one
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ExpressionSyntaxError(f"expected {what}", tok[2])
+        return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+        # a tree has no more levels than tokens, so only a long text can chain
+        # sums or products deeper than the parser's own nesting
+        if len(self.tokens) > MAX_DEPTH:
+            _reference_check_depth(node)
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op, _, pos = self.advance()
+            node = BinOp(op, node, self.term(), pos)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op, _, pos = self.advance()
+            node = BinOp(op, node, self.factor(), pos)
+        return node
+
+    def factor(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, self.peek()[2])
+        if self.peek()[0] == "-":
+            _, _, pos = self.advance()
+            node = Neg(self.factor(), pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
+
+    def power(self):
+        node = self.atom()
+        if self.peek()[0] == "^":
+            _, _, pos = self.advance()
+            node = BinOp("^", node, self.factor(), pos)
+        return node
+
+    def atom(self):
+        kind, text, pos = self.peek()
+        if kind == "num":
+            self.advance()
+            return Num(text, pos)
+        if kind == "name":
+            self.advance()
+            if text in VARIABLES:
+                return Var(text, pos)
+            if text in CONSTANTS:
+                return Const(text, pos)
+            if text in FUNCTIONS:
+                self.expect("(", f"'(' after function {text!r}")
+                arg = self.expr()
+                self.expect(")", "')'")
+                return Call(text, arg, pos)
+            raise UnknownIdentifier(f"unknown identifier {text!r}", pos)
+        if kind == "(":
+            self.advance()
+            node = self.expr()
+            self.expect(")", "')'")
+            return node
+        if kind == "end":
+            raise ExpressionSyntaxError("unexpected end of expression", pos)
+        raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
+
+
+def reference_parse(text: str):
+    """The AST of expression text, by the method-per-rule parser over the
+    character-loop tokenizer; the same errors, messages and offsets."""
+    if not text.strip():
+        raise ExpressionSyntaxError("empty expression", 0)
+    return _ReferenceParser(text).parse()
+
+
+def _reference_check_depth(node) -> None:
+    """Refuse a tree deeper than MAX_DEPTH, found without recursion; the
+    children of a node are pushed in field order."""
+    stack = [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        if level > MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, node.pos)
+        if isinstance(node, BinOp):
+            children = (node.left, node.right)
+        elif isinstance(node, Neg):
+            children = (node.operand,)
+        elif isinstance(node, Call):
+            children = (node.arg,)
+        else:
+            children = ()
+        stack += ((child, level + 1) for child in children)
 
 
 def _oversized(bits: int) -> bool:

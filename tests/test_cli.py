@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fredgal.cli import MAX_GRID_POINTS, fmt10, format_polynomial, main
-from fredgal.errors import IllConditionedWarning
+from fredgal import cli
+from fredgal.cli import MAX_GRID_POINTS, build_parser, fmt10, format_polynomial, main
+from fredgal.errors import _SPLIT_BITS, IllConditionedWarning, _endpoint_text, number_text
 from fredgal.problems import builtin
 
 from exact_oracle import write_problem
@@ -274,8 +275,10 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     ):
         code, out, err, caught = run_problem(capsys, tmp_path / "tiny.fie", TINY_TEXT, *argv)
         assert (code, out, caught) == (1, "", [])
-        assert err.startswith("error: interval [0, 1/1000") and err.count("\n") == 1
-        assert err.endswith("] is empty in floating point: both endpoints round to 0.0\n")
+        # the endpoint is quoted in exponent form, not as a 401-digit denominator
+        assert err == (
+            "error: interval [0, 1e-400] is empty in floating point: both endpoints round to 0.0\n"
+        )
 
 
 def test_exit_code_solver_errors(capsys, tmp_path):
@@ -545,6 +548,38 @@ def test_exact_results_past_the_int_string_limit(capsys, tmp_path, rhs, scale):
         assert err == "error: a coefficient of the solution is beyond the float range\n"
 
 
+def test_number_text_writes_the_digits_decimal_writes_on_either_side_of_the_split():
+    # past _SPLIT_BITS an integer is converted half by half; the text stays str(Decimal(n))
+    rng = random.Random(2013)
+    for bits in (1, 128, 129, 4000, _SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1,
+                 _SPLIT_BITS + 129, 3 * _SPLIT_BITS):
+        for n in (rng.getrandbits(bits) | 1 << (bits - 1), 1 << (bits - 1), (1 << bits) - 1):
+            assert number_text(n) == str(Decimal(n))
+            assert number_text(-n) == str(Decimal(-n))
+            assert number_text(Fraction(n, 3 * n + 1)) == f"{Decimal(n)}/{Decimal(3 * n + 1)}"
+    assert number_text(0) == "0" and number_text(Fraction(-1, 2)) == "-1/2"
+    # and in time near linear in the digits: a million bits took 1.9 s through Decimal(n)
+    n = rng.getrandbits(1_000_000)
+    start = time.perf_counter()
+    number_text(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_endpoint_text_quotes_a_long_endpoint_by_its_first_ten_digits():
+    assert _endpoint_text(Fraction(1, 10**400)) == "1e-400"
+    assert _endpoint_text(-Fraction(2, 3 * 10**400)) == "-6.666666667e-401"
+    # rounded once, exactly: nine nines past the tenth digit carry into it
+    assert _endpoint_text(Fraction(10**401 - 1, 10**801)) == "1e-400"
+    assert _endpoint_text(Fraction(12345678905, 10**410)) == "1.23456789e-400"  # half to even
+    assert _endpoint_text(10**63) == "1" + "0" * 63  # 64 characters: written in full
+    assert _endpoint_text(10**64 + 5 * 10**54) == "1e+64"  # 65 digits, and half to even
+    assert _endpoint_text(7 * 10**64 + 10**55) == "7.000000001e+64"
+    assert _endpoint_text(Fraction(100000000000000000001, 100000000000000000000)) == (
+        "100000000000000000001/100000000000000000000"
+    )
+    assert _endpoint_text(0.5) == "0.5"
+
+
 PROBLEM_TEXT = (
     "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = 1\nkernel = x*t\nrhs = x\n"
 )
@@ -608,7 +643,15 @@ def test_interval_wider_than_the_float_range_solves_exactly(capsys, tmp_path):
         capsys, tmp_path / "tiny.fie", TINY_TEXT, "solve", "--degree", "2"
     )
     assert (code, err, caught) == (0, "", [])
-    assert out.startswith("mode: exact\ndegree: 2\ninterval: [0, 0]\n")
+    # where the float views are one point, the interval line quotes the exact endpoints
+    assert out.startswith("mode: exact\ndegree: 2\ninterval: [0, 1e-400]\n")
+    code, out, err, caught = run_problem(
+        capsys, tmp_path / "collapsed.fie",
+        TINY_TEXT.replace("interval_a = 0", "interval_a = 1").replace("1e-400", "1.00000000000000000001"),
+        "solve", "--degree", "2",
+    )
+    assert (code, err, caught) == (0, "", [])
+    assert "\ninterval: [1, 100000000000000000001/100000000000000000000]\n" in out
 
 
 def test_basis_interval_wider_than_the_float_range_is_an_input_error(capsys):
@@ -739,3 +782,118 @@ def test_fuzzed_problem_files_end_in_a_result_or_one_error_line(capsys, tmp_path
     assert time.perf_counter() - start < 2.0
     # results and both kinds of error occur in quantity
     assert min(codes.count(0), codes.count(1), codes.count(2)) > 20
+
+
+# -- the argument parser's own output, byte for byte -------------------------
+
+TOP_HELP = """\
+usage: fredgal [-h] {solve,table,converge,basis} ...
+
+Solve second-kind Fredholm integral equations with a Bernstein-basis Galerkin
+method.
+
+positional arguments:
+  {solve,table,converge,basis}
+    solve               print expansion coefficients
+    table               CSV error table on a point grid
+    converge            CSV max-error study over degrees
+    basis               CSV of sampled basis functions
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+SOLVE_HELP = """\
+usage: fredgal solve [-h] (--builtin NAME | --problem PATH) --degree N
+                     [--quadrature Q] [--mode {auto,float,exact}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --builtin NAME        bundled problem (example1, example2, example3,
+                        example4)
+  --problem PATH        problem file to load
+  --degree N
+  --quadrature Q
+  --mode {auto,float,exact}
+  --out PATH
+"""
+
+EXAMPLE1_DEGREE2 = """\
+mode: exact
+degree: 2
+interval: [-1, 1]
+coefficients: 19/9 -1/9 19/9
+monomial: 1 + 10/9*x^2
+condition: 3.06295
+"""
+
+COMMANDS = "(choose from 'solve', 'table', 'converge', 'basis')"
+
+# (argv, exit code, stdout, stderr); help exits through SystemExit(0)
+USAGE_CASES = [
+    ((), 1, "", "error: the following arguments are required: command\n"),
+    (("-h",), 0, TOP_HELP, ""),
+    (("--help",), 0, TOP_HELP, ""),
+    (("solve", "--help"), 0, SOLVE_HELP, ""),
+    (("frobnicate",), 1, "", f"error: argument command: invalid choice: 'frobnicate' {COMMANDS}\n"),
+    (("--", "solve", "--builtin", "example1", "--degree", "2"), 1, "",
+     f"error: argument command: invalid choice: '--' {COMMANDS}\n"),
+    (("solve", "--builtin=example1", "--degree=2"), 0, EXAMPLE1_DEGREE2, ""),
+    (("table", "--builtin", "example1", "--degree=two"), 1, "",
+     "error: argument --degree: invalid int value: 'two'\n"),
+    (("solve", "--builtin", "example1", "--deg", "2"), 1, "",
+     "error: the following arguments are required: --degree\n"),
+    (("converge", "--builtin", "example1", "--degree", "2"), 1, "",
+     "error: the following arguments are required: --degrees\n"),
+    (("solve", "--builtin", "example1"), 1, "",
+     "error: the following arguments are required: --degree\n"),
+    (("solve", "--degree", "2"), 1, "",
+     "error: one of the arguments --builtin --problem is required\n"),
+    (("solve", "--builtin", "example1", "--problem", "p.txt", "--degree", "2"), 1, "",
+     "error: argument --problem: not allowed with argument --builtin\n"),
+    (("solve", "--builtin", "example1", "--degree", "2", "extra"), 1, "",
+     "error: unrecognized arguments: extra\n"),
+    (("solve", "--builtin", "example1", "--degree", "2", "--mode", "fast"), 1, "",
+     "error: argument --mode: invalid choice: 'fast' (choose from 'auto', 'float', 'exact')\n"),
+    (("converge", "--builtin", "example1", "--degrees", "1,x"), 1, "",
+     "error: --degrees expects comma-separated integers, got '1,x'\n"),
+    (("basis", "--degree", "2", "--interval-a", "-1e-3"), 1, "",
+     "error: argument --interval-a: expected one argument\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_CASES)
+def test_usage_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_subcommand_parser_called_directly_answers_as_the_full_parser(capsys, monkeypatch):
+    # main hands argv[1:] to a named subcommand's own parser; with no
+    # subcommand parsers to hand to, every argv goes through the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(2013)
+    pieces = ["--builtin", "example1", "example9", "--problem", "/nonexistent", "--degree",
+              "--degrees", "2", "1,2", "x", "--quadrature", "0", "--mode", "exact", "fast",
+              "--grid-step", "-0.5", "--interval-a", "--samples", "-h", "--", "--deg", "--degree=3"]
+    argvs = [argv for argv, *_ in USAGE_CASES]
+    argvs += [(rng.choice(["solve", "table", "converge", "basis"]),
+               *rng.choices(pieces, k=rng.randint(0, 6))) for _ in range(300)]
+    direct = [outcome(capsys, argv) for argv in argvs]
+    parser, _ = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))
+    assert [outcome(capsys, argv) for argv in argvs] == direct

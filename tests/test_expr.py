@@ -1,9 +1,12 @@
+import copy
 import functools
 import importlib
 import math
+import pickle
 import random
 import sys
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from fredgal.expr import (
     MAX_DEPTH,
     BinOp,
     Call,
+    Const,
     Neg,
     Num,
     Var,
@@ -38,6 +42,7 @@ from exact_oracle import (
     from_pair,
     reference_evaluate,
     reference_literal,
+    reference_parse,
     reference_polynomial,
     reference_tokenize,
     to_text,
@@ -62,6 +67,25 @@ def test_parse_exponential_kernel_structure():
         Call("exp", Var("t")),
     )
     assert ast == expected
+
+
+def test_nodes_are_immutable_values_that_ignore_pos():
+    node = parse("-exp(x)/(2 - e^2)")
+    twin = parse(" -exp(x) / (2-e^2)")  # the same tree at other offsets
+    assert node == twin and hash(node) == hash(twin) and node != parse("-exp(t)/(2 - e^2)")
+    assert repr(Num("2", 4)) == "Num(text='2', pos=4)"
+    assert repr(node.left) == "Neg(operand=Call(func='exp', arg=Var(name='x', pos=5), pos=1), pos=0)"
+    for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert repr(copied) == repr(node)
+    for attempt in (lambda: setattr(node, "op", "*"), lambda: setattr(node, "extra", 1),
+                    lambda: delattr(node, "pos")):
+        with pytest.raises(FrozenInstanceError):
+            attempt()
+    match node:
+        case BinOp("/", Neg(Call("exp", Var("x"))), BinOp("-", Num("2"), _, 11), 7):
+            pass
+        case _:
+            pytest.fail(f"no match: {node!r}")
 
 
 def test_dangling_operator_offset():
@@ -785,3 +809,86 @@ def test_expressions_nested_past_the_depth_bound_are_syntax_errors(shape):
     for k in (MAX_DEPTH + 1, 2000, 3000):
         with pytest.raises(ExpressionSyntaxError, match="nested deeper than 100 levels"):
             parse(DEEP_TEXTS[shape](k))
+
+
+# -- the parser against the one it replaced ----------------------------------
+
+FIELDS = {Num: ("text",), Var: ("name",), Const: ("name",), Neg: ("operand",),
+          BinOp: ("op", "left", "right"), Call: ("func", "arg")}
+
+
+def spelled_out(node):
+    """The tree as nested tuples of each node's type, fields and pos, which
+    == on nodes leaves out."""
+    fields = (getattr(node, name) for name in FIELDS[type(node)])
+    return (type(node).__name__, node.pos,
+            *(spelled_out(v) if type(v) in FIELDS else v for v in fields))
+
+
+def parse_outcome(parser, text):
+    try:
+        return spelled_out(parser(text))
+    except ExpressionSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def grammar_text(rng: random.Random, depth: int, rule: str = "expr") -> str:
+    """Valid expression text drawn rule by rule from the grammar, with few
+    parentheses and random spacing, so precedence and associativity decide
+    the tree."""
+    def space():
+        return rng.choice(["", "", " ", "  ", "\t"])
+
+    if rule == "expr":
+        parts = [grammar_text(rng, depth, "term") for _ in range(rng.randint(1, 3))]
+        return "".join(f"{space()}{rng.choice('+-')}{space()}{p}" if i else p
+                       for i, p in enumerate(parts))
+    if rule == "term":
+        parts = [grammar_text(rng, depth, "factor") for _ in range(rng.randint(1, 3))]
+        return "".join(f"{space()}{rng.choice('*/')}{space()}{p}" if i else p
+                       for i, p in enumerate(parts))
+    if rule == "factor":
+        if depth > 0 and rng.random() < 0.15:
+            return "-" + space() + grammar_text(rng, depth - 1, "factor")
+        atom = grammar_text(rng, depth, "atom")
+        if depth > 0 and rng.random() < 0.25:
+            return f"{atom}{space()}^{space()}{grammar_text(rng, depth - 1, 'factor')}"
+        return atom
+    pick = rng.random()
+    if depth == 0 or pick < 0.5:
+        return rng.choice(["x", "t", "pi", "e", "2", "0.5", "1.5e-3", "10", "007", "3E2"])
+    inner = grammar_text(rng, depth - 1)
+    if pick < 0.75:
+        return f"({space()}{inner}{space()})"
+    return f"{rng.choice(['exp', 'sin', 'cos', 'log', 'sqrt'])}{space()}({inner})"
+
+
+def test_parse_matches_the_reference_on_random_text():
+    rng = random.Random(2013)
+    pieces = TEXT_PIECES + ["x", "t", "(", ")", "-", "^", "*", "exp(", "sin(", "1.5", " "]
+    errors = 0
+    for _ in range(30000):
+        text = "".join(rng.choice(WHITESPACE if rng.random() < 0.1 else pieces)
+                       for _ in range(rng.randint(0, 12)))
+        want = parse_outcome(reference_parse, text)
+        assert parse_outcome(parse, text) == want, repr(text)
+        errors += type(want[0]) is type
+    assert 3000 < errors < 29000  # both trees and errors occur in quantity
+
+
+def test_parse_matches_the_reference_on_grammar_generated_expressions():
+    rng = random.Random(2013)
+    texts = [grammar_text(rng, 3) for _ in range(1000)]
+    texts += [random_expression(rng, 4) for _ in range(500)]
+    texts += [random_evaluation(rng, 4) for _ in range(500)]
+    for text in texts:
+        want = parse_outcome(reference_parse, text)
+        assert type(want[0]) is str, text  # a tree, not an error
+        assert parse_outcome(parse, text) == want, text
+
+
+@pytest.mark.parametrize("shape", DEEP_TEXTS)
+def test_parse_matches_the_reference_around_the_depth_bound(shape):
+    for k in (99, 100, 101, 2000):
+        text = DEEP_TEXTS[shape](k)
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), (shape, k)

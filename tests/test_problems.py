@@ -283,6 +283,10 @@ def test_number_keys_read_as_fraction_reads_them():
         ("4_6.0_5", Fraction(4605, 100)),
         ("0e30000", Fraction(0)),
         ("1" * 4300 + "/" + "3" * 4300, Fraction(1, 3)),
+        # either side of the plain-decimal reader's 300 digits
+        ("-" + "9" * 300 + "." + "\u0663" * 300, -Fraction(int("9" * 300 + "3" * 300), 10**300)),
+        ("+" + "9" * 301 + ".5", Fraction(int("9" * 301 + "5"), 10)),
+        ("0." + "0" * 300 + "7", Fraction(7, 10**301)),
     ],
     ids=lambda v: v[:20] if isinstance(v, str) else None,
 )
