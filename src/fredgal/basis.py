@@ -146,17 +146,16 @@ def legendre_to_bernstein_exact(nums: list[int], den: int) -> list[Fraction]:
     ]
 
 
-def _numerators(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integers nums and common with values[s] == nums[s] / common."""
-    common = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (common // v.denominator) for v in values], common
-
-
 def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
     """Ascending integer coefficients in u of g^d·p((lo + hi·u)/g), where
     p = Σ nums[s]·x^s has degree d: Σ nums[s]·g^(d-s)·(lo + hi·u)^s,
-    expanded by Horner steps.
+    expanded by Horner steps.  With lo = 0 the sum is nums[s]·hi^s·g^(d-s)
+    term by term, and nums itself, not a copy, when hi = g = 1: callers
+    only read the result.
     """
+    if not lo:
+        d = len(nums) - 1
+        return nums if hi == g == 1 else [c * hi**s * g ** (d - s) for s, c in enumerate(nums)]
     out = [nums[-1]]
     power = 1
     for c in reversed(nums[:-1]):
@@ -208,24 +207,38 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     if len(coeffs) != spec.n + 1:
         raise ValueError(f"expected {spec.n + 1} coefficients, got {len(coeffs)}")
     exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
-    n, a = spec.n, Fraction(spec.a)
-    h = Fraction(spec.b) - a
-    diff, common = _numerators([Fraction(v) for v in coeffs])
+    n = spec.n
+    (an, ad), (bn, bd) = _ratio(spec.a), _ratio(spec.b)
+    hn, hd = bn * ad - an * bd, ad * bd
+    content = math.gcd(hn, hd)
+    hn, hd = hn // content, hd // content  # h = b - a = hn/hd in lowest terms
+    pairs = list(map(_ratio, coeffs))
+    common = math.lcm(*[d for _, d in pairs])
+    diff = [v * (common // d) for v, d in pairs]
     # power form in u = (x-a)/h: the u^k coefficient is C(n,k)·Δ^k c_0 / h^k
     # (forward difference at 0).  Over den = common·g^n, g = hn·ad, it is
     # e_k, the coefficient of (y - an)^k for y = ad·x
-    g = h.numerator * a.denominator
+    g = hn * ad
     e = []
     for k in range(n + 1):
-        e.append(math.comb(n, k) * diff[0] * h.denominator**k * g ** (n - k))
+        e.append(math.comb(n, k) * diff[0] * hd**k * g ** (n - k))
         diff = [right - left for left, right in zip(diff, diff[1:])]
     # the shift's Horner steps multiply by an alone, not by the larger ad·hd
     # of substituting x directly; then y^m = ad^m·x^m
-    out = [v * a.denominator**m for m, v in enumerate(_shift(e, -a.numerator, 1, 1))]
+    out = [v * ad**m for m, v in enumerate(_shift(e, -an, 1, 1))]
     den = common * g**n
     if exact:
         return [Fraction(v, den) for v in out]
     return [_nearest_float(v, den) for v in out]
+
+
+def _ratio(value) -> tuple[int, int]:
+    """A number (int, Fraction, float or numpy scalar) as Python integers
+    (numerator, denominator > 0) in lowest terms, with no Fraction built."""
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        return index(value), 1
 
 
 def _nearest_float(numerator: int, denominator: int) -> float:

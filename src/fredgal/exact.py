@@ -5,11 +5,15 @@ shifted Legendre polynomials P_k(2u-1), where it is sparse.
 Polynomial data are the pairs (terms, den) of ``fredgal.expr.to_polynomial``,
 integers over one denominator; lambda and the endpoints are
 ``fractions.Fraction``.  The assembly and the solve run on Python integers:
-every entry of the system is summed from the moments ∫₀¹ u^r·P_j(2u-1) du,
-each row of the matrix is held as integers over one positive denominator
-with f(x)'s denominator kept apart, the elimination is fraction-free, and
-the solution comes back as integers over one common denominator.  Only
-the Bernstein coefficients are Fractions, one per coefficient
+every entry of the system is summed from the moments ∫₀¹ u^r·P_j(2u-1) du.
+The powers of x and t have their moments in one integer table M per degree
+and interval, cached across solves (``_moment_map``), so the kernel's
+block is the product Mxᵀ·K·Mt of the kernel's coefficient grid K with two
+of them, and f(x)'s projection is Mfᵀ·f.  Each row of the matrix is held
+as integers over one positive denominator with f(x)'s denominator kept
+apart, the elimination is fraction-free, and the solution comes back as
+integers over one common denominator.  Only the Bernstein coefficients
+are Fractions, one per coefficient
 (``fredgal.basis.legendre_to_bernstein_exact``).
 """
 
@@ -28,6 +32,11 @@ from .errors import InvalidInterval, InvalidProblem, SingularSystem, number_text
 # measured across degree, data degree and number sizes: every problem
 # measured under it solved exactly in about 1 s or less
 MAX_EXACT_WORK = 500_000
+
+# Most moment maps (``_moment_map``, (d+1)² integers each) kept across
+# solves, the least recently used dropped first: intervals are unbounded in
+# number, so the cache needs a bound
+MOMENT_MAPS = 128
 
 # the polynomial Σ terms[(i, j)]/den·x^i·t^j, as ``to_polynomial`` gives it
 _Polynomial = tuple[dict[tuple[int, int], int], int]
@@ -121,6 +130,22 @@ def _moments(nums: list[int], n: int) -> list[int]:
     return [sum(map(mul, weights[j][j:], nums[j:])) for j in range(min(len(nums) - 1, n) + 1)]
 
 
+@lru_cache(maxsize=MOMENT_MAPS)
+def _moment_map(d: int, lo: int, hi: int, g: int) -> tuple[tuple[int, ...], ...]:
+    """The moments M[p][j] = ∫₀¹ g^(d-p)·(lo + hi·u)^p·P_j(2u-1) du of the
+    powers x^p, p = 0..d, of x = (lo + hi·u)/g, as integers over
+    ``_moment_den(d)``, for j = 0..d; M[p][j] = 0 for j > p.
+
+    Stored by moment: entry j holds (M[0][j], ..., M[d][j]), so that
+    Σ_p c_p·M[p][j] for a polynomial Σ c_p·x^p of degree d is one dot
+    product with its coefficients.  Cached per degree and interval,
+    read-only; the bound is fixed because intervals are unbounded in
+    number.
+    """
+    by_power = [_moments(_shift([0] * p + [1] + [0] * (d - p), lo, hi, g), d) for p in range(d + 1)]
+    return tuple(zip(*by_power))
+
+
 @lru_cache(maxsize=None)
 def _legendre(i: int) -> tuple[int, ...]:
     """Integer coefficients of P_i(2u-1), from u^i down to u^0:
@@ -141,10 +166,13 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     P_j, summed from the moments ∫₀¹ u^r·P_j(2u-1) du
     (``_moment_weights``), which vanish for r < j.  So the a(x) block is
     banded (bandwidth deg a) and the kernel block is nonzero only in its
-    leading (deg_x k + 1)-by-(deg_t k + 1) corner.  The matrix is summed
-    on Python integers over one denominator, each row is divided by the
-    content of its matrix entries, and f's moments are then put over
-    dens[j]·f_den.
+    leading (deg_x k + 1)-by-(deg_t k + 1) corner.  With M the moment
+    table of the powers of x on [a, b] (``_moment_map``) and K the
+    kernel's coefficient grid, K[p][q] for x^p·t^q, that corner is
+    Mxᵀ·K·Mt, and f's moments are Mfᵀ·f for f's coefficients f.  The
+    matrix is summed on Python integers over one denominator, each row is
+    divided by the content of its matrix entries, and f's moments are then
+    put over dens[j]·f_den.
     """
     a, h = problem.a, problem.b - problem.a
     hn, hd = h.numerator, h.denominator
@@ -152,24 +180,25 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     g, lo, hi = a.denominator * hd, a.numerator * hd, hn * a.denominator
     rhs = n + 1
 
-    # kernel term c·u^r·v^s after the shift of x and t: its t-integral
-    # against trial member i is h·c·M[s][i] and its x-integral against test
-    # member j is h·M[r][j], M[r][j] = ∫₀¹ u^r·P_j(2u-1) du
+    # kernel term c·x^p·t^q: its t-integral against trial member i is
+    # h·c·Mt[q][i] and its x-integral against test member j is h·Mx[p][j],
+    # so the corner is Mxᵀ·K·Mt, summed in two passes: the t-integrals for
+    # each power of x in the kernel, then the x-integrals
     kernel, common = problem.kernel_poly
     dx = max((p for p, _ in kernel), default=0)
     dt = max((q for _, q in kernel), default=0)
-    grid = [
-        _shift([kernel.get((p, q), 0) for q in range(dt + 1)], lo, hi, g) for p in range(dx + 1)
-    ]
-    grid = [_shift(list(col), lo, hi, g) for col in zip(*grid)]  # grid[s][r]
+    grid = [[0] * (dt + 1) for _ in range(dx + 1)]  # grid[p][q] = K[p][q]
+    for (p, q), c in kernel.items():
+        grid[p][q] = c
+    mt, mx = _moment_map(dt, lo, hi, g)[: n + 1], _moment_map(dx, lo, hi, g)[: n + 1]
+    by_t = [[sum(map(mul, col, row)) for col in mt] if any(row) else [0] * len(mt) for row in grid]
+    corner = [[sum(map(mul, col, by_i)) for by_i in zip(*by_t)] for col in mx]  # corner[j][i]
     lam = problem.lam * h * h
-    # integrate over v first (trial member i), then over u (test member j)
-    by_r = [_moments(list(row), n) for row in zip(*grid)]  # by_r[r][i]
-    corner = list(zip(*[_moments(list(col), n) for col in zip(*by_r)]))  # corner[j][i]
     kernel_den = common * g ** (dx + dt) * lam.denominator * _moment_den(dx) * _moment_den(dt)
 
+    # f's moments Mfᵀ·f
     nums, common = _in_x(problem.f_poly)
-    f_moments = _moments(_shift(nums, lo, hi, g), n)
+    f_moments = [sum(map(mul, col, nums)) for col in _moment_map(len(nums) - 1, lo, hi, g)[: n + 1]]
     f_den = common * g ** (len(nums) - 1) * hd * _moment_den(len(nums) - 1)
 
     # ∫ a(x)·P_i·P_j dx = h·∫₀¹ q(u)·P_j du with q = α·P_i, α = a(x) in u.

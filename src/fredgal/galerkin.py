@@ -231,7 +231,8 @@ def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """
     try:
         inverse = np.linalg.inv(matrix)
-        cond = float(np.linalg.norm(matrix, 1)) * float(np.linalg.norm(inverse, 1))
+        # the reduction np.linalg.norm(M, 1) performs, without its checks
+        cond = float(abs(matrix).sum(axis=0).max()) * float(abs(inverse).sum(axis=0).max())
     except np.linalg.LinAlgError:
         cond = math.inf
     if not cond <= SINGULAR_CONDITION:
@@ -251,13 +252,33 @@ def _float_view(rows: list[dict[int, int]], dens: list[int]) -> np.ndarray:
     overflows, and the exact scale leaves the condition of an in-range
     matrix as it is."""
     m = len(rows)
-    view = np.zeros((m, m))
-    entries = [(j, i, v, d) for j, (row, d) in enumerate(zip(rows, dens)) for i, v in row.items()]
-    s = max((v.bit_length() - d.bit_length() for _, i, v, d in entries if i < m), default=0)
-    for j, i, v, d in entries:
-        if i < m:
-            view[j, i] = (v << max(-s, 0)) / (d << max(s, 0))
-    return view
+    s = max(
+        (v.bit_length() - d.bit_length()
+         for row, d in zip(rows, dens) for i, v in row.items() if i < m),
+        default=0,
+    )
+    up, down = max(-s, 0), max(s, 0)
+    index, values = [], []  # positions in the flattened matrix, and entries
+    for j, (row, d) in enumerate(zip(rows, dens)):
+        d <<= down
+        for i, v in row.items():
+            if i < m:
+                index.append(j * m + i)
+                values.append((v << up) / d)
+    view = np.zeros(m * m)
+    view[index] = values
+    return view.reshape(m, m)
+
+
+@lru_cache(maxsize=None)
+def _orthonormal_scale(n: int) -> np.ndarray:
+    """outer(s, s) for s_k = sqrt(2k+1), k = 0..n: the factor that takes a
+    system in the members P_k(2u-1) to the orthonormal members
+    sqrt(2k+1)·P_k(2u-1).  Cached per degree, read-only."""
+    scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+    outer = np.outer(scale, scale)
+    outer.flags.writeable = False
+    return outer
 
 
 def solve(
@@ -317,10 +338,8 @@ def _solve(
         rows, dens, f_den = exact_assemble(view, n)
         nums, den = solve_rational_system(rows)
         coeffs = tuple(legendre_to_bernstein_exact(nums, den * f_den))
-        # the orthonormal members are sqrt(2k+1)·P_k(2u-1)
-        scale = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
         try:
-            _, cond = _invert(_float_view(rows, dens) * np.outer(scale, scale))
+            _, cond = _invert(_float_view(rows, dens) * _orthonormal_scale(n))
         except SingularSystem:  # the float view is singular to working precision
             cond = math.inf
         path, q = "exact", None

@@ -19,8 +19,10 @@ method-per-rule recursive descent parser ``fredgal.expr.parse`` used
 before it held its tokens reversed and merged the factor rules; the
 Bernstein-to-monomial conversion with its own hand-scaled Taylor shift,
 which ``bernstein_to_monomial`` replaced by the shift the exact assembly
-uses; and the builtin problems built field by field, as they were before
-``fredgal.problems`` read them as problem-file text."""
+uses; that shift by Horner steps alone, which ``fredgal.basis._shift``
+writes in closed form when the interval starts at 0; and the builtin
+problems built field by field, as they were before ``fredgal.problems``
+read them as problem-file text."""
 
 import math
 import re
@@ -310,6 +312,18 @@ def bernstein_system(
     for p, row in trial.items():
         A = [[A[j][i] + row[i] * power[p][j] for i in size] for j in size]
     return A, _bernstein_moments(coefficients_in_x(from_pair(problem.f_poly)), a, h, n)
+
+
+def horner_shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
+    """Ascending coefficients in u of Σ nums[s]·g^(d-s)·(lo + hi·u)^s,
+    d = len(nums) - 1, expanded by Horner steps whatever lo is."""
+    out = [nums[-1]]
+    power = 1
+    for c in reversed(nums[:-1]):
+        power *= g
+        out = [lo * v + hi * w for v, w in zip([*out, 0], [0, *out])]
+        out[0] += c * power
+    return out
 
 
 def bernstein_solve(problem: ExactProblem, n: int) -> list[Fraction]:

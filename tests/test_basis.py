@@ -465,6 +465,21 @@ def test_monomial_conversion_rounds_past_the_float_range_to_infinity():
     assert exact[1] == Fraction(10**300) / Fraction(1e-10)
 
 
+def test_monomial_conversion_reads_numpy_scalars_as_their_values():
+    # numpy floats carry as_integer_ratio, numpy integers do not; both are
+    # read into Python integers, so no int64 product wraps
+    spec = BasisSpec(2, 0.25, 1.5)
+    want = bernstein_to_monomial([0.5, 0.25, 2.0], spec)
+    scalars = [np.float64(0.5), np.float32(0.25), np.int64(2)]
+    for coeffs in (scalars, list(np.array([0.5, 0.25, 2.0]))):
+        assert bernstein_to_monomial(coeffs, spec) == want
+    spec = BasisSpec(2, np.float64(0.25), np.float32(1.5))
+    assert bernstein_to_monomial([0.5, 0.25, 2.0], spec) == want
+    assert bernstein_to_monomial([1.0, 3.0], BasisSpec(1, np.int64(-1), np.int64(3))) == [1.5, 0.5]
+    big = [np.int64(0), np.int64(2**62)]  # slope 2^64 on [0, 1/4], past int64
+    assert bernstein_to_monomial(big, BasisSpec(1, 0.0, 0.25)) == [0.0, 2.0**64]
+
+
 PARITY_INTERVALS = [
     (0.0, 1.0),
     (-0.3, 1.7),

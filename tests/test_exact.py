@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fredgal.basis import BasisSpec, bernstein_to_monomial, legendre_to_bernstein_exact
+from fredgal.basis import BasisSpec, _shift, bernstein_to_monomial, legendre_to_bernstein_exact
 from fredgal.errors import (
     ExactPathUnavailable,
     InvalidDegree,
@@ -16,7 +16,9 @@ from fredgal.errors import (
 )
 from fredgal.exact import (
     MAX_EXACT_WORK,
+    MOMENT_MAPS,
     ExactProblem,
+    _moment_map,
     exact_assemble,
     exact_work,
     solve_rational_system,
@@ -29,6 +31,7 @@ from exact_oracle import (
     bernstein_solve,
     bernstein_system,
     fraction_system,
+    horner_shift,
     integer_rows,
     legendre_system,
     orthonormal,
@@ -318,6 +321,70 @@ def test_exact_coefficients_equal_the_bernstein_oracle(name):
         coeffs = exact_path(problem, n)
         assert coeffs == bernstein_solve(problem, n), n
         assert all(type(c) is Fraction for c in coeffs), n
+
+
+# a = 0 and a != 0, the non-dyadic [1/3, 7/5] among them
+ORACLE_INTERVALS = [(F(0), F(1)), (F(0), F(2)), (F(-1), F(1)), (F(1, 3), F(7, 5)), (F(0), F(3, 7)),
+                    (F(-5, 2), F(1, 9))]
+
+
+def random_kernel(rng, shape):
+    """(terms, den) of a random kernel: zero, in x only, in t only, or dense
+    up to 12-by-12 coefficients."""
+    dx, dt = rng.randint(0, 11), rng.randint(0, 11)
+    dx, dt = {"zero": (-1, -1), "x": (dx, 0), "t": (0, dt), "dense": (dx, dt)}[shape]
+    terms = {(p, q): rng.randint(-50, 50) for p in range(dx + 1) for q in range(dt + 1)}
+    return {k: c for k, c in terms.items() if c}, rng.randint(1, 30)
+
+
+def random_in_x(rng, degree):
+    """(terms, den) of a random polynomial in x of at most the degree."""
+    terms = {(k, 0): rng.randint(-9, 9) for k in range(degree + 1)}
+    return {k: c for k, c in terms.items() if c}, rng.randint(1, 9)
+
+
+@pytest.mark.parametrize("shape", ["zero", "x", "t", "dense"])
+def test_assembly_equals_the_bernstein_oracle_on_random_problems(shape):
+    # the kernel corner Mxᵀ·K·Mt and f's moments Mfᵀ·f from the cached
+    # moment maps, against the paper's Bernstein system in closed form; the
+    # data degrees run past n, so the corner and f's moments are truncated
+    rng = random.Random(f"oracle-{shape}")
+    for case in range(24):
+        a, b = ORACLE_INTERVALS[case % len(ORACLE_INTERVALS)]
+        n = rng.randint(0, 6)
+        lam = F(rng.randint(-9, 9), rng.randint(1, 9))
+        problem = ExactProblem(random_in_x(rng, rng.randint(0, 3)), lam, random_kernel(rng, shape),
+                               random_in_x(rng, rng.randint(0, 9)), a, b)
+        got = legendre_fractions(problem, n)
+        assert got == legendre_system(*bernstein_system(problem, n)), (shape, case)
+
+
+def test_shift_from_zero_is_the_horner_expansion():
+    rng = random.Random(54)
+    for _ in range(200):
+        nums = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 12))]
+        hi, g = rng.randint(2, 10**5), rng.randint(2, 10**5)
+        for hi, g in ((hi, g), (hi, 1), (1, g), (1, 1)):
+            assert _shift(nums, 0, hi, g) == horner_shift(nums, 0, hi, g)
+    for _ in range(50):  # and with lo != 0, where _shift takes its Horner steps
+        nums = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 12))]
+        lo, hi, g = rng.randint(-99, 99) or 1, rng.randint(1, 99), rng.randint(1, 99)
+        assert _shift(nums, lo, hi, g) == horner_shift(nums, lo, hi, g)
+
+
+def test_moment_maps_are_bounded_and_read_only():
+    # exact solves on more intervals than the cache holds: it stays within
+    # its bound, and each table it keeps is tuples of integers
+    assert _moment_map.cache_info().maxsize == MOMENT_MAPS
+    for k in range(MOMENT_MAPS + 8):
+        b = F(k + 1, 3)
+        problem = FredholmProblem(parse("1"), F(1, 2), parse("x*t"), parse("x^2"), F(0), b)
+        assert solve(problem, 1, mode="exact").mode == "exact"
+    info = _moment_map.cache_info()
+    assert info.currsize <= info.maxsize
+    table = _moment_map(2, 0, 1, 3)
+    assert type(table) is tuple and all(type(col) is tuple for col in table)
+    assert all(type(v) is int for col in table for v in col)
 
 
 def nonzeros(A):

@@ -11,7 +11,7 @@ import pytest
 from fredgal.basis import legendre_to_bernstein
 from fredgal.errors import IllConditionedWarning, SingularSystem
 from fredgal.expr import parse
-from fredgal.galerkin import FredholmProblem, assemble, solve
+from fredgal.galerkin import FredholmProblem, _invert, assemble, solve
 
 
 def operator_problem(lam, a="1", kernel="1", rhs="1", interval=(0.0, 1.0)):
@@ -123,3 +123,14 @@ def test_condition_of_nonsymmetric_matrix_uses_column_sums():
     assert np.linalg.cond(A, np.inf) == pytest.approx(9.2770, rel=1e-4)
     for mode in ("float", "exact"):
         assert solve(problem, 6, mode=mode).condition == pytest.approx(want, rel=1e-10)
+
+
+def test_condition_is_numpys_one_norm_product_bit_for_bit():
+    # _invert sums the columns' absolute values itself; the figure must stay
+    # the one np.linalg.norm(., 1) gives, to the last bit
+    rng = np.random.default_rng(55)
+    for m in range(1, 52):
+        scale = 10.0 ** int(rng.integers(-20, 21))
+        A = (rng.standard_normal((m, m)) + rng.uniform(0, m) * np.eye(m)) * scale
+        inverse, cond = _invert(A)
+        assert cond == float(np.linalg.norm(A, 1)) * float(np.linalg.norm(inverse, 1)), m
