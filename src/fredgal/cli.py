@@ -51,6 +51,7 @@ _USAGE_ERRORS = (
     InvalidDegree,
     InvalidInterval,
     OrderOutOfRange,
+    OSError,  # a problem file that cannot be read, an --out path that cannot be written
 )
 
 
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FredgalError, OSError) as exc:
+    except FredgalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, InvalidOperation
 
@@ -37,105 +38,42 @@ VARIABLES = ("x", "t")
 MAX_TOTAL_DEGREE = 100
 
 
-class _Node:
-    """An immutable AST node.  Nodes compare and hash by type and fields;
-    ``pos``, the offset of the node's token in the text, is provenance for
-    error messages, not part of the tree's identity.  The fields live in
-    slots, written once by ``__init__`` through the slots' own setters."""
-
-    __slots__ = ("pos",)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+def _node(name: str, fields: str) -> type:
+    """An immutable AST node type: a named tuple of ``fields`` and ``pos``,
+    the offset of the node's token in the text.  ``pos`` is provenance for
+    error messages, not part of the tree's identity: nodes compare and hash
+    by type and the other fields, never equal a plain tuple, have no order,
+    and refuse attribute assignment and deletion."""
+    cls = namedtuple(name, f"{fields} pos", defaults=(-1,))
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self[:-1])
 
-    def __repr__(self):
-        fields = "".join(f"{name}={getattr(self, name)!r}, " for name in self.__slots__)
-        return f"{type(self).__name__}({fields}pos={self.pos!r})"
+    def unordered(self, other):
+        raise TypeError(f"{name} nodes have no order")
 
-    def __reduce__(self):
-        return type(self), (*self._fields(), self.pos)
+    def frozen(self, attr, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {attr!r}")
 
-
-class Num(_Node):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str, pos: int = -1):
-        _set_text(self, text)
-        _set_pos(self, pos)
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = unordered
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls
 
 
-class Var(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, pos: int = -1):
-        _set_var(self, name)
-        _set_pos(self, pos)
-
-
-class Const(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, pos: int = -1):
-        _set_const(self, name)
-        _set_pos(self, pos)
-
-
-class Neg(_Node):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: Node, pos: int = -1):
-        _set_operand(self, operand)
-        _set_pos(self, pos)
-
-
-class BinOp(_Node):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Node, right: Node, pos: int = -1):
-        _set_op(self, op)
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_pos(self, pos)
-
-
-class Call(_Node):
-    __slots__ = ("func", "arg")
-
-    def __init__(self, func: str, arg: Node, pos: int = -1):
-        _set_func(self, func)
-        _set_arg(self, arg)
-        _set_pos(self, pos)
-
-
-# each slot's setter, which writes past the classes' refusing __setattr__
-_set_pos = _Node.pos.__set__
-_set_text = Num.text.__set__
-_set_var = Var.name.__set__
-_set_const = Const.name.__set__
-_set_operand = Neg.operand.__set__
-_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
-_set_func, _set_arg = Call.func.__set__, Call.arg.__set__
-
+Num = _node("Num", "text")
+Var = _node("Var", "name")
+Const = _node("Const", "name")
+Neg = _node("Neg", "operand")
+BinOp = _node("BinOp", "op left right")
+Call = _node("Call", "func arg")
 Node = Num | Var | Const | Neg | BinOp | Call
-for _cls in Node.__args__:  # positional patterns, as the dataclasses gave them
-    _cls.__match_args__ = (*_cls.__slots__, "pos")
-del _cls
-# the children of each inner node, in field order
-_CHILDREN = {BinOp: ("left", "right"), Neg: ("operand",), Call: ("arg",)}
 
 # whitespace, then one token: a number, a name, an operator or parenthesis,
 # or any other character, which is an error
@@ -268,7 +206,7 @@ def _check_depth(node: Node) -> None:
         node, level = stack.pop()
         if level > MAX_DEPTH:
             raise ExpressionSyntaxError(_TOO_DEEP, node.pos)
-        stack += ((getattr(node, name), level + 1) for name in _CHILDREN.get(type(node), ()))
+        stack += ((child, level + 1) for child in node if isinstance(child, Node))
 
 
 def evaluate(node: Node, x, t=None):

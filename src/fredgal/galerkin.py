@@ -353,7 +353,10 @@ def _solve(
             )
         A, F = system(n, q)
         inverse, cond = _invert(A)
-        coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
+        with np.errstate(all="ignore"):  # nonfinite coefficients are refused below
+            coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError("solution coefficients are beyond the float range")
         spec, path = BasisSpec(n, float(problem.a), float(problem.b)), "float"
 
     if cond > CONDITION_WARN_THRESHOLD:

@@ -236,6 +236,16 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "basis", "--degree", "2", "--samples", "1")
     assert code == 1 and out == "" and err == "error: --samples must be at least 2\n"
 
+    # a problem file that cannot be read, or an --out path that cannot be written
+    for argv in (
+        ["solve", "--problem", str(tmp_path / "does-not-exist.fie"), "--degree", "2"],
+        ["solve", "--problem", str(tmp_path), "--degree", "2"],  # a directory
+        ["solve", "--builtin", "example1", "--degree", "2", "--out", str(tmp_path / "no" / "x")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1), argv
+        assert err.startswith("error: [Errno "), argv
+
     bad = tmp_path / "bad.fie"
     bad.write_text("interval_a = 0\ninterval_b = 1\n")
     code, _, err = run(capsys, "solve", "--problem", str(bad), "--degree", "3")
@@ -601,6 +611,18 @@ def test_float_solve_of_data_beyond_the_float_range_writes_one_error_line(capsys
     )
     assert (code, out, caught) == (2, "", [])
     assert err == "error: assembled system contains nonfinite entries\n"
+
+
+def test_float_solve_whose_coefficients_overflow_writes_one_error_line(capsys, tmp_path):
+    text = (
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1e-300\nlambda = 0\n"
+        "kernel = exp(x*t)\nrhs = 1e300*exp(x)\nexact = exp(x)\n"
+    )
+    for argv in (["solve", "--degree", "3"], ["table", "--degree", "3"],
+                 ["converge", "--degrees", "2,3"]):
+        code, out, err, caught = run_problem(capsys, tmp_path / "huge.fie", text, *argv)
+        assert (code, out, caught) == (2, "", []), argv
+        assert err == "error: solution coefficients are beyond the float range\n"
 
 
 WIDE_TEXT = (

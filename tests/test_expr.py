@@ -72,8 +72,12 @@ def test_parse_exponential_kernel_structure():
 def test_nodes_are_immutable_values_that_ignore_pos():
     node = parse("-exp(x)/(2 - e^2)")
     twin = parse(" -exp(x) / (2-e^2)")  # the same tree at other offsets
-    assert node == twin and hash(node) == hash(twin) and node != parse("-exp(t)/(2 - e^2)")
+    assert node == twin and not node != twin and hash(node) == hash(twin)
+    assert node != parse("-exp(t)/(2 - e^2)")
     assert repr(Num("2", 4)) == "Num(text='2', pos=4)"
+    assert Num("2", 4) != ("2", 4) and ("2", 4) != Num("2", 4)  # a node is not a plain tuple
+    with pytest.raises(TypeError):
+        Num("1") < Num("2")  # nodes have no order
     assert repr(node.left) == "Neg(operand=Call(func='exp', arg=Var(name='x', pos=5), pos=1), pos=0)"
     for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
         assert repr(copied) == repr(node)

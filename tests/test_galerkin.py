@@ -579,6 +579,19 @@ def test_exact_solve_with_an_entry_beyond_float_range():
         solve(problem, 2, mode="float")
 
 
+def test_float_solve_whose_coefficients_overflow_is_a_domain_error():
+    # a finite system whose solution, 1e600·exp(x), is beyond the float range
+    problem = FredholmProblem(
+        parse("1e-300"), 0, parse("exp(x*t)"), parse("1e300*exp(x)"), 0, 1, parse("exp(x)")
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for attempt in (partial(solve, problem, 3), partial(convergence_study, problem, [2, 3])):
+            with pytest.raises(DomainError, match="^solution coefficients are beyond the float range$"):
+                attempt()
+    assert caught == []
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-4.0, 4.0), (0.0, 0.5), (-1.0, 1.0)])
 def test_legendre_table_is_the_basis_at_the_mapped_nodes(a, b):
     # on intervals whose affine map rounds as the table's own does, the
