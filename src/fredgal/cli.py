@@ -3,7 +3,8 @@
 Subcommands: solve (print coefficients and monomial form), table (CSV error
 table against the known solution), converge (CSV max-error study over
 degrees), basis (CSV of sampled basis functions).  Exit codes: 0 success,
-1 usage or input error, 2 solver error.
+1 on an ``InputError`` or a file that cannot be opened, 2 on any other
+``FredgalError``.
 """
 
 from __future__ import annotations
@@ -18,17 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import BasisSpec, basis_row, bernstein_to_monomial, float_interval
-from .errors import (
-    FredgalError,
-    InvalidDegree,
-    InvalidInterval,
-    InvalidProblem,
-    OrderOutOfRange,
-    ProblemFileError,
-    UnknownBuiltin,
-    _endpoint_text,
-    number_text,
-)
+from .errors import FredgalError, InputError, _endpoint_text, number_text
 from .galerkin import convergence_study, error_table, solve
 from .problems import BUILTIN_NAMES, builtin, load_problem
 
@@ -38,31 +29,14 @@ from .problems import BUILTIN_NAMES, builtin, load_problem
 MAX_GRID_POINTS = 10**6
 
 
-class UsageError(Exception):
-    pass
-
-
-# input-side failures exit 1; numerical/solver failures exit 2
-_USAGE_ERRORS = (
-    UsageError,
-    UnknownBuiltin,
-    ProblemFileError,
-    InvalidProblem,
-    InvalidDegree,
-    InvalidInterval,
-    OrderOutOfRange,
-    OSError,  # a problem file that cannot be read, an --out path that cannot be written
-)
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError; flags count only in full (`--degree` is no `--degrees`)."""
+    """Raises InputError; flags count only in full (`--degree` is no `--degrees`)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def fmt10(value: float) -> str:
@@ -115,10 +89,10 @@ def _default_grid(problem, step: float | None) -> list[float]:
     width = b - a
     h = width / 10.0 if step is None else step
     if not (h > 0 and math.isfinite(h)):
-        raise UsageError(f"--grid-step must be a finite positive number, got {h}")
+        raise InputError(f"--grid-step must be a finite positive number, got {h}")
     steps = width / h + 1e-9  # the grid has int(steps) + 1 points
     if not steps < MAX_GRID_POINTS:
-        raise UsageError(f"--grid-step {h} gives more than {MAX_GRID_POINTS} grid points")
+        raise InputError(f"--grid-step {h} gives more than {MAX_GRID_POINTS} grid points")
     count = int(steps)
     grid = [a + k * h for k in range(count + 1)]
     grid[-1] = min(grid[-1], b)
@@ -149,7 +123,7 @@ def _cmd_solve(args) -> str:
 def _cmd_table(args) -> str:
     problem = _resolve_problem(args)
     if problem.exact_expr is None:
-        raise UsageError("problem has no exact solution; 'table' requires one")
+        raise InputError("problem has no exact solution; 'table' requires one")
     grid = _default_grid(problem, args.grid_step)
     solution = solve(problem, args.degree, mode=args.mode, q=args.quadrature)
     rows = error_table(solution, problem.exact_expr, grid)
@@ -179,9 +153,9 @@ def _cmd_basis(args) -> str:
     """
     n, a, b, samples = args.degree, args.interval_a, args.interval_b, args.samples
     if samples < 2:
-        raise UsageError("--samples must be at least 2")
+        raise InputError("--samples must be at least 2")
     if samples > MAX_GRID_POINTS:
-        raise UsageError(f"--samples must be at most {MAX_GRID_POINTS}")
+        raise InputError(f"--samples must be at most {MAX_GRID_POINTS}")
     spec = BasisSpec(n, a, b)
     header = "x," + ",".join(f"B{i}" for i in range(n + 1))
     xs = np.linspace(*float_interval(a, b), samples)
@@ -195,9 +169,9 @@ def _parse_degrees(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise UsageError(f"--degrees expects comma-separated integers, got {text!r}") from None
+        raise InputError(f"--degrees expects comma-separated integers, got {text!r}") from None
     if not values:
-        raise UsageError("--degrees must list at least one degree")
+        raise InputError("--degrees must list at least one degree")
     return values
 
 
@@ -250,6 +224,8 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    if argv and argv[0] == "--":  # `fredgal -- solve ...` reads as `fredgal solve ...`
+        argv = argv[1:]
     try:
         # the top-level parser hands everything after a subcommand's name to
         # that subcommand's parser; calling it directly skips half the work
@@ -263,7 +239,8 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-    except _USAGE_ERRORS as exc:
+    # OSError: a problem file that cannot be read, an --out path that cannot be written
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FredgalError as exc:

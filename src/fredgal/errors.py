@@ -1,5 +1,6 @@
 """Exception types shared across the solver, and the text of a number in
-their messages."""
+their messages.  An ``InputError`` blames the input (the problem, its file,
+a flag): the CLI exits 1 on it, and 2 on any other ``FredgalError``."""
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -68,6 +69,11 @@ class FredgalError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+class InputError(FredgalError):
+    """The input is at fault: the CLI exits 1 on this, and 2 on every other
+    FredgalError."""
+
+
 class ExpressionSyntaxError(FredgalError):
     """Malformed expression text; ``offset`` is the byte position of the fault."""
 
@@ -89,22 +95,22 @@ class MissingBinding(FredgalError):
     """Expression references t but no t value was supplied."""
 
 
-class InvalidInterval(FredgalError):
+class InvalidInterval(InputError):
     """Interval endpoints do not satisfy b > a, or the interval has no
     float points where it is turned into floats."""
 
 
-class InvalidDegree(FredgalError):
+class InvalidDegree(InputError):
     """Basis or polynomial degree not an integer, or outside the supported
     range."""
 
 
-class InvalidProblem(FredgalError):
+class InvalidProblem(InputError):
     """Problem data violates a structural requirement (e.g. t in the
     coefficient or right-hand side, or a missing exact solution)."""
 
 
-class OrderOutOfRange(FredgalError):
+class OrderOutOfRange(InputError):
     """Quadrature order outside the supported 1..128 range, or too small for
     the degree it is asked to solve."""
 
@@ -122,7 +128,7 @@ class OutOfInterval(FredgalError):
     """Evaluation point lies outside [a, b]; extrapolation is refused."""
 
 
-class ProblemFileError(FredgalError):
+class ProblemFileError(InputError):
     """Base for problem-file parsing failures."""
 
 
@@ -158,7 +164,7 @@ class BadInterval(ProblemFileError):
     """interval_a / interval_b do not define a nonempty interval."""
 
 
-class UnknownBuiltin(FredgalError):
+class UnknownBuiltin(InputError):
     def __init__(self, name: str, known: list[str]):
         super().__init__(
             f"unknown builtin '{name}' (expected one of: {', '.join(known)})"

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import mul
 
 from .basis import _shift
-from .errors import InvalidInterval, InvalidProblem, SingularSystem, number_text
+from .errors import SingularSystem
 
 # Most work ``exact_work`` admits to the exact path.  Set from solve times
 # measured across degree, data degree and number sizes: every problem
@@ -46,7 +46,8 @@ _Polynomial = tuple[dict[tuple[int, int], int], int]
 class ExactProblem:
     """a(x)·phi(x) + lam·∫ k(t,x)·phi(t) dt = f(x) with all-polynomial data,
     each polynomial a pair (terms, den) as ``fredgal.expr.to_polynomial``
-    gives it."""
+    gives it.  Its rules, b > a and no t in a(x) or f(x), are checked by the
+    ``FredholmProblem`` that ``fredgal.galerkin.as_exact_problem`` reads."""
 
     a_poly: _Polynomial
     lam: Fraction
@@ -54,12 +55,6 @@ class ExactProblem:
     f_poly: _Polynomial
     a: Fraction
     b: Fraction
-
-    def __post_init__(self):
-        if any(j for p in (self.a_poly, self.f_poly) for _, j in p[0]):
-            raise InvalidProblem("coefficient and right-hand side must not use t")
-        if not self.b > self.a:
-            raise InvalidInterval(f"need b > a, got [{number_text(self.a)}, {number_text(self.b)}]")
 
 
 def _bits(value: Fraction) -> int:

@@ -48,6 +48,8 @@ REMOVED = [
     ("fredgal.cli", "emit_basis_samples"),
     ("fredgal.exact", "BivarPoly"),
     ("fredgal.exact", "MAX_TOTAL_DEGREE"),
+    ("fredgal.cli", "UsageError"),
+    ("fredgal.cli", "_USAGE_ERRORS"),
     *(
         ("fredgal.exact", f"BivarPoly.{name}")
         for name in (

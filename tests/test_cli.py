@@ -10,7 +10,14 @@ import pytest
 
 from fredgal import cli
 from fredgal.cli import MAX_GRID_POINTS, build_parser, fmt10, format_polynomial, main
-from fredgal.errors import _SPLIT_BITS, IllConditionedWarning, _endpoint_text, number_text
+from fredgal.errors import (
+    _SPLIT_BITS,
+    FredgalError,
+    IllConditionedWarning,
+    InputError,
+    _endpoint_text,
+    number_text,
+)
 from fredgal.problems import builtin
 
 from exact_oracle import write_problem
@@ -858,8 +865,7 @@ USAGE_CASES = [
     (("--help",), 0, TOP_HELP, ""),
     (("solve", "--help"), 0, SOLVE_HELP, ""),
     (("frobnicate",), 1, "", f"error: argument command: invalid choice: 'frobnicate' {COMMANDS}\n"),
-    (("--", "solve", "--builtin", "example1", "--degree", "2"), 1, "",
-     f"error: argument command: invalid choice: '--' {COMMANDS}\n"),
+    (("--", "solve", "--builtin", "example1", "--degree", "2"), 0, EXAMPLE1_DEGREE2, ""),
     (("solve", "--builtin=example1", "--degree=2"), 0, EXAMPLE1_DEGREE2, ""),
     (("table", "--builtin", "example1", "--degree=two"), 1, "",
      "error: argument --degree: invalid int value: 'two'\n"),
@@ -881,6 +887,7 @@ USAGE_CASES = [
      "error: --degrees expects comma-separated integers, got '1,x'\n"),
     (("basis", "--degree", "2", "--interval-a", "-1e-3"), 1, "",
      "error: argument --interval-a: expected one argument\n"),
+    (("--",), 1, "", "error: the following arguments are required: command\n"),
 ]
 
 
@@ -888,7 +895,7 @@ USAGE_CASES = [
 def test_usage_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     try:
-        got = main(list(argv))
+        got = main(argv)  # a tuple, as a caller may pass
     except SystemExit as exc:
         got = exc.code
     captured = capsys.readouterr()
@@ -919,3 +926,32 @@ def test_a_subcommand_parser_called_directly_answers_as_the_full_parser(capsys, 
     parser, _ = build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))
     assert [outcome(capsys, argv) for argv in argvs] == direct
+
+
+def error_classes(cls=FredgalError):
+    """cls and every class below it, so that one added later is not missed."""
+    return [cls, *(sub for direct in cls.__subclasses__() for sub in error_classes(direct))]
+
+
+# every error that blames the input, each by name so that moving one under
+# another base fails; a new InputError subclass is added here, or this test fails
+INPUT_ERRORS = {"InputError", "InvalidProblem", "InvalidDegree", "InvalidInterval",
+                "OrderOutOfRange", "UnknownBuiltin", "ProblemFileError", "MissingKey",
+                "DuplicateKey", "UnknownKey", "ExpressionError", "BadInterval"}
+
+
+@pytest.mark.parametrize("cls", [*error_classes(), OSError], ids=lambda cls: cls.__name__)
+def test_the_exit_code_follows_the_error_type(capsys, monkeypatch, cls):
+    def handler(args):
+        # __new__ alone gives every error class the same message, whatever
+        # its __init__ asks for
+        raise cls.__new__(cls, "boom")
+
+    parser, commands = cli.build_parser.__wrapped__()  # a parser of its own to change
+    commands["solve"].set_defaults(handler=handler)
+    monkeypatch.setattr(cli, "build_parser", lambda: (parser, commands))
+    assert INPUT_ERRORS <= {error.__name__ for error in error_classes()}
+    input_error = cls.__name__ in INPUT_ERRORS
+    code = 1 if input_error or cls is OSError else 2
+    assert run(capsys, "solve", "--builtin", "example1", "--degree", "2") == (code, "", "error: boom\n")
+    assert issubclass(cls, InputError) == input_error

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from fredgal.basis import BasisSpec, _shift, bernstein_to_monomial, legendre_to_bernstein_exact
-from fredgal.errors import (
-    ExactPathUnavailable,
-    InvalidDegree,
-    InvalidInterval,
-    InvalidProblem,
-    SingularSystem,
-)
+from fredgal.errors import ExactPathUnavailable, InvalidDegree, SingularSystem
 from fredgal.exact import (
     MAX_EXACT_WORK,
     MOMENT_MAPS,
@@ -637,16 +631,6 @@ def test_singular_operator_detected():
     problem = ExactProblem(ONE, F(-1), ONE, ONE, F(0), F(1))
     with pytest.raises(SingularSystem):
         solve_rational_system(exact_assemble(problem, 2)[0])
-
-
-def test_problem_shape_validation():
-    with pytest.raises(InvalidProblem):
-        ExactProblem(({(0, 1): 1}, 1), F(1), ONE, ONE, F(0), F(1))
-    with pytest.raises(InvalidProblem):
-        ExactProblem(ONE, F(1), ONE, ({(2, 0): 1, (1, 1): 3}, 2), F(0), F(1))
-    for a, b in ((F(0), F(0)), (F(0), F(-1, 3)), (F(1, 10**5000), F(0))):
-        with pytest.raises(InvalidInterval):
-            ExactProblem(ONE, F(1), ONE, ONE, a, b)
 
 
 def test_residual_poly_flags_nonsolutions():
