@@ -111,7 +111,8 @@ class InvalidProblem(InputError):
 
 
 class OrderOutOfRange(InputError):
-    """Quadrature order outside the supported 1..128 range, or too small for
+    """Quadrature order that is not an integer (2.5, 32.0 or "8" from a
+    library caller), outside the supported 1..128 range, or too small for
     the degree it is asked to solve."""
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +38,13 @@ from .errors import (
     IllConditionedWarning,
     InvalidInterval,
     InvalidProblem,
-    OrderOutOfRange,
     OutOfInterval,
     SingularSystem,
     number_text,
 )
 from .exact import MAX_EXACT_WORK, ExactProblem, exact_assemble, exact_work, solve_rational_system
 from .expr import Node, evaluate, to_polynomial, variables
-from .quadrature import gauss_legendre
+from .quadrature import check_order, gauss_legendre
 
 CONDITION_WARN_THRESHOLD = 1e12
 # beyond this 1-norm condition the system counts as singular
@@ -294,34 +292,27 @@ def solve(
     quadrature and numpy.linalg; "auto" prefers exact when the data and the
     work bound allow it.
     The float path needs a quadrature order q above n: with q <= n nodes the
-    system has rank at most q and is always singular.  A q outside 1..128
-    is refused on either path.
+    system has rank at most q and is always singular.  A q that is not an
+    integer in 1..128 is refused on either path.
     """
-    return _solve(
-        problem, n, mode, q, partial(as_exact_problem, problem), partial(assemble, problem)
-    )
+    return _solve(problem, n, mode, q, {})
 
 
-def _solve(
-    problem: FredholmProblem,
-    n: int,
-    mode: str,
-    q: int | None,
-    exact_view: Callable[[], ExactProblem | None],
-    system: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-) -> Solution:
-    """``solve``, with the problem-only work handed in: ``exact_view()``
-    gives the exact view and ``system(n, q)`` the float system A, F, so
-    that a sweep can pass versions that keep their work across degrees.
-    Called by ``solve`` or ``convergence_study`` only: the condition
-    warning names the caller of that function.
+def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: dict) -> Solution:
+    """``solve``, keeping the work that depends on the problem alone in
+    ``shared``: the exact view under "view", built when first needed, and
+    the samples ``assemble`` keeps under each quadrature order.  ``solve``
+    passes a fresh dict, and ``convergence_study`` one for all its degrees.
+    Called by those two only: the condition warning names their caller.
     """
     if mode not in ("auto", "float", "exact"):
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
 
     view = None
     if mode != "float":
-        view = exact_view()
+        if "view" not in shared:
+            shared["view"] = as_exact_problem(problem)
+        view = shared["view"]
         if view is None:
             reason = "exact mode requires polynomial data with rational coefficients"
         else:
@@ -334,7 +325,7 @@ def _solve(
 
     if view is not None:
         if q is not None:
-            gauss_legendre(q)  # no rule is used, but an order outside 1..128 is refused
+            check_order(q)  # no rule is built, but the order must be one a rule could have
         rows, dens, f_den = exact_assemble(view, n)
         nums, den = solve_rational_system(rows)
         coeffs = tuple(legendre_to_bernstein_exact(nums, den * f_den))
@@ -346,12 +337,9 @@ def _solve(
     else:
         if q is None:
             q = default_quadrature_order(n)
-        if q <= n:
-            raise OrderOutOfRange(
-                f"quadrature order {q} must exceed the degree {n}: with q <= n "
-                "nodes the projection system is singular"
-            )
-        A, F = system(n, q)
+        else:
+            check_order(q, n)
+        A, F = assemble(problem, n, q, samples=shared)
         inverse, cond = _invert(A)
         with np.errstate(all="ignore"):  # nonfinite coefficients are refused below
             coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
@@ -438,15 +426,13 @@ def convergence_study(
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
     grid = np.linspace(*float_interval(problem.a, problem.b), 101)
-    exact_view = cache(partial(as_exact_problem, problem))
-    system = partial(assemble, problem, samples={})
-    # evaluated after the first solve and its approximation, as error_table does
-    reference = cache(partial(evaluate, problem.exact_expr, grid))
-    out = []
+    shared, reference, out = {}, None, []
     for n in n_values:
-        solution = _solve(problem, n, mode, q, exact_view, system)
+        solution = _solve(problem, n, mode, q, shared)
         approx = evaluate_solution(solution, grid)
-        error, _ = _errors(reference(), approx)
+        if reference is None:  # after the first solve and its approximation, as error_table
+            reference = evaluate(problem.exact_expr, grid)
+        error, _ = _errors(reference, approx)
         # Python's max over the floats in grid order, as over the table's rows
         out.append(ConvergenceRow(n, max(error.tolist()), solution.condition))
     return out

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -34,16 +35,40 @@ def _legendre_pair(q: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
+def check_order(q, degree: int | None = None) -> None:
+    """Refuse with OrderOutOfRange a quadrature order q that is not an
+    integer (what operator.index refuses, as for a degree) or lies outside
+    1..MAX_ORDER: the rule for an order, whether or not a rule is built.
+
+    Given the degree n of a float projection, the second check is q > n
+    instead, since a q-node rule gives that system rank at most q; the
+    range is then left to ``gauss_legendre``, which the assembly calls
+    after checking the interval and the degree.
+    """
+    try:
+        index(q)
+    except TypeError:
+        raise OrderOutOfRange(f"quadrature order must be an integer, got {q!r}") from None
+    if degree is not None:
+        if q <= degree:
+            raise OrderOutOfRange(
+                f"quadrature order {q} must exceed the degree {degree}: with q <= n "
+                "nodes the projection system is singular"
+            )
+    elif not 1 <= q <= MAX_ORDER:
+        raise OrderOutOfRange(f"order {q} outside 1..{MAX_ORDER}")
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(q: int) -> QuadratureRule:
     """q-node rule: Newton refinement of Chebyshev-angle initial guesses.
 
     Each root is polished until the Newton step falls below 1e-15; weights
     are 2/((1-x^2)·P_q'(x)^2).  Rules are cached per order, and the cache is
-    safe to hit from multiple threads (regeneration is idempotent).
+    safe to hit from multiple threads (regeneration is idempotent).  The
+    nodes and weights are read-only, since every later caller shares them.
     """
-    if not 1 <= q <= MAX_ORDER:
-        raise OrderOutOfRange(f"order {q} outside 1..{MAX_ORDER}")
+    check_order(q)
     nodes = np.empty(q)
     weights = np.empty(q)
     for k in range(q // 2):
@@ -64,4 +89,5 @@ def gauss_legendre(q: int) -> QuadratureRule:
         _, dp = _legendre_pair(q, 0.0)
         nodes[mid] = 0.0
         weights[mid] = 2.0 / (dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(q, nodes, weights)

@@ -77,6 +77,7 @@ STAGES = [
     ("fredgal.exact", "solve_rational_system"),
     ("fredgal.expr", "to_polynomial"),
     ("fredgal.expr", "variables"),
+    ("fredgal.quadrature", "check_order"),
     ("fredgal.quadrature", "gauss_legendre"),
     ("fredgal.quadrature", "QuadratureRule"),
 ]

@@ -425,6 +425,16 @@ def test_exact_path_refuses_an_order_outside_the_rules(q):
     assert solution.mode == "exact" and solution.quadrature_order is None
 
 
+@pytest.mark.parametrize("q", [2.5, 32.0, "8"])
+def test_non_integer_quadrature_order_is_refused_on_either_path(q):
+    # checked before q <= n, as a degree is, and before any rule is built
+    for name, mode in (("example1", "auto"), ("example1", "exact"), ("example4", "float")):
+        problem = builtin(name)
+        for call in (partial(solve, problem, 3), partial(convergence_study, problem, [3, 4])):
+            with pytest.raises(OrderOutOfRange, match="^quadrature order must be an integer"):
+                call(mode=mode, q=q)
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_float_coefficients_match_exact_ones_at_degree_20(name):
     problem = builtin(name)
@@ -636,6 +646,31 @@ def test_sweep_samples_each_piece_once_per_quadrature_order(monkeypatch):
     calls.clear()
     convergence_study(problem, [3, 4], q=40, mode="float")
     assert len(calls) == 4 and probes == [problem]
+    # a sweep that crosses paths, exact at 2 and 4 and float at 6 and 8,
+    # builds one view and samples each piece once for the shared q = 32
+    crossing = big_denominator_problem()
+    calls.clear()
+    probes.clear()
+    convergence_study(crossing, [2, 6, 4, 8])
+    assert probes == [crossing]
+    for node in (crossing.a_expr, crossing.f_expr, crossing.kernel_expr, crossing.exact_expr):
+        assert sum(c is node for c in calls) == 1
+    assert len(calls) == 4
+    # a lone solve: one view, and one assembly on the float path only
+    systems, rules = [], []
+    assemble, gauss_legendre = galerkin.assemble, galerkin.gauss_legendre
+    monkeypatch.setattr(
+        galerkin, "assemble", lambda *args, **kw: systems.append(args) or assemble(*args, **kw)
+    )
+    monkeypatch.setattr(galerkin, "gauss_legendre", lambda q: rules.append(q) or gauss_legendre(q))
+    probes.clear()
+    assert solve(problem, 6).mode == "float"
+    assert probes == [problem] and len(systems) == 1
+    # the exact path checks an explicit order but builds no rule
+    for seen in (probes, systems, rules):
+        seen.clear()
+    assert solve(builtin("example1"), 2, q=128).mode == "exact"
+    assert len(probes) == 1 and systems == [] and rules == []
 
 
 def test_sweep_assembles_through_assemble(monkeypatch):

@@ -6,6 +6,8 @@ from numpy.polynomial.legendre import leggauss
 
 from fredgal.errors import DomainError, OrderOutOfRange
 from fredgal.expr import evaluate, parse
+from fredgal.galerkin import solve
+from fredgal.problems import builtin
 from fredgal.quadrature import gauss_legendre
 
 
@@ -48,6 +50,21 @@ def test_order_bounds():
     with pytest.raises(OrderOutOfRange):
         gauss_legendre(129)
     gauss_legendre(128)  # boundary is fine
+    for q in (2.5, 32.0, "8"):
+        with pytest.raises(OrderOutOfRange, match="^quadrature order must be an integer"):
+            gauss_legendre(q)
+
+
+def test_cached_rule_is_read_only():
+    # every float solve at this order shares the rule's arrays
+    problem = builtin("example4")
+    before = solve(problem, 4, mode="float").coefficients
+    rule = gauss_legendre(32)
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0.5
+    assert gauss_legendre(32) is rule
+    assert solve(problem, 4, mode="float").coefficients == before
 
 
 @pytest.mark.parametrize("q", list(range(1, 65)))
