@@ -57,22 +57,22 @@ class BasisSpec:
 
 
 def basis_row(spec: BasisSpec, x) -> np.ndarray:
-    """All n+1 member values at x: a row for a number, a (len(x), n+1)
-    table for an array of points.
-
-    Uses the de Casteljau-style pyramid on u = (x-a)/(b-a): no binomial
-    coefficients, no cancellation, and exact rows at the endpoints.
+    """The n+1 member values at x: a row for a number, a (len(x), n+1)
+    table for an array of points, from the closed form C(n,k)·u^k·(1-u)^(n-k)
+    on u = (x-a)/(b-a): O(n·m) work in a fixed number of numpy calls, and no
+    cancellation.  A normal value is within (n + 8)·2^-53, relatively, of the
+    exact member at the float u; the endpoint rows are exact (0^0 = 1).
     """
-    u = _unit(spec, x)
-    v = 1.0 - u
-    row = np.zeros(u.shape + (spec.n + 1,))
-    row[..., 0] = 1.0
-    u, v = u[..., None], v[..., None]
-    for level in range(1, spec.n + 1):
-        # numpy materializes the right side before assigning, so the slice
-        # still sees the previous level's values
-        row[..., 1 : level + 1] = u * row[..., 0:level] + v * row[..., 1 : level + 1]
-        row[..., :1] *= v
+    u = _unit(spec, x)[..., None]
+    k = np.arange(spec.n + 1)
+    return _binomials(spec.n) * u**k * (1.0 - u) ** k[::-1]
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """C(n, k), k = 0..n, as read-only floats: exact, as C(50, 25) < 2^53."""
+    row = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    row.flags.writeable = False
     return row
 
 

@@ -392,7 +392,7 @@ def error_table(solution: Solution, exact: Node, grid) -> list[ErrorRow]:
     """
     xs = np.array(grid, dtype=float)
     approx = evaluate_solution(solution, xs)
-    reference = evaluate(exact, xs)
+    reference = _eval_grid(exact, "exact", xs)
     error, at_zero = _errors(reference, approx)
     kinds = ["absolute-at-zero" if z else "relative" for z in at_zero.tolist()]
     return list(
@@ -431,7 +431,7 @@ def convergence_study(
         solution = _solve(problem, n, mode, q, shared)
         approx = evaluate_solution(solution, grid)
         if reference is None:  # after the first solve and its approximation, as error_table
-            reference = evaluate(problem.exact_expr, grid)
+            reference = _eval_grid(problem.exact_expr, "exact", grid)
         error, _ = _errors(reference, approx)
         # Python's max over the floats in grid order, as over the table's rows
         out.append(ConvergenceRow(n, max(error.tolist()), solution.condition))

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from fredgal.basis import (
     BasisSpec,
+    _binomials,
     basis_row,
     bernstein_to_monomial,
     legendre_row,
@@ -27,10 +29,11 @@ from fredgal.quadrature import gauss_legendre
 from exact_oracle import legendre_in_bernstein, reference_bernstein_to_monomial
 
 
-def bernstein_value(i, spec, x):
-    """Reference closed form of member i: C(n,i)·u^i·(1-u)^(n-i), u = (x-a)/(b-a)."""
-    u = (x - spec.a) / (spec.b - spec.a)
-    return math.comb(spec.n, i) * u**i * (1.0 - u) ** (spec.n - i)
+def bernstein_value(i, n, u):
+    """Member i of degree n at the float u, exact: C(n,i)·U^i·(1-U)^(n-i)
+    for U the Fraction of u."""
+    u = Fraction(u)
+    return math.comb(n, i) * u**i * (1 - u) ** (n - i)
 
 
 def test_spec_validation():
@@ -123,14 +126,31 @@ def test_partition_of_unity_and_nonnegativity():
 
 
 def test_row_matches_direct_values():
+    # points / 3 are not multiples of 2^-53, so 1 - u rounds; more lie
+    # within 1e-6 of each end
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(0, 11))
-        spec = BasisSpec(n, -2.0, 3.0)
-        x = rng.uniform(-2.0, 3.0)
-        row = basis_row(spec, x)
-        for i in range(n + 1):
-            assert row[i] == pytest.approx(bernstein_value(i, spec, x), abs=1e-13)
+    inner = rng.uniform(0.0, 1.0, 12) / 3
+    near = rng.uniform(0.0, 1e-6, 4)
+    units = np.concatenate([[0.0, 1.0], inner, 1.0 - inner, near, 1.0 - near])
+    for n in (0, 1, 5, 20, 40, 50):
+        bound = Fraction(n + 8, 2**53)
+        for a, b in ((0.0, 1.0), (-2.0, 3.0)):
+            xs = a + (b - a) * units
+            table = basis_row(BasisSpec(n, a, b), xs)
+            for u, row in zip(((xs - a) / (b - a)).tolist(), table.tolist()):  # the code's u
+                for i, value in enumerate(row):
+                    exact = bernstein_value(i, n, u)
+                    assert value == pytest.approx(float(exact), abs=1e-13)
+                    if float(exact) >= sys.float_info.min:  # a normal float
+                        assert abs(Fraction(value) - exact) <= bound * exact, (n, u, i)
+
+
+def test_binomials_are_exact_cached_and_read_only():
+    for n in (0, 1, 25, 50):
+        row = _binomials(n)
+        assert row.tolist() == [math.comb(n, k) for k in range(n + 1)]  # C(50, 25) < 2^53
+        assert _binomials(n) is row
+        assert not row.flags.writeable
 
 
 def test_table_equals_stacked_rows():
@@ -141,11 +161,12 @@ def test_table_equals_stacked_rows():
     for _ in range(20):
         a = rng.uniform(-5.0, 5.0)
         specs.append(BasisSpec(int(rng.integers(0, 21)), a, a + rng.uniform(0.1, 10.0)))
+    near = np.random.default_rng(19).uniform(0.0, 1e-6, size=4)  # within 1e-6 of either end
     for spec in specs:
         a, b = float(spec.a), float(spec.b)
-        xs = np.concatenate([[a, b], rng.uniform(a, b, size=30)])
+        xs = np.concatenate([[a, b], rng.uniform(a, b, size=30), a + near, b - near])
         table = basis_row(spec, xs)
-        assert table.shape == (32, spec.n + 1)
+        assert table.shape == (40, spec.n + 1)
         assert (table == np.stack([basis_row(spec, x) for x in xs])).all()
 
 

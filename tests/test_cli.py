@@ -338,6 +338,18 @@ def test_oversized_power_is_refused_by_both_paths(capsys, tmp_path):
         assert err == "error: rhs expression: 3.0 ^ 100000000.0 is undefined (offset 5)\n"
 
 
+def test_reference_domain_error_names_the_exact_expression(capsys, tmp_path):
+    path = tmp_path / "log.fie"
+    path.write_text(
+        "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -1\n"
+        "kernel = x*t\nrhs = 1\nexact = log(x)\n"
+    )
+    for argv in (["table", "--degree", "3"], ["converge", "--degrees", "2,3"]):
+        code, out, err = run(capsys, *argv, "--problem", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: exact expression: log of nonpositive value 0.0 (offset 0)\n"
+
+
 def test_oversized_literal_is_refused_by_both_paths(capsys, tmp_path):
     # 1e10000000 is too large to expand exactly (its power of ten is never
     # built) and is inf as a float, so inf*0 leaves nan in the system
