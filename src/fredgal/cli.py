@@ -27,6 +27,8 @@ from .problems import BUILTIN_NAMES, builtin, load_problem
 # most points a table grid or a basis sample may have, checked before any
 # point is built
 MAX_GRID_POINTS = 10**6
+# rows of the basis table formatted at a time
+_BLOCK_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,20 +63,32 @@ def format_polynomial(coeffs) -> str:
     """Human-readable ascending-power polynomial in x, exact or float."""
     parts: list[str] = []
     for power, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = -c if c < 0 else c
+        if isinstance(c, Fraction):
+            # zero and sign from the numerator; |c| is c's own text unsigned
+            if not c.numerator:
+                continue
+            negative = c.numerator < 0
+            mag = number_text(c)
+            if negative:
+                mag = mag[1:]
+            one = mag == "1"
+        else:
+            if c == 0:
+                continue
+            negative = c < 0
+            value = -c if negative else c
+            mag, one = gfmt(value), value == 1
         term = "x" if power == 1 else f"x^{power}"
         if power == 0:
-            body = scalar_text(mag)
-        elif mag == 1:
+            body = mag
+        elif one:
             body = term
         else:
-            body = f"{scalar_text(mag)}*{term}"
+            body = f"{mag}*{term}"
         if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+            parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts) if parts else "0"
 
 
@@ -157,12 +171,17 @@ def _cmd_basis(args) -> str:
     if samples > MAX_GRID_POINTS:
         raise InputError(f"--samples must be at most {MAX_GRID_POINTS}")
     spec = BasisSpec(n, a, b)
-    header = "x," + ",".join(f"B{i}" for i in range(n + 1))
     xs = np.linspace(*float_interval(a, b), samples)
-    table = np.column_stack([xs, basis_row(spec, xs)]).tolist()
-    row_format = ",".join(["%.17g"] * (n + 2))
-    lines = [header, *[row_format % tuple(row) for row in table]]
-    return "\n".join(lines) + "\n"
+    values = basis_row(spec, xs)
+    row_format = ",".join(["%.17g"] * (n + 2)) + "\n"
+    # one % per block of rows: neither a Python float for every value nor a
+    # string for every row exists at once, and the text is joined only once
+    blocks = ["x," + ",".join(f"B{i}" for i in range(n + 1)) + "\n"]
+    for start in range(0, samples, _BLOCK_ROWS):
+        block = np.column_stack([xs[start : start + _BLOCK_ROWS],
+                                 values[start : start + _BLOCK_ROWS]])
+        blocks.append(row_format * len(block) % tuple(block.ravel().tolist()))
+    return "".join(blocks)
 
 
 def _parse_degrees(text: str) -> list[int]:

@@ -5,6 +5,10 @@ a flag): the CLI exits 1 on it, and 2 on any other ``FredgalError``."""
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
+# integers of at most this many bits are written by str(): 2,000 bits are at
+# most 603 digits, under 640, the smallest limit on int/str conversion the
+# interpreter allows, so str() cannot raise there
+_STR_BITS = 2_000
 # Decimal(int) takes time quadratic in the digits; past this many bits the
 # split conversion of _integer_text is faster
 _SPLIT_BITS = 50_000
@@ -37,12 +41,15 @@ def _endpoint_text(value) -> str:
 
 
 def _integer_text(n: int) -> str:
-    """str(Decimal(n)).  Past _SPLIT_BITS, n is split by bits into a high and
-    a low half, each half converted the same way, and the two joined as
-    high·2^k + low by decimal's multiplication, which is subquadratic, under
-    a context that keeps every digit (the method of CPython 3.12's
-    ``_pylong.int_to_decimal_string``)."""
-    if n.bit_length() <= _SPLIT_BITS:
+    """str(Decimal(n)): str(n) up to _STR_BITS.  Past _SPLIT_BITS, n is split
+    by bits into a high and a low half, each half converted the same way,
+    and the two joined as high·2^k + low by decimal's multiplication, which
+    is subquadratic, under a context that keeps every digit (the method of
+    CPython 3.12's ``_pylong.int_to_decimal_string``)."""
+    bits = n.bit_length()
+    if bits <= _STR_BITS:
+        return str(n)
+    if bits <= _SPLIT_BITS:
         return str(Decimal(n))
     powers = {}  # 2^k as a Decimal; the halves' widths differ by at most one
 

@@ -169,10 +169,14 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     divided by the content of its matrix entries, and f's moments are then
     put over dens[j]·f_den.
     """
-    a, h = problem.a, problem.b - problem.a
-    hn, hd = h.numerator, h.denominator
+    # the width h = b - a = hn/hd in lowest terms, formed on integers
+    an, ad = problem.a.numerator, problem.a.denominator
+    hn = problem.b.numerator * ad - an * problem.b.denominator
+    hd = ad * problem.b.denominator
+    gcd_h = math.gcd(hn, hd)
+    hn, hd = hn // gcd_h, hd // gcd_h
     # x = (lo + hi·u)/g; _shift scales degree d by g^d
-    g, lo, hi = a.denominator * hd, a.numerator * hd, hn * a.denominator
+    g, lo, hi = ad * hd, an * hd, hn * ad
     rhs = n + 1
 
     # kernel term c·x^p·t^q: its t-integral against trial member i is
@@ -188,8 +192,9 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     mt, mx = _moment_map(dt, lo, hi, g)[: n + 1], _moment_map(dx, lo, hi, g)[: n + 1]
     by_t = [[sum(map(mul, col, row)) for col in mt] if any(row) else [0] * len(mt) for row in grid]
     corner = [[sum(map(mul, col, by_i)) for by_i in zip(*by_t)] for col in mx]  # corner[j][i]
-    lam = problem.lam * h * h
-    kernel_den = common * g ** (dx + dt) * lam.denominator * _moment_den(dx) * _moment_den(dt)
+    # lambda·h², not reduced: each row is divided by its content below
+    lam_num, lam_den = problem.lam.numerator * hn * hn, problem.lam.denominator * hd * hd
+    kernel_den = common * g ** (dx + dt) * lam_den * _moment_den(dx) * _moment_den(dt)
 
     # f's moments Mfᵀ·f
     nums, common = _in_x(problem.f_poly)
@@ -207,7 +212,7 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
 
     den = math.lcm(band_den, kernel_den)
     band_scale = hn * (den // band_den)
-    kernel_scale = lam.numerator * (den // kernel_den)
+    kernel_scale = lam_num * (den // kernel_den)
     rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for i in range(n + 1):
         p = _legendre(i)

@@ -75,6 +75,11 @@ BinOp = _node("BinOp", "op left right")
 Call = _node("Call", "func arg")
 Node = Num | Var | Const | Neg | BinOp | Call
 
+# The parser builds its nodes as _new(Cls, (*fields, pos)): all a named
+# tuple's generated __new__ does, without that Python-level call, so a
+# parsed node is the same value its constructor makes
+_new = tuple.__new__
+
 # whitespace, then one token: a number, a name, an operator or parenthesis,
 # or any other character, which is an error
 _TOKEN = re.compile(
@@ -144,7 +149,7 @@ def _expr(tokens: list, depth: int) -> Node:
     node = _term(tokens, depth)
     while tokens[-1][0] in ("+", "-"):
         op, _, pos = tokens.pop()
-        node = BinOp(op, node, _term(tokens, depth), pos)
+        node = _new(BinOp, (op, node, _term(tokens, depth), pos))
     return node
 
 
@@ -153,7 +158,7 @@ def _term(tokens: list, depth: int) -> Node:
     node = _factor(tokens, depth)
     while tokens[-1][0] in ("*", "/"):
         op, _, pos = tokens.pop()
-        node = BinOp(op, node, _factor(tokens, depth), pos)
+        node = _new(BinOp, (op, node, _factor(tokens, depth), pos))
     return node
 
 
@@ -163,22 +168,22 @@ def _factor(tokens: list, depth: int) -> Node:
         raise ExpressionSyntaxError(_TOO_DEEP, pos)
     if kind == "num":
         tokens.pop()
-        node = Num(text, pos)
+        node = _new(Num, (text, pos))
     elif kind == "name":
         tokens.pop()
         if text in VARIABLES:
-            node = Var(text, pos)
+            node = _new(Var, (text, pos))
         elif text in CONSTANTS:
-            node = Const(text, pos)
+            node = _new(Const, (text, pos))
         elif text in FUNCTIONS:
             _expect(tokens, "(", f"'(' after function {text!r}")
-            node = Call(text, _expr(tokens, depth), pos)
+            node = _new(Call, (text, _expr(tokens, depth), pos))
             _expect(tokens, ")", "')'")
         else:
             raise UnknownIdentifier(f"unknown identifier {text!r}", pos)
     elif kind == "-":
         tokens.pop()
-        return Neg(_factor(tokens, depth + 1), pos)
+        return _new(Neg, (_factor(tokens, depth + 1), pos))
     elif kind == "(":
         tokens.pop()
         node = _expr(tokens, depth)
@@ -189,7 +194,7 @@ def _factor(tokens: list, depth: int) -> Node:
         raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
     if tokens[-1][0] == "^":
         _, _, pos = tokens.pop()
-        node = BinOp("^", node, _factor(tokens, depth + 1), pos)
+        node = _new(BinOp, ("^", node, _factor(tokens, depth + 1), pos))
     return node
 
 
@@ -387,6 +392,26 @@ def decimal_ratio(value: Decimal) -> tuple[int, int]:
     return num, den
 
 
+# an integer or decimal of at most 300 digits a side: 10^300 is inside the
+# float range and the size rule, and 601 characters are inside the smallest
+# limit on int/str conversion the interpreter allows (640 digits)
+_PLAIN = re.compile(r"([-+]?\d{1,300})(?:\.(\d{1,300}))?")
+
+
+def plain_ratio(text: str) -> tuple[int, int] | None:
+    """The value of an optionally signed integer or decimal of at most 300
+    digits a side, read with integer arithmetic alone, as its digits over a
+    power of ten: (7, 1) for 7, (-250, 1000) for -0.250, not in lowest
+    terms; None for any other text."""
+    plain = _PLAIN.fullmatch(text)
+    if plain is None:
+        return None
+    whole, fraction = plain.groups()
+    if fraction is None:
+        return int(whole), 1
+    return int(whole + fraction), 10 ** len(fraction)
+
+
 def _literal(text: str) -> tuple[int, int]:
     """Exact (numerator, denominator) of a number literal: 12, 0.25, 1.5e-3.
     A literal past the size rule is not a polynomial."""
@@ -395,6 +420,10 @@ def _literal(text: str) -> tuple[int, int]:
             return int(text), 1
         except ValueError:  # more digits than int() reads; Decimal reads them
             pass
+    elif (ratio := plain_ratio(text)) is not None:
+        num, den = ratio
+        g = math.gcd(num, den)
+        return num // g, den // g
     try:
         value = Decimal(text)
     except InvalidOperation:  # an exponent beyond Decimal's range
@@ -451,6 +480,13 @@ def _poly(node: Node) -> tuple[_Terms, int]:
             return _scaled(left, right.get((0, 0))), lden * rden
         if left.keys() <= _CONSTANT:
             return _scaled(right, left.get((0, 0))), lden * rden
+        if len(left) == 1 == len(right):  # two monomials: one product
+            ((i1, j1), c1), = left.items()
+            ((i2, j2), c2), = right.items()
+            i, j = i1 + i2, j1 + j2
+            if i + j > MAX_TOTAL_DEGREE:
+                raise _NotPolynomial
+            return {(i, j): c1 * c2}, lden * rden
         if _degree(left) + _degree(right) > MAX_TOTAL_DEGREE:
             raise _NotPolynomial
         return _mul(left, right), lden * rden

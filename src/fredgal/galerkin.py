@@ -210,14 +210,13 @@ def as_exact_problem(problem: FredholmProblem) -> ExactProblem | None:
             return None
         pieces.append(poly)
     kernel_poly, a_poly, f_poly = pieces
-    return ExactProblem(
-        a_poly,
-        Fraction(problem.lam),
-        kernel_poly,
-        f_poly,
-        Fraction(problem.a),
-        Fraction(problem.b),
-    )
+    lam, a, b = _fraction(problem.lam), _fraction(problem.a), _fraction(problem.b)
+    return ExactProblem(a_poly, lam, kernel_poly, f_poly, a, b)
+
+
+def _fraction(value) -> Fraction:
+    """value as a Fraction: a Fraction as it is, anything else converted."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:

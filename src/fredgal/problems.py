@@ -10,7 +10,6 @@ read exactly, so ``lambda = 0.1`` means 1/10 and ``lambda = 1/2`` is valid.
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -54,20 +53,13 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-# an integer or decimal short enough that the size rule and the float range
-# cannot refuse it: both readers in _number take it, with the same value
-_PLAIN_NUMBER = re.compile(r"([-+]?\d{1,300})(?:\.(\d{1,300}))?")
-
-
 def _number(pairs, key: str) -> Fraction:
     """The exact value of a number key (integer, decimal or p/q), held to
     the size rule of expression literals; its float view must be finite."""
     text, lineno = pairs[key]
-    if plain := _PLAIN_NUMBER.fullmatch(text):
-        whole, fraction = plain.groups()
-        if fraction is None:
-            return Fraction(int(whole))
-        return Fraction(int(whole + fraction), 10 ** len(fraction))
+    if (ratio := expr.plain_ratio(text)) is not None:
+        num, den = ratio
+        return Fraction(num) if den == 1 else Fraction(num, den)
     try:
         # Fraction builds a decimal's power of ten in full, so the size rule
         # is checked first, on Decimal's reading; a p/q has integer parts only

@@ -50,6 +50,7 @@ REMOVED = [
     ("fredgal.exact", "MAX_TOTAL_DEGREE"),
     ("fredgal.cli", "UsageError"),
     ("fredgal.cli", "_USAGE_ERRORS"),
+    ("fredgal.problems", "_PLAIN_NUMBER"),
     *(
         ("fredgal.exact", f"BivarPoly.{name}")
         for name in (

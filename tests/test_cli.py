@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 import warnings
 from decimal import Decimal
@@ -12,10 +13,12 @@ from fredgal import cli
 from fredgal.cli import MAX_GRID_POINTS, build_parser, fmt10, format_polynomial, main
 from fredgal.errors import (
     _SPLIT_BITS,
+    _STR_BITS,
     FredgalError,
     IllConditionedWarning,
     InputError,
     _endpoint_text,
+    _integer_text,
     number_text,
 )
 from fredgal.problems import builtin
@@ -42,6 +45,45 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def format_polynomial_by_comparisons(coeffs) -> str:
+    """format_polynomial written with numeric comparisons and -c alone, for
+    Fraction and float coefficients alike: the reference for its Fraction
+    path, which reads sign, zero and one off the integers and the text."""
+    parts = []
+    for power, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        term = "x" if power == 1 else f"x^{power}"
+        if power == 0:
+            body = cli.scalar_text(mag)
+        elif mag == 1:
+            body = term
+        else:
+            body = f"{cli.scalar_text(mag)}*{term}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def test_format_polynomial_matches_the_comparison_reference():
+    rng = random.Random(2013)
+    fractions = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-7, 3),
+                 Fraction(10**700 + 1, 3), -Fraction(2**2100 - 1, 10**9)]
+    floats = [0.0, -0.0, 1.0, -1.0, 1 + 1e-12, -(1 + 1e-12), math.nan, -math.nan, math.inf,
+              -math.inf, 0.25, -1.5, 5e-324, 1e300]
+    for _ in range(2000):
+        size = rng.randint(0, 7)
+        if rng.random() < 0.5:
+            pool = fractions + [Fraction(rng.randint(-50, 50), rng.randint(1, 9))]
+        else:
+            pool = floats + [rng.uniform(-3, 3)]
+        coeffs = [rng.choice(pool) for _ in range(size)]
+        assert format_polynomial(coeffs) == format_polynomial_by_comparisons(coeffs), coeffs
 
 
 def test_fmt10_keeps_ten_significant_digits():
@@ -193,7 +235,10 @@ def test_basis_csv_rows_match_the_per_value_formatter(capsys, monkeypatch):
         return table
 
     monkeypatch.setattr(fredgal.cli, "basis_row", with_specials)
-    for n, samples, a, b in ((41, 201, "0", "2"), (2, 7, "-1.3", "2.9"), (0, 2, "-1e-300", "0")):
+    # the last shape spans three blocks of rows, the last one short
+    shapes = ((41, 201, "0", "2"), (2, 7, "-1.3", "2.9"), (0, 2, "-1e-300", "0"),
+              (3, 2 * fredgal.cli._BLOCK_ROWS + 3, "-1", "1"))
+    for n, samples, a, b in shapes:
         code, out, _ = run(capsys, "basis", "--degree", str(n), "--samples", str(samples),
                            f"--interval-a={a}", f"--interval-b={b}")
         assert code == 0
@@ -578,10 +623,11 @@ def test_exact_results_past_the_int_string_limit(capsys, tmp_path, rhs, scale):
 
 
 def test_number_text_writes_the_digits_decimal_writes_on_either_side_of_the_split():
-    # past _SPLIT_BITS an integer is converted half by half; the text stays str(Decimal(n))
+    # up to _STR_BITS an integer is written by str(), past _SPLIT_BITS it is
+    # converted half by half; the text stays str(Decimal(n))
     rng = random.Random(2013)
-    for bits in (1, 128, 129, 4000, _SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1,
-                 _SPLIT_BITS + 129, 3 * _SPLIT_BITS):
+    for bits in (1, 128, 129, _STR_BITS - 1, _STR_BITS, _STR_BITS + 1, 4000, _SPLIT_BITS - 1,
+                 _SPLIT_BITS, _SPLIT_BITS + 1, _SPLIT_BITS + 129, 3 * _SPLIT_BITS):
         for n in (rng.getrandbits(bits) | 1 << (bits - 1), 1 << (bits - 1), (1 << bits) - 1):
             assert number_text(n) == str(Decimal(n))
             assert number_text(-n) == str(Decimal(-n))
@@ -592,6 +638,21 @@ def test_number_text_writes_the_digits_decimal_writes_on_either_side_of_the_spli
     start = time.perf_counter()
     number_text(n)
     assert time.perf_counter() - start < 1.0
+
+
+def test_integer_text_holds_under_the_smallest_int_string_limit():
+    # 640 digits is the lowest limit the interpreter accepts; str() writes
+    # integers of up to _STR_BITS bits, which have at most 603 digits
+    rng = random.Random(2013)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for bits in (_STR_BITS - 1, _STR_BITS, _STR_BITS + 1, 2200, 5000):
+            for n in (rng.getrandbits(bits) | 1 << (bits - 1), 1 << (bits - 1), (1 << bits) - 1):
+                assert _integer_text(n) == str(Decimal(n))
+                assert _integer_text(-n) == str(Decimal(-n))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_endpoint_text_quotes_a_long_endpoint_by_its_first_ten_digits():

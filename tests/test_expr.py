@@ -35,7 +35,7 @@ from fredgal.expr import (
     to_polynomial,
     variables,
 )
-from fredgal.problems import BUILTIN_NAMES, builtin
+from fredgal.problems import BUILTIN_NAMES, _number, builtin
 from fredgal.quadrature import gauss_legendre
 
 from exact_oracle import (
@@ -90,6 +90,22 @@ def test_nodes_are_immutable_values_that_ignore_pos():
             pass
         case _:
             pytest.fail(f"no match: {node!r}")
+    # the parser builds a node of each kind as the value its constructor makes
+    parsed = parse("-sin(x) * pi + 2^t")
+    built = BinOp("+", BinOp("*", Neg(Call("sin", Var("x", 5), 1), 0), Const("pi", 10), 8),
+                  BinOp("^", Num("2", 15), Var("t", 17), 16), 13)
+    pairs = [(parsed, built)]
+    for got, want in pairs:
+        pairs += [(a, b) for a, b in zip(got, want) if isinstance(b, tuple)]
+        assert type(got) is type(want) and got == want and not got != want
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        for copied in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert type(copied) is type(want) and repr(copied) == repr(want)
+        moved = got._replace(pos=99)
+        assert type(moved) is type(want) and moved == want and moved.pos == 99
+        with pytest.raises(FrozenInstanceError):
+            setattr(got, got._fields[0], None)
+    assert {type(node) for node, _ in pairs} == {BinOp, Neg, Call, Var, Const, Num}
 
 
 def test_dangling_operator_offset():
@@ -776,6 +792,27 @@ def test_literal_matches_the_reference_on_random_literals():
         assert literal_outcome(text) == want, text[:40]
         refused += want is None
     assert 100 < refused < 1000  # both kinds occur in quantity
+
+
+def plain_edge_texts():
+    """Plain numbers at the edges of the integer reader: 300 and 301 digits
+    on either side of the point, leading zeros, all-zero fractions and
+    digits other than ASCII."""
+    nines, threes = "9" * 300, "\u0663" * 300
+    return [
+        nines, nines + "9", nines + "." + nines, nines + "9." + nines, nines + "." + nines + "9",
+        "1." + "0" * 299 + "1", "1." + "0" * 300 + "1", "0" * 300 + ".5", "0" * 301 + ".5",
+        "007", "000123.4500", "0.0", "7.000", "0." + "0" * 300, "0." + "0" * 301,
+        "\u0663.\u0665", "\uff11\uff12.\uff15\uff10", threes + "." + threes, "\u0660" * 301 + ".1",
+    ]
+
+
+def test_plain_numbers_at_the_readers_edges_read_exactly():
+    for text in plain_edge_texts():
+        assert _tokenize(text)[:-1] == [("num", text, 0)], text[:40]
+        assert _literal(text) == reference_literal(text), text[:40]
+        for signed in (text, "-" + text, "+" + text):  # a number key may carry a sign
+            assert _number({"lambda": (signed, 1)}, "lambda") == Fraction(signed), signed[:40]
 
 
 def test_the_size_rule_holds_a_literal_to_its_value():
