@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import index, mul
+from itertools import accumulate, repeat
+from operator import add, floordiv, index, mul, sub
 
 import numpy as np
 
@@ -71,9 +72,15 @@ def basis_row(spec: BasisSpec, x) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _binomials(n: int) -> np.ndarray:
     """C(n, k), k = 0..n, as read-only floats: exact, as C(50, 25) < 2^53."""
-    row = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    row = np.array(_binomial_ints(n), dtype=float)
     row.flags.writeable = False
     return row
+
+
+@lru_cache(maxsize=None)
+def _binomial_ints(n: int) -> tuple[int, ...]:
+    """C(n, k), k = 0..n, as Python integers, cached per degree."""
+    return tuple(math.comb(n, k) for k in range(n + 1))
 
 
 def legendre_row(spec: BasisSpec, x) -> np.ndarray:
@@ -160,9 +167,19 @@ def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
     power = 1
     for c in reversed(nums[:-1]):
         power *= g
-        out = [lo * v + hi * w for v, w in zip([*out, 0], [0, *out])]
+        # one Horner step, out·(lo + hi·u): a sum alone when lo = hi = 1
+        low, high = [*out, 0], [0, *out]
+        if lo == hi == 1:
+            out = list(map(add, low, high))
+        else:
+            out = [lo * v + hi * w for v, w in zip(low, high)]
         out[0] += c * power
     return out
+
+
+# 2^1023: below it, neither b - a rounded once nor fb - fa can reach the
+# float range's edge, as the endpoints' own rounding is at most 2^970 each
+_NEAR_FLOAT_MAX = 2.0**1023
 
 
 def float_interval(a, b) -> tuple[float, float]:
@@ -170,19 +187,25 @@ def float_interval(a, b) -> tuple[float, float]:
     lie in the float range.  Raises InvalidInterval when [a, b] has no float
     points: both endpoints round to one float, or b - a, or the difference
     of the endpoints as floats, is beyond the float range.  Either way no
-    point has a float u = (x-a)/(b-a), nor does the interval a float grid."""
+    point has a float u = (x-a)/(b-a), nor does the interval a float grid.
+
+    The float width is tested first; the exact b - a is formed only when
+    that width is within rounding of the float range."""
     fa, fb = float(a), float(b)
     if not fb > fa:
         raise InvalidInterval(
             f"interval [{_endpoint_text(a)}, {_endpoint_text(b)}] is empty in floating point: "
             f"both endpoints round to {fa}"
         )
-    try:
-        # b - a before float(): Fraction endpoints give their width rounded once
-        wide = float(b - a) == math.inf or fb - fa == math.inf
-    except OverflowError:  # a Fraction width
-        wide = True
-    if wide:
+    width = fb - fa
+    # b - a rounded once differs from the float width by a few ulps of the
+    # endpoints, so only a float width near the range's edge needs it
+    if width >= _NEAR_FLOAT_MAX:
+        try:
+            width = max(width, float(b - a))
+        except OverflowError:  # a Fraction width
+            width = math.inf
+    if width == math.inf:
         raise InvalidInterval(f"interval [{fa}, {fb}] is wider than the float range")
     return fa, fb
 
@@ -206,30 +229,49 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     """
     if len(coeffs) != spec.n + 1:
         raise ValueError(f"expected {spec.n + 1} coefficients, got {len(coeffs)}")
-    exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
+    exact = all(map(isinstance, coeffs, repeat((int, Fraction))))
     n = spec.n
     (an, ad), (bn, bd) = _ratio(spec.a), _ratio(spec.b)
     hn, hd = bn * ad - an * bd, ad * bd
     content = math.gcd(hn, hd)
     hn, hd = hn // content, hd // content  # h = b - a = hn/hd in lowest terms
-    pairs = list(map(_ratio, coeffs))
-    common = math.lcm(*[d for _, d in pairs])
-    diff = [v * (common // d) for v, d in pairs]
+    try:
+        nums, dens = zip(*[c.as_integer_ratio() for c in coeffs])
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        nums, dens = zip(*map(_ratio, coeffs))
+    common = math.lcm(*dens)
+    diff = list(map(mul, nums, map(floordiv, repeat(common), dens)))
     # power form in u = (x-a)/h: the u^k coefficient is C(n,k)·Δ^k c_0 / h^k
     # (forward difference at 0).  Over den = common·g^n, g = hn·ad, it is
     # e_k, the coefficient of (y - an)^k for y = ad·x
     g = hn * ad
-    e = []
-    for k in range(n + 1):
-        e.append(math.comb(n, k) * diff[0] * hd**k * g ** (n - k))
-        diff = [right - left for left, right in zip(diff, diff[1:])]
+    firsts = [diff[0]]  # Δ^k c_0, k = 0..n
+    for _ in range(n):
+        diff = list(map(sub, diff[1:], diff))
+        firsts.append(diff[0])
+    # e_k = C(n,k)·Δ^k c_0·hd^k·g^(n-k)
+    e = list(map(mul, firsts, _binomial_ints(n)))
+    if hd != 1:
+        e = list(map(mul, e, _powers(hd, n)))
+    if g != 1:
+        e = list(map(mul, e, _powers(g, n)[::-1]))
     # the shift's Horner steps multiply by an alone, not by the larger ad·hd
     # of substituting x directly; then y^m = ad^m·x^m
-    out = [v * ad**m for m, v in enumerate(_shift(e, -an, 1, 1))]
+    out = _shift(e, -an, 1, 1)
+    if ad != 1:
+        out = list(map(mul, out, _powers(ad, n)))
     den = common * g**n
     if exact:
         return [Fraction(v, den) for v in out]
-    return [_nearest_float(v, den) for v in out]
+    try:
+        return [v / den for v in out]  # int/int division is correctly rounded
+    except OverflowError:  # some quotient is beyond the float range
+        return [_nearest_float(v, den) for v in out]
+
+
+def _powers(base: int, n: int) -> list[int]:
+    """base^k, k = 0..n."""
+    return list(accumulate(repeat(base, n), mul, initial=1))
 
 
 def _ratio(value) -> tuple[int, int]:

@@ -15,6 +15,7 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -59,8 +60,19 @@ def scalar_text(c) -> str:
     return number_text(c) if isinstance(c, Fraction) else gfmt(c)
 
 
+def coefficients_text(coeffs) -> str:
+    """The coefficients as ``scalar_text`` writes them, space-separated: a
+    row of floats in one % operation."""
+    if all(map(isinstance, coeffs, repeat(float))):
+        return " ".join(["%.10g"] * len(coeffs)) % tuple(coeffs)
+    return " ".join(map(scalar_text, coeffs))
+
+
 def format_polynomial(coeffs) -> str:
     """Human-readable ascending-power polynomial in x, exact or float."""
+    coeffs = list(coeffs)
+    if coeffs and all(map(isinstance, coeffs, repeat(float))):
+        return _float_polynomial(coeffs)
     parts: list[str] = []
     for power, c in enumerate(coeffs):
         if isinstance(c, Fraction):
@@ -90,6 +102,33 @@ def format_polynomial(coeffs) -> str:
         else:
             parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts) if parts else "0"
+
+
+def _float_polynomial(coeffs: list[float]) -> str:
+    """``format_polynomial`` of a nonempty list of floats: each value is
+    written once, by one % for the line, and zero and sign are read off
+    its text (%.10g writes a nonzero value nonzero, and a NaN unsigned)."""
+    texts = coefficients_text(coeffs).split(" ")
+    pieces = []
+    for power, text in enumerate(texts):
+        if text == "0" or text == "-0":
+            continue
+        if text[0] == "-":
+            sign, text = " - ", text[1:]
+        else:
+            sign = " + "
+        if not power:
+            pieces.append(sign + text)
+            continue
+        term = "x" if power == 1 else f"x^{power}"
+        if text == "1" and abs(coeffs[power]) == 1:
+            pieces.append(sign + term)
+        else:
+            pieces.append(f"{sign}{text}*{term}")
+    line = "".join(pieces)
+    if not line:
+        return "0"
+    return line[3:] if line[1] == "+" else "-" + line[3:]
 
 
 def _resolve_problem(args):
@@ -125,7 +164,7 @@ def _cmd_solve(args) -> str:
         f"mode: {solution.mode}",
         f"degree: {solution.spec.n}",
         f"interval: [{endpoint(a)}, {endpoint(b)}]",
-        f"coefficients: {' '.join(map(scalar_text, solution.coefficients))}",
+        f"coefficients: {coefficients_text(solution.coefficients)}",
         f"monomial: {format_polynomial(monomial)}",
         f"condition: {solution.condition:.6g}",
     ]

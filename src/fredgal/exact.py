@@ -33,6 +33,12 @@ from .errors import SingularSystem
 # measured under it solved exactly in about 1 s or less
 MAX_EXACT_WORK = 500_000
 
+# Bits of f(x)'s largest numerator past which eliminating the right-hand
+# side costs more than the matrix: that column's B-bit entries are
+# multiplied by the matrix's, which took up to 1.25e-11 s per unit of work
+# and bit of B, so W·B/RHS_BITS reaches MAX_EXACT_WORK at about 1 s too
+RHS_BITS = 160_000
+
 # Most moment maps (``_moment_map``, (d+1)² integers each) kept across
 # solves, the least recently used dropped first: intervals are unbounded in
 # number, so the cache needs a bound
@@ -70,16 +76,22 @@ def exact_work(problem: ExactProblem, n: int) -> int:
     matrix is put over one denominator, so S = D·(bits of a and b) + the
     bits of lambda and of the largest numerator of a(x) or the kernel plus
     those of its ``den``, the lcm of that piece's denominators.  f(x) builds
-    only the right-hand-side column, so its integers do not count; its
+    only the right-hand-side column, so its integers do not enter S; its
     degree does, since its shift to u costs g^deg f.  Lambda's and the
-    endpoints' bits count numerator and denominator in lowest terms.  The
-    form and MAX_EXACT_WORK were fitted to measured solve times.
+    endpoints' bits count numerator and denominator in lowest terms.
+
+    That column's elimination costs about W·B/RHS_BITS on the same scale,
+    for W the work above and B the bits of f's largest numerator; the
+    larger of the two estimates counts, so the work is W·max(1,
+    B/RHS_BITS), rounded down.  The form, RHS_BITS and MAX_EXACT_WORK were
+    fitted to measured solve times.
     """
     operator = (problem.a_poly, problem.kernel_poly)
     degree = max([1] + [i + j for p in (*operator, problem.f_poly) for i, j in p[0]])
     size = max([0] + [c.bit_length() + den.bit_length() for p, den in operator for c in p.values()])
     size += degree * (_bits(problem.a) + _bits(problem.b)) + _bits(problem.lam)
-    return (n + 1) * (n + 1 + degree) * size
+    rhs = max([0] + [c.bit_length() for c in problem.f_poly[0].values()])
+    return (n + 1) * (n + 1 + degree) * size * max(rhs, RHS_BITS) // RHS_BITS
 
 
 def _in_x(poly: _Polynomial) -> tuple[list[int], int]:

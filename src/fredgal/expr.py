@@ -227,7 +227,7 @@ def evaluate(node: Node, x, t=None):
     x = np.asarray(x, dtype=float)
     if t is not None:
         t = np.asarray(t, dtype=float)
-    shape = x.shape if t is None else np.broadcast_shapes(x.shape, t.shape)
+    shape = x.shape if t is None else np.broadcast(x, t).shape
     with np.errstate(all="ignore"):
         value = _eval(node, x, t)
     if shape == ():
@@ -248,9 +248,11 @@ def _check(bad, message: str, *operands) -> None:
 
 
 def _finite(value) -> bool:
-    if isinstance(value, float):  # a Python float or a numpy scalar
-        return math.isfinite(value)
-    return bool(np.isfinite(value).all())
+    """True when the sum of the values is finite, and so is every value.
+    False when any value is not finite, but also on an overflow of finite
+    values: callers then test each point (``_check``), and that alone
+    decides whether to raise."""
+    return math.isfinite(value if isinstance(value, float) else np.add.reduce(value, None))
 
 
 # Every domain error leaves a non-finite value at its bad point (log of a

@@ -165,13 +165,17 @@ def assemble(
     kernel is sampled on the full q-by-q tensor grid.  a(x), f(x) and the
     kernel are sampled only when ``samples`` holds nothing under q, and
     stored there, so that a ``convergence_study`` sweep samples them once
-    per distinct q.
+    per distinct q; the interval's floats are kept there under "interval"
+    in the same way.
     """
     if q is None:
         q = default_quadrature_order(n)
     samples = {} if samples is None else samples
-    # Fraction * ndarray would give an object array: go to floats first
-    a, b = float_interval(problem.a, problem.b)
+    # Fraction * ndarray would give an object array: go to floats first,
+    # once per samples dict
+    if "interval" not in samples:
+        samples["interval"] = float_interval(problem.a, problem.b)
+    a, b = samples["interval"]
     lam = float(problem.lam)
     BasisSpec(n, a, b)  # refuses a degree past the basis cap
     rule = gauss_legendre(q)
@@ -193,7 +197,10 @@ def assemble(
         operator = a_vals[:, None] * basis + lam * inner
         matrix = (half * weighted).T @ operator  # Σ_m w_m·L_j(x_m)·operator[m, i]
         f_vec = (half * f_vals) @ weighted
-    if not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
+        # a finite sum means finite entries; only a nonfinite one (which an
+        # overflow of finite entries also gives) needs the entries tested
+        total = np.add.reduce(matrix, None) + np.add.reduce(f_vec)
+    if not math.isfinite(total) and not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
         raise DomainError("assembled system contains nonfinite entries")
     return matrix, f_vec
 
@@ -228,8 +235,7 @@ def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """
     try:
         inverse = np.linalg.inv(matrix)
-        # the reduction np.linalg.norm(M, 1) performs, without its checks
-        cond = float(abs(matrix).sum(axis=0).max()) * float(abs(inverse).sum(axis=0).max())
+        cond = float(_norm_1(matrix)) * float(_norm_1(inverse))
     except np.linalg.LinAlgError:
         cond = math.inf
     if not cond <= SINGULAR_CONDITION:
@@ -239,6 +245,12 @@ def _invert(matrix: np.ndarray) -> tuple[np.ndarray, float]:
             "of the trial space"
         )
     return inverse, cond
+
+
+def _norm_1(matrix: np.ndarray):
+    """The largest column sum of |matrix|: np.linalg.norm(matrix, 1)
+    without its checks."""
+    return np.maximum.reduce(np.add.reduce(abs(matrix), 0))
 
 
 def _float_view(rows: list[dict[int, int]], dens: list[int]) -> np.ndarray:
@@ -300,7 +312,8 @@ def solve(
 def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: dict) -> Solution:
     """``solve``, keeping the work that depends on the problem alone in
     ``shared``: the exact view under "view", built when first needed, and
-    the samples ``assemble`` keeps under each quadrature order.  ``solve``
+    what ``assemble`` keeps: the interval's floats under "interval" and the
+    samples under each quadrature order.  ``solve``
     passes a fresh dict, and ``convergence_study`` one for all its degrees.
     Called by those two only: the condition warning names their caller.
     """
@@ -344,7 +357,7 @@ def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: d
             coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
         if not all(map(math.isfinite, coeffs)):
             raise DomainError("solution coefficients are beyond the float range")
-        spec, path = BasisSpec(n, float(problem.a), float(problem.b)), "float"
+        spec, path = BasisSpec(n, *shared["interval"]), "float"  # assemble's floats
 
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -371,7 +384,7 @@ def evaluate_solution(solution: Solution, x):
         x = float(xs.flat[np.argmax(outside)])
         raise OutOfInterval(f"x={x} outside [{number_text(spec.a)}, {number_text(spec.b)}]")
     try:
-        coeffs = np.array([float(c) for c in solution.coefficients])
+        coeffs = np.array(solution.coefficients, dtype=float)
     except OverflowError:  # an exact coefficient beyond the float range
         raise DomainError("a coefficient of the solution is beyond the float range") from None
     values = basis_row(spec, xs) @ coeffs
@@ -424,8 +437,9 @@ def convergence_study(
     """
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
-    grid = np.linspace(*float_interval(problem.a, problem.b), 101)
-    shared, reference, out = {}, None, []
+    shared = {"interval": float_interval(problem.a, problem.b)}
+    grid = np.linspace(*shared["interval"], 101)
+    reference, out = None, []
     for n in n_values:
         solution = _solve(problem, n, mode, q, shared)
         approx = evaluate_solution(solution, grid)

@@ -12,10 +12,11 @@ from fredgal.basis import (
     _binomials,
     basis_row,
     bernstein_to_monomial,
+    float_interval,
     legendre_row,
     legendre_to_bernstein,
 )
-from fredgal.errors import InvalidDegree, InvalidInterval, OutOfInterval
+from fredgal.errors import InvalidDegree, InvalidInterval, OutOfInterval, _endpoint_text
 from fredgal.expr import evaluate, parse
 from fredgal.galerkin import (
     ZERO_REFERENCE_TOL,
@@ -537,3 +538,81 @@ def test_monomial_conversion_is_identical_to_the_hand_scaled_shift(kind):
         assert_identical(
             bernstein_to_monomial(coeffs, spec), reference_bernstein_to_monomial(coeffs, spec)
         )
+
+
+def float_interval_exact_width_first(a, b):
+    """``float_interval`` as it was written before it tested the float width
+    first: the exact width b - a rounded once, then the float width, on
+    every call."""
+    fa, fb = float(a), float(b)
+    if not fb > fa:
+        raise InvalidInterval(
+            f"interval [{_endpoint_text(a)}, {_endpoint_text(b)}] is empty in floating point: "
+            f"both endpoints round to {fa}"
+        )
+    try:
+        wide = float(b - a) == math.inf or fb - fa == math.inf
+    except OverflowError:
+        wide = True
+    if wide:
+        raise InvalidInterval(f"interval [{fa}, {fb}] is wider than the float range")
+    return fa, fb
+
+
+def interval_outcome(function, a, b):
+    try:
+        return function(a, b)
+    except (InvalidInterval, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_float_interval_matches_the_exact_width_first_rule():
+    top = Fraction(2**1023)
+    # b - a is past the largest float by more than half an ulp, while the
+    # endpoints' floats are 2^1023 - 2^971 and -2^1023, a finite difference:
+    # only the exact width finds the interval too wide
+    past_edge = (-top - (2**970 - 1), top - 2**971 + 2**969 - 1)
+    assert float(past_edge[1]) - float(past_edge[0]) < math.inf
+    with pytest.raises(InvalidInterval, match="wider than the float range"):
+        float_interval(*past_edge)
+    one_ulp = math.nextafter(1.0, 2.0)
+    cases = [
+        (-8.98e307, 8.98e307),
+        (-8.99e307, 8.99e307),
+        (-1e308, 1e308),
+        (-sys.float_info.max, sys.float_info.max),
+        (0.0, sys.float_info.max),
+        (-2.0**1023, 2.0**1023),
+        past_edge,
+        (Fraction(-8.98e307), Fraction(8.98e307)),
+        (Fraction(-1e308), Fraction(1, 3)),
+        (1.0, one_ulp),
+        (Fraction(1), Fraction(one_ulp)),
+        (0.0, 5e-324),
+        (Fraction(1), Fraction(10**30 + 1, 10**30)),
+        (Fraction(0), Fraction("1e-400")),
+        (0, Fraction("1e-400")),
+        (-math.inf, math.inf),
+        (0.0, math.inf),
+        (-math.inf, 0.0),
+        (Fraction(1, 3), math.inf),
+        (math.nan, 1.0),
+        (0.0, math.nan),
+        (Fraction(1, 3), Fraction(7, 5)),
+        (-1.0, 1.0),
+    ]
+    for low in (2**970 - 1, 2**970, 2**969, 1):  # around the rounding of each endpoint
+        for high in (2**969 - 1, 2**969, 2**968, 1):
+            cases.append((-top - low, top - 2**971 + high))
+    rng = np.random.default_rng(31)
+    for _ in range(300):  # Fraction endpoints whose exact width rounds to the edge or past it
+        lo = -top + Fraction(int(rng.integers(0, 2**62)), 3) * 2**911
+        hi = top - Fraction(int(rng.integers(0, 2**62)), 7) * 2**911
+        cases.append((lo, hi))
+        cases.append((float(lo), float(hi)))
+    seen = set()
+    for a, b in cases:
+        want = interval_outcome(float_interval_exact_width_first, a, b)
+        assert interval_outcome(float_interval, a, b) == want, (a, b)
+        seen.add(want[0] if isinstance(want[0], type) else "floats")
+    assert seen == {"floats", InvalidInterval}

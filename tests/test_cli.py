@@ -86,6 +86,28 @@ def test_format_polynomial_matches_the_comparison_reference():
         assert format_polynomial(coeffs) == format_polynomial_by_comparisons(coeffs), coeffs
 
 
+def test_coefficients_line_matches_scalar_text_value_by_value():
+    rng = random.Random(31)
+    floats = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-300, 1 + 1e-12,
+              -(1 + 1e-12), 5e-324, 1.0, -1.0, 1e300, 0.1]
+    fractions = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-7, 3),
+                 Fraction(10**700 + 1, 3), -Fraction(2**2100 - 1, 10**9)]
+    for _ in range(2000):
+        size = rng.randint(0, 51)
+        if rng.random() < 0.5:
+            pool = floats + [rng.uniform(-3, 3), rng.uniform(-1e-5, 1e-5) * 10 ** rng.randint(-300, 300)]
+            coeffs = tuple(rng.choice(pool) for _ in range(size))
+        else:
+            pool = fractions + [Fraction(rng.randint(-50, 50), rng.randint(1, 9))]
+            coeffs = [rng.choice(pool) for _ in range(size)]
+        assert cli.coefficients_text(coeffs) == " ".join(map(cli.scalar_text, coeffs)), coeffs
+    # and values that are neither: ints and numpy floats
+    for coeffs in ([1, -2, 0], [np.float64(0.1), np.float32(1 / 3)], [Fraction(1, 2), 0.25, 3],
+                   list(np.array([-1.0, 0.0, 2.5, -0.0, 1.0]))):
+        assert cli.coefficients_text(coeffs) == " ".join(map(cli.scalar_text, coeffs))
+        assert format_polynomial(coeffs) == format_polynomial_by_comparisons(coeffs)
+
+
 def test_fmt10_keeps_ten_significant_digits():
     assert fmt10(-0.504407781) == "-0.5044077810"
     assert fmt10(-0.338114647) == "-0.3381146470"

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from fredgal.basis import BasisSpec, _shift, bernstein_to_monomial, legendre_to_bernstein_exact
-from fredgal.errors import ExactPathUnavailable, InvalidDegree, SingularSystem
+from fredgal.errors import DomainError, ExactPathUnavailable, InvalidDegree, SingularSystem
 from fredgal.exact import (
     MAX_EXACT_WORK,
     MOMENT_MAPS,
+    RHS_BITS,
     ExactProblem,
     _moment_map,
     exact_assemble,
@@ -364,6 +365,51 @@ def test_shift_from_zero_is_the_horner_expansion():
         nums = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 12))]
         lo, hi, g = rng.randint(-99, 99) or 1, rng.randint(1, 99), rng.randint(1, 99)
         assert _shift(nums, lo, hi, g) == horner_shift(nums, lo, hi, g)
+
+
+def test_shift_matches_the_horner_expansion_up_to_degree_60():
+    rng = random.Random(61)
+    for case in range(400):
+        nums = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 61))]
+        lo = (1, -1, 0, rng.randint(-10**6, 10**6) or 1)[case % 4]
+        hi, g = ((1, 1), (1, 1), (rng.randint(2, 99), 1), (rng.randint(1, 99), rng.randint(1, 99)))[
+            case // 4 % 4
+        ]
+        assert _shift(nums, lo, hi, g) == horner_shift(nums, lo, hi, g), (lo, hi, g, len(nums))
+
+
+def rhs_problem(rhs):
+    """``big_rhs_problem``'s operator and interval with another f(x): at
+    degree 50 its matrix alone is 496,485 of the 500,000 the bound admits."""
+    return FredholmProblem(parse("2 + x^4"), F(1), parse("x*t"), parse(rhs), F("1e-11"), F(3, 4))
+
+
+def test_large_rhs_numerators_count_in_the_work():
+    # three literals of about 100,000 bits each: as f's numerator (N·x^3)
+    # or over it (x^3/N) the exact solve took 1.8-2.9 s at degree 50 on a
+    # 2-vCPU Xeon, past the bound's "about 1 s"
+    big = "*".join(digit * 30103 for digit in "357")
+    product, quotient = (rhs_problem(rhs) for rhs in (f"{big}*x^3 + x", f"x^3/({big}) + x"))
+    matrix = as_exact_problem(rhs_problem("x^3 + x"))  # the same degree, small integers
+    for problem in (product, quotient):
+        view = as_exact_problem(problem)
+        numerator = max(abs(c).bit_length() for c in view.f_poly[0].values())
+        assert numerator > RHS_BITS
+        for n in (0, 2, 9, 20, 50):
+            assert exact_work(view, n) == exact_work(matrix, n) * numerator // RHS_BITS
+        assert exact_work(view, 50) > MAX_EXACT_WORK
+        with pytest.raises(ExactPathUnavailable, match="work bound"):
+            solve(problem, 50, mode="exact")
+        assert solve(problem, 9, mode="exact").mode == "exact"
+    assert solve(quotient, 50).mode == "float"
+    with pytest.raises(DomainError):  # N has no float value, so the float path refuses f
+        solve(product, 50)
+    # up to RHS_BITS bits f's numerator leaves the work as the matrix's
+    for bits in (RHS_BITS - 1, RHS_BITS, RHS_BITS + 1):
+        factors = f"(2^51200 - 1)*2^51200*2^28800*2^{bits - 131_200}"  # each within the size rule
+        view = as_exact_problem(rhs_problem(f"{factors}*x^3 + x"))
+        assert max(abs(c).bit_length() for c in view.f_poly[0].values()) == bits
+        assert exact_work(view, 50) == exact_work(matrix, 50) * max(bits, RHS_BITS) // RHS_BITS
 
 
 def test_moment_maps_are_bounded_and_read_only():

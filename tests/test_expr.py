@@ -688,6 +688,51 @@ def test_a_clean_grid_builds_no_domain_mask(monkeypatch):
         evaluate(parse(text), 0.5, 0.25)
 
 
+def test_finite_values_whose_sum_overflows_raise_nothing(monkeypatch):
+    # a checked node first sums its values; a sum past the float range is
+    # not finite, so the point masks are built, and they find no bad point
+    masks = []
+    check = importlib.import_module("fredgal.expr")._check
+
+    def spy(bad, *args):
+        masks.append(np.asarray(bad).shape)
+        return check(bad, *args)
+
+    monkeypatch.setattr("fredgal.expr._check", spy)
+    for text, x in (("exp(x)", np.full(4, 709.0)), ("x^2", np.full(4, 1e154)),
+                    ("x/1", np.full(4, 1e308)), ("x^1", np.full((2, 3), 1e308))):
+        masks.clear()
+        with np.errstate(all="raise"):  # no floating-point warning escapes either
+            got = evaluate(parse(text), x)
+        assert masks, text
+        assert np.isfinite(got).all(), text
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(got, None) == math.inf, text
+        assert assert_same_evaluation(parse(text), x)
+
+
+@pytest.mark.parametrize(
+    "text,bad,message",
+    [
+        ("log(x)", 0.0, "log of nonpositive value 0.0 (offset 0)"),
+        ("sqrt(x)", -1.0, "sqrt of negative value -1.0 (offset 0)"),
+        ("1/x", 0.0, "division of 1.0 by zero (offset 1)"),
+        ("x^0.5", -1.0, "-1.0 ^ 0.5 is undefined (offset 1)"),
+        ("exp(x)", 1000.0, "exp(1000.0) is undefined (offset 0)"),
+    ],
+)
+def test_a_single_bad_point_anywhere_on_a_grid_is_named(text, bad, message):
+    node = parse(text)
+    for i in range(3):
+        for j in range(4):
+            x = np.linspace(0.25, 3.0, 12).reshape(3, 4)
+            x[i, j] = bad
+            with pytest.raises(DomainError) as err:
+                evaluate(node, x)
+            assert str(err.value) == message, (i, j)
+            assert not assert_same_evaluation(node, x)
+
+
 def test_variables_of_a_deep_tree():
     # the walk is iterative: a chain deeper than the recursion limit is fine;
     # parse refuses one that deep, so the chain is built from nodes
