@@ -167,7 +167,9 @@ def _shift(nums: list[int], lo: int, hi: int, g: int) -> list[int]:
     power = 1
     for c in reversed(nums[:-1]):
         power *= g
-        # one Horner step, out·(lo + hi·u): a sum alone when lo = hi = 1
+        # one Horner step, out·(lo + hi·u); a sum alone when lo = hi = 1,
+        # which bernstein_to_monomial asks for when a's numerator is -1, as
+        # on [-1, 1]
         low, high = [*out, 0], [0, *out]
         if lo == hi == 1:
             out = list(map(add, low, high))
@@ -235,10 +237,7 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     hn, hd = bn * ad - an * bd, ad * bd
     content = math.gcd(hn, hd)
     hn, hd = hn // content, hd // content  # h = b - a = hn/hd in lowest terms
-    try:
-        nums, dens = zip(*[c.as_integer_ratio() for c in coeffs])
-    except AttributeError:  # numpy integers have no as_integer_ratio
-        nums, dens = zip(*map(_ratio, coeffs))
+    nums, dens = zip(*map(_ratio, coeffs))
     common = math.lcm(*dens)
     diff = list(map(mul, nums, map(floordiv, repeat(common), dens)))
     # power form in u = (x-a)/h: the u^k coefficient is C(n,k)·Δ^k c_0 / h^k
@@ -263,10 +262,7 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
     den = common * g**n
     if exact:
         return [Fraction(v, den) for v in out]
-    try:
-        return [v / den for v in out]  # int/int division is correctly rounded
-    except OverflowError:  # some quotient is beyond the float range
-        return [_nearest_float(v, den) for v in out]
+    return list(map(_nearest_float, out, repeat(den)))
 
 
 def _powers(base: int, n: int) -> list[int]:

@@ -69,48 +69,13 @@ def coefficients_text(coeffs) -> str:
 
 
 def format_polynomial(coeffs) -> str:
-    """Human-readable ascending-power polynomial in x, exact or float."""
+    """Human-readable ascending-power polynomial in x, exact or float.
+    Each value is written once, as ``coefficients_text`` writes it, and
+    zero and sign are read off its text: a Fraction's text is "0" only for
+    zero, %.10g writes a nonzero value nonzero and a NaN unsigned."""
     coeffs = list(coeffs)
-    if coeffs and all(map(isinstance, coeffs, repeat(float))):
-        return _float_polynomial(coeffs)
-    parts: list[str] = []
-    for power, c in enumerate(coeffs):
-        if isinstance(c, Fraction):
-            # zero and sign from the numerator; |c| is c's own text unsigned
-            if not c.numerator:
-                continue
-            negative = c.numerator < 0
-            mag = number_text(c)
-            if negative:
-                mag = mag[1:]
-            one = mag == "1"
-        else:
-            if c == 0:
-                continue
-            negative = c < 0
-            value = -c if negative else c
-            mag, one = gfmt(value), value == 1
-        term = "x" if power == 1 else f"x^{power}"
-        if power == 0:
-            body = mag
-        elif one:
-            body = term
-        else:
-            body = f"{mag}*{term}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts) if parts else "0"
-
-
-def _float_polynomial(coeffs: list[float]) -> str:
-    """``format_polynomial`` of a nonempty list of floats: each value is
-    written once, by one % for the line, and zero and sign are read off
-    its text (%.10g writes a nonzero value nonzero, and a NaN unsigned)."""
-    texts = coefficients_text(coeffs).split(" ")
     pieces = []
-    for power, text in enumerate(texts):
+    for power, (text, c) in enumerate(zip(coefficients_text(coeffs).split(" "), coeffs)):
         if text == "0" or text == "-0":
             continue
         if text[0] == "-":
@@ -121,7 +86,8 @@ def _float_polynomial(coeffs: list[float]) -> str:
             pieces.append(sign + text)
             continue
         term = "x" if power == 1 else f"x^{power}"
-        if text == "1" and abs(coeffs[power]) == 1:
+        # a float near 1 is also written "1"
+        if text == "1" and abs(c) == 1:
             pieces.append(sign + term)
         else:
             pieces.append(f"{sign}{text}*{term}")

@@ -165,17 +165,13 @@ def assemble(
     kernel is sampled on the full q-by-q tensor grid.  a(x), f(x) and the
     kernel are sampled only when ``samples`` holds nothing under q, and
     stored there, so that a ``convergence_study`` sweep samples them once
-    per distinct q; the interval's floats are kept there under "interval"
-    in the same way.
+    per distinct q.
     """
     if q is None:
         q = default_quadrature_order(n)
     samples = {} if samples is None else samples
-    # Fraction * ndarray would give an object array: go to floats first,
-    # once per samples dict
-    if "interval" not in samples:
-        samples["interval"] = float_interval(problem.a, problem.b)
-    a, b = samples["interval"]
+    # Fraction * ndarray would give an object array: go to floats first
+    a, b = float_interval(problem.a, problem.b)
     lam = float(problem.lam)
     BasisSpec(n, a, b)  # refuses a degree past the basis cap
     rule = gauss_legendre(q)
@@ -312,8 +308,7 @@ def solve(
 def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: dict) -> Solution:
     """``solve``, keeping the work that depends on the problem alone in
     ``shared``: the exact view under "view", built when first needed, and
-    what ``assemble`` keeps: the interval's floats under "interval" and the
-    samples under each quadrature order.  ``solve``
+    the samples ``assemble`` keeps under each quadrature order.  ``solve``
     passes a fresh dict, and ``convergence_study`` one for all its degrees.
     Called by those two only: the condition warning names their caller.
     """
@@ -357,7 +352,7 @@ def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: d
             coeffs = tuple((legendre_to_bernstein(n) @ (inverse @ F)).tolist())
         if not all(map(math.isfinite, coeffs)):
             raise DomainError("solution coefficients are beyond the float range")
-        spec, path = BasisSpec(n, *shared["interval"]), "float"  # assemble's floats
+        spec, path = BasisSpec(n, float(problem.a), float(problem.b)), "float"
 
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -437,9 +432,8 @@ def convergence_study(
     """
     if problem.exact_expr is None:
         raise InvalidProblem("convergence study requires an exact solution")
-    shared = {"interval": float_interval(problem.a, problem.b)}
-    grid = np.linspace(*shared["interval"], 101)
-    reference, out = None, []
+    grid = np.linspace(*float_interval(problem.a, problem.b), 101)
+    shared, reference, out = {}, None, []
     for n in n_values:
         solution = _solve(problem, n, mode, q, shared)
         approx = evaluate_solution(solution, grid)
