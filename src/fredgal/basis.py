@@ -28,6 +28,19 @@ from .errors import InvalidDegree, InvalidInterval, _endpoint_text, number_text
 MAX_DEGREE = 50
 
 
+def check_degree(n) -> None:
+    """Refuse with InvalidDegree a degree n that is not an integer (what
+    operator.index refuses) or lies outside 0..MAX_DEGREE."""
+    try:
+        index(n)
+    except TypeError:
+        raise InvalidDegree(f"degree must be an integer, got {n}") from None
+    if n < 0:
+        raise InvalidDegree("degree must be nonnegative")
+    if n > MAX_DEGREE:
+        raise InvalidDegree(f"degree {n} exceeds the cap of {MAX_DEGREE}")
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Degree and interval of one basis family (n+1 member polynomials)."""
@@ -37,14 +50,7 @@ class BasisSpec:
     b: float
 
     def __post_init__(self):
-        try:
-            index(self.n)
-        except TypeError:
-            raise InvalidDegree(f"degree must be an integer, got {self.n}") from None
-        if self.n < 0:
-            raise InvalidDegree("degree must be nonnegative")
-        if self.n > MAX_DEGREE:
-            raise InvalidDegree(f"degree {self.n} exceeds the cap of {MAX_DEGREE}")
+        check_degree(self.n)
         try:
             finite = math.isfinite(self.a) and math.isfinite(self.b)
         except OverflowError:  # a Fraction too large for a float

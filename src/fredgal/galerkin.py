@@ -27,6 +27,7 @@ from .basis import (
     MAX_DEGREE,
     BasisSpec,
     basis_row,
+    check_degree,
     float_interval,
     legendre_row,
     legendre_to_bernstein,
@@ -38,6 +39,7 @@ from .errors import (
     IllConditionedWarning,
     InvalidInterval,
     InvalidProblem,
+    OrderOutOfRange,
     OutOfInterval,
     SingularSystem,
     number_text,
@@ -167,13 +169,13 @@ def assemble(
     stored there, so that a ``convergence_study`` sweep samples them once
     per distinct q.
     """
+    check_degree(n)
     if q is None:
         q = default_quadrature_order(n)
     samples = {} if samples is None else samples
     # Fraction * ndarray would give an object array: go to floats first
     a, b = float_interval(problem.a, problem.b)
     lam = float(problem.lam)
-    BasisSpec(n, a, b)  # refuses a degree past the basis cap
     rule = gauss_legendre(q)
     half = 0.5 * (b - a)
     if q not in samples:
@@ -197,6 +199,10 @@ def assemble(
         # overflow of finite entries also gives) needs the entries tested
         total = np.add.reduce(matrix, None) + np.add.reduce(f_vec)
     if not math.isfinite(total) and not (np.isfinite(matrix).all() and np.isfinite(f_vec).all()):
+        for label, values in zip(("coefficient", "rhs", "kernel"), samples[q]):
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise DomainError(f"{label} expression: value {bad[0]} at a quadrature node")
         raise DomainError("assembled system contains nonfinite entries")
     return matrix, f_vec
 
@@ -298,9 +304,9 @@ def solve(
     within MAX_EXACT_WORK and returns Fractions; "float" always goes through
     quadrature and numpy.linalg; "auto" prefers exact when the data and the
     work bound allow it.
-    The float path needs a quadrature order q above n: with q <= n nodes the
-    system has rank at most q and is always singular.  A q that is not an
-    integer in 1..128 is refused on either path.
+    The degree (an integer in 0..50) and a given order q (an integer in
+    1..128) are checked first, whatever the path; the float path also needs
+    q above n, since q <= n nodes give a system of rank at most q.
     """
     return _solve(problem, n, mode, q, {})
 
@@ -314,6 +320,9 @@ def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: d
     """
     if mode not in ("auto", "float", "exact"):
         raise ValueError(f"mode must be auto, float or exact, not {mode!r}")
+    check_degree(n)
+    if q is not None:
+        check_order(q)
 
     view = None
     if mode != "float":
@@ -322,17 +331,13 @@ def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: d
         view = shared["view"]
         if view is None:
             reason = "exact mode requires polynomial data with rational coefficients"
-        else:
-            spec = BasisSpec(n, problem.a, problem.b)  # refuses a degree past the cap first
-            if (work := exact_work(view, n)) > MAX_EXACT_WORK:
-                view = None
-                reason = f"exact solve past the work bound ({work} > {MAX_EXACT_WORK})"
+        elif (work := exact_work(view, n)) > MAX_EXACT_WORK:
+            view = None
+            reason = f"exact solve past the work bound ({work} > {MAX_EXACT_WORK})"
         if mode == "exact" and view is None:
             raise ExactPathUnavailable(reason)
 
     if view is not None:
-        if q is not None:
-            check_order(q)  # no rule is built, but the order must be one a rule could have
         rows, dens, f_den = exact_assemble(view, n)
         nums, den = solve_rational_system(rows)
         coeffs = tuple(legendre_to_bernstein_exact(nums, den * f_den))
@@ -340,12 +345,13 @@ def _solve(problem: FredholmProblem, n: int, mode: str, q: int | None, shared: d
             _, cond = _invert(_float_view(rows, dens) * _orthonormal_scale(n))
         except SingularSystem:  # the float view is singular to working precision
             cond = math.inf
-        path, q = "exact", None
+        spec, path, q = BasisSpec(n, problem.a, problem.b), "exact", None
     else:
         if q is None:
             q = default_quadrature_order(n)
-        else:
-            check_order(q, n)
+        elif q <= n:
+            raise OrderOutOfRange(f"quadrature order {q} must exceed the degree {n}: with q <= n "
+                                  "nodes the projection system is singular")
         A, F = assemble(problem, n, q, samples=shared)
         inverse, cond = _invert(A)
         with np.errstate(all="ignore"):  # nonfinite coefficients are refused below

@@ -35,27 +35,15 @@ def _legendre_pair(q: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
-def check_order(q, degree: int | None = None) -> None:
+def check_order(q) -> None:
     """Refuse with OrderOutOfRange a quadrature order q that is not an
     integer (what operator.index refuses, as for a degree) or lies outside
-    1..MAX_ORDER: the rule for an order, whether or not a rule is built.
-
-    Given the degree n of a float projection, the second check is q > n
-    instead, since a q-node rule gives that system rank at most q; the
-    range is then left to ``gauss_legendre``, which the assembly calls
-    after checking the interval and the degree.
-    """
+    1..MAX_ORDER: the rule for an order, whether or not a rule is built."""
     try:
         index(q)
     except TypeError:
         raise OrderOutOfRange(f"quadrature order must be an integer, got {q!r}") from None
-    if degree is not None:
-        if q <= degree:
-            raise OrderOutOfRange(
-                f"quadrature order {q} must exceed the degree {degree}: with q <= n "
-                "nodes the projection system is singular"
-            )
-    elif not 1 <= q <= MAX_ORDER:
+    if not 1 <= q <= MAX_ORDER:
         raise OrderOutOfRange(f"order {q} outside 1..{MAX_ORDER}")
 
 

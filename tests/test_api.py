@@ -70,6 +70,7 @@ EXPORTED = {
 
 # the stages behind solve: module-level helpers, not package API
 STAGES = [
+    ("fredgal.basis", "check_degree"),
     ("fredgal.galerkin", "assemble"),
     ("fredgal.galerkin", "as_exact_problem"),
     ("fredgal.galerkin", "default_quadrature_order"),

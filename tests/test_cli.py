@@ -419,7 +419,7 @@ def test_reference_domain_error_names_the_exact_expression(capsys, tmp_path):
 
 def test_oversized_literal_is_refused_by_both_paths(capsys, tmp_path):
     # 1e10000000 is too large to expand exactly (its power of ten is never
-    # built) and is inf as a float, so inf*0 leaves nan in the system
+    # built) and is inf as a float, so inf*0 leaves nan in f's samples
     path = tmp_path / "literal.fie"
     path.write_text(
         "interval_a = 0\ninterval_b = 1\ncoefficient = 1\nlambda = -1\n"
@@ -428,7 +428,7 @@ def test_oversized_literal_is_refused_by_both_paths(capsys, tmp_path):
     for mode in ("auto", "float"):
         code, out, err = run(capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", mode)
         assert code == 2 and out == ""
-        assert err == "error: assembled system contains nonfinite entries\n"
+        assert err == "error: rhs expression: value nan at a quadrature node\n"
 
 
 def test_quadrature_order_not_above_the_degree_is_an_input_error(capsys):
@@ -443,24 +443,32 @@ def test_quadrature_order_not_above_the_degree_is_an_input_error(capsys):
 
 @pytest.mark.parametrize("q", ["0", "-5", "500"])
 def test_quadrature_order_outside_the_rules_is_an_input_error_on_either_path(capsys, q):
-    # the exact path uses no rule, but an order outside 1..128 is refused there too
+    # one rule for an order, checked before the path is chosen: the exact
+    # path uses no rule, but an order outside 1..128 is refused there too
     for argv in (
         ["solve", "--builtin", "example1", "--degree", "2"],
         ["converge", "--builtin", "example1", "--degrees", "2,3"],
         ["solve", "--builtin", "example1", "--degree", "2", "--mode", "exact"],
+        ["solve", "--builtin", "example4", "--degree", "2"],
+        ["converge", "--builtin", "example4", "--degrees", "2,3"],
+        ["solve", "--builtin", "example4", "--degree", "2", "--mode", "float"],
+        ["solve", "--builtin", "example4", "--degree", "2", "--mode", "exact"],
     ):
         code, out, err = run(capsys, *argv, "--quadrature", q)
         assert (code, out, err) == (1, "", f"error: order {q} outside 1..128\n"), argv
-    # the float path's messages and the order of its checks are kept
-    code, out, err = run(
-        capsys, "solve", "--builtin", "example4", "--degree", "2", "--quadrature", q
-    )
-    assert code == 1 and out == ""
-    assert err == (
-        "error: order 500 outside 1..128\n" if q == "500" else
-        f"error: quadrature order {q} must exceed the degree 2: with q <= n nodes the "
-        "projection system is singular\n"
-    )
+
+
+def test_degree_and_order_are_checked_before_the_path_is_chosen(capsys):
+    # the degree first, then the order, whatever the mode asks for
+    for argv, message in (
+        (["--degree", "60", "--quadrature", "40", "--mode", "float"],
+         "degree 60 exceeds the cap of 50"),
+        (["--degree", "60", "--quadrature", "0"], "degree 60 exceeds the cap of 50"),
+        (["--degree", "2", "--quadrature", "0", "--mode", "exact"], "order 0 outside 1..128"),
+        (["--degree", "-1", "--mode", "float"], "degree must be nonnegative"),
+    ):
+        code, out, err = run(capsys, "solve", "--builtin", "example4", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 def test_problem_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
@@ -543,7 +551,7 @@ def test_exact_solve_reports_infinite_condition_of_system_beyond_float_range(cap
     assert code == 0 and "Traceback" not in err
     assert "mode: exact\n" in out and "condition: inf\n" in out
     code, _, err = run(capsys, "solve", "--problem", str(path), "--degree", "2", "--mode", "float")
-    assert code == 2 and err == "error: assembled system contains nonfinite entries\n"
+    assert code == 2 and err == "error: kernel expression: value inf at a quadrature node\n"
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0"])
@@ -712,7 +720,42 @@ def test_float_solve_of_data_beyond_the_float_range_writes_one_error_line(capsys
         capsys, tmp_path / "inf.fie", text, "solve", "--degree", "2", "--mode", "float"
     )
     assert (code, out, caught) == (2, "", [])
-    assert err == "error: assembled system contains nonfinite entries\n"
+    assert err == "error: rhs expression: value inf at a quadrature node\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("rhs = x", "rhs = " + "9" * 400 + "*x", "rhs expression: value inf"),
+        ("coefficient = 1", "coefficient = 1 + 1e10000000*0", "coefficient expression: value nan"),
+        ("kernel = x*t", "kernel = x*t - 1e400", "kernel expression: value -inf"),
+        # the first piece sampled beyond the float range is named, in the
+        # order coefficient, rhs, kernel
+        ("lambda = 1\nkernel = x*t\nrhs = x", "lambda = 1\nkernel = 1e400\nrhs = 1e400",
+         "rhs expression: value inf"),
+    ],
+    ids=["rhs", "coefficient", "kernel", "first"],
+)
+def test_float_solve_names_the_piece_sampled_beyond_the_float_range(
+    capsys, tmp_path, old, new, error
+):
+    text = PROBLEM_TEXT.replace(old, new)
+    code, out, err, caught = run_problem(
+        capsys, tmp_path / "inf.fie", text, "solve", "--degree", "2", "--mode", "float"
+    )
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"error: {error} at a quadrature node\n"
+
+
+def test_float_system_that_overflows_from_finite_samples_names_no_piece(capsys, tmp_path):
+    # every sample is finite; only lambda times the kernel integral overflows
+    text = PROBLEM_TEXT.replace("lambda = 1\nkernel = x*t", "lambda = 1e300\nkernel = 1e300*exp(x)")
+    for mode in ("auto", "float"):
+        code, out, err, caught = run_problem(
+            capsys, tmp_path / "big.fie", text, "solve", "--degree", "2", "--mode", mode
+        )
+        assert (code, out, caught) == (2, "", [])
+        assert err == "error: assembled system contains nonfinite entries\n"
 
 
 def test_float_solve_whose_coefficients_overflow_writes_one_error_line(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fredgal.errors import (
     DomainError,
     ExactPathUnavailable,
     IllConditionedWarning,
+    InvalidDegree,
     InvalidInterval,
     InvalidProblem,
     OrderOutOfRange,
@@ -414,25 +416,81 @@ def test_quadrature_order_must_exceed_the_degree():
 @pytest.mark.parametrize("q", [0, -5, 129, 500])
 def test_exact_path_refuses_an_order_outside_the_rules(q):
     # the exact path uses no quadrature rule, but an order no rule has is
-    # refused on both paths
-    problem = builtin("example1")
-    for mode in ("auto", "exact"):
-        with pytest.raises(OrderOutOfRange, match=rf"^order {q} outside 1\.\.128$"):
-            solve(problem, 2, mode=mode, q=q)
-        with pytest.raises(OrderOutOfRange, match=rf"^order {q} outside 1\.\.128$"):
-            convergence_study(problem, [2, 3], q=q, mode=mode)
-    solution = solve(problem, 2, q=128)
+    # refused with one error on both paths, before the path is chosen:
+    # example4 has no exact path, and "exact" there is refused for the order
+    for name in ("example1", "example4"):
+        problem = builtin(name)
+        for mode in ("auto", "float", "exact"):
+            with pytest.raises(OrderOutOfRange, match=rf"^order {q} outside 1\.\.128$"):
+                solve(problem, 2, mode=mode, q=q)
+            with pytest.raises(OrderOutOfRange, match=rf"^order {q} outside 1\.\.128$"):
+                convergence_study(problem, [2, 3], q=q, mode=mode)
+    solution = solve(builtin("example1"), 2, q=128)
     assert solution.mode == "exact" and solution.quadrature_order is None
 
 
 @pytest.mark.parametrize("q", [2.5, 32.0, "8"])
 def test_non_integer_quadrature_order_is_refused_on_either_path(q):
     # checked before q <= n, as a degree is, and before any rule is built
-    for name, mode in (("example1", "auto"), ("example1", "exact"), ("example4", "float")):
+    message = re.escape(f"quadrature order must be an integer, got {q!r}")
+    for name in ("example1", "example4"):
         problem = builtin(name)
-        for call in (partial(solve, problem, 3), partial(convergence_study, problem, [3, 4])):
-            with pytest.raises(OrderOutOfRange, match="^quadrature order must be an integer"):
-                call(mode=mode, q=q)
+        for mode in ("auto", "float", "exact"):
+            for call in (partial(solve, problem, 3), partial(convergence_study, problem, [3, 4])):
+                with pytest.raises(OrderOutOfRange, match=f"^{message}$"):
+                    call(mode=mode, q=q)
+
+
+DEGREE_ERRORS = [
+    ("3", r"^degree must be an integer, got 3$"),
+    (None, r"^degree must be an integer, got None$"),
+    (2.5, r"^degree must be an integer, got 2\.5$"),
+    (-1, r"^degree must be nonnegative$"),
+    (51, r"^degree 51 exceeds the cap of 50$"),
+]
+
+
+@pytest.mark.parametrize("n, message", DEGREE_ERRORS)
+def test_a_bad_degree_gets_one_error_on_every_path(n, message):
+    # example1 is polynomial and example4 is not, so auto routes them to
+    # different paths; the degree is refused before either, as a basis does
+    with pytest.raises(InvalidDegree, match=message):
+        BasisSpec(n, 0.0, 1.0)
+    for name in ("example1", "example4"):
+        problem = builtin(name)
+        with pytest.raises(InvalidDegree, match=message):
+            assemble(problem, n)
+        for mode in ("auto", "float"):
+            with pytest.raises(InvalidDegree, match=message):
+                solve(problem, n, mode=mode)
+            with pytest.raises(InvalidDegree, match=message):
+                convergence_study(problem, [n], mode=mode)
+
+
+@pytest.mark.parametrize(
+    "n, q, error",
+    [
+        (51, None, InvalidDegree),
+        ("3", None, InvalidDegree),
+        (60, 40, InvalidDegree),  # the degree first, not q <= n
+        (60, 0, InvalidDegree),
+        (2, 0, OrderOutOfRange),
+        (2, 2.5, OrderOutOfRange),
+    ],
+)
+def test_a_refused_degree_or_order_does_no_work(monkeypatch, n, q, error):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the degree and order were checked")
+
+    monkeypatch.setattr(galerkin, "as_exact_problem", refuse)
+    monkeypatch.setattr(galerkin, "assemble", refuse)
+    for name in ("example1", "example4"):
+        problem = builtin(name)
+        for mode in ("auto", "float", "exact"):
+            with pytest.raises(error):
+                solve(problem, n, mode=mode, q=q)
+            with pytest.raises(error):
+                convergence_study(problem, [n], q=q, mode=mode)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
