@@ -34,11 +34,22 @@ def check_degree(n) -> None:
     try:
         index(n)
     except TypeError:
-        raise InvalidDegree(f"degree must be an integer, got {n}") from None
+        raise InvalidDegree(f"degree must be an integer, got {n!r}") from None
     if n < 0:
         raise InvalidDegree("degree must be nonnegative")
     if n > MAX_DEGREE:
         raise InvalidDegree(f"degree {n} exceeds the cap of {MAX_DEGREE}")
+
+
+def check_interval(a, b) -> None:
+    """The interval rule BasisSpec and FredholmProblem share: finite a < b, or InvalidInterval."""
+    try:
+        finite = math.isfinite(a) and math.isfinite(b)
+    except OverflowError:  # a Fraction too large for a float
+        finite = False
+    if not (finite and b > a):
+        reason = "need b > a" if finite else "endpoints must be finite"
+        raise InvalidInterval(f"{reason}, got [{number_text(a)}, {number_text(b)}]")
 
 
 @dataclass(frozen=True)
@@ -51,16 +62,7 @@ class BasisSpec:
 
     def __post_init__(self):
         check_degree(self.n)
-        try:
-            finite = math.isfinite(self.a) and math.isfinite(self.b)
-        except OverflowError:  # a Fraction too large for a float
-            finite = False
-        if not finite:
-            raise InvalidInterval(
-                f"endpoints must be finite, got [{number_text(self.a)}, {number_text(self.b)}]"
-            )
-        if not self.b > self.a:
-            raise InvalidInterval(f"need b > a, got [{number_text(self.a)}, {number_text(self.b)}]")
+        check_interval(self.a, self.b)
 
 
 def basis_row(spec: BasisSpec, x) -> np.ndarray:
@@ -239,10 +241,7 @@ def bernstein_to_monomial(coeffs, spec: BasisSpec) -> list:
         raise ValueError(f"expected {spec.n + 1} coefficients, got {len(coeffs)}")
     exact = all(map(isinstance, coeffs, repeat((int, Fraction))))
     n = spec.n
-    (an, ad), (bn, bd) = _ratio(spec.a), _ratio(spec.b)
-    hn, hd = bn * ad - an * bd, ad * bd
-    content = math.gcd(hn, hd)
-    hn, hd = hn // content, hd // content  # h = b - a = hn/hd in lowest terms
+    an, ad, hn, hd = _interval_ratio(spec.a, spec.b)
     nums, dens = zip(*map(_ratio, coeffs))
     common = math.lcm(*dens)
     diff = list(map(mul, nums, map(floordiv, repeat(common), dens)))
@@ -283,6 +282,14 @@ def _ratio(value) -> tuple[int, int]:
         return value.as_integer_ratio()
     except AttributeError:  # numpy integers have no as_integer_ratio
         return index(value), 1
+
+
+def _interval_ratio(a, b) -> tuple[int, int, int, int]:
+    """(an, ad, hn, hd) with a = an/ad and h = b - a = hn/hd, each in lowest terms."""
+    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    hn, hd = bn * ad - an * bd, ad * bd
+    content = math.gcd(hn, hd)
+    return an, ad, hn // content, hd // content
 
 
 def _nearest_float(numerator: int, denominator: int) -> float:

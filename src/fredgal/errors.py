@@ -103,8 +103,8 @@ class MissingBinding(FredgalError):
 
 
 class InvalidInterval(InputError):
-    """Interval endpoints do not satisfy b > a, or the interval has no
-    float points where it is turned into floats."""
+    """Interval endpoints do not satisfy b > a or are not finite, or the
+    interval has no float points where it is turned into floats."""
 
 
 class InvalidDegree(InputError):

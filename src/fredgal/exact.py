@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .basis import _shift
+from .basis import _interval_ratio, _shift
 from .errors import SingularSystem
 
 # Most work ``exact_work`` admits to the exact path.  Set from solve times
@@ -181,12 +181,7 @@ def exact_assemble(problem: ExactProblem, n: int) -> tuple[list[dict[int, int]],
     divided by the content of its matrix entries, and f's moments are then
     put over dens[j]·f_den.
     """
-    # the width h = b - a = hn/hd in lowest terms, formed on integers
-    an, ad = problem.a.numerator, problem.a.denominator
-    hn = problem.b.numerator * ad - an * problem.b.denominator
-    hd = ad * problem.b.denominator
-    gcd_h = math.gcd(hn, hd)
-    hn, hd = hn // gcd_h, hd // gcd_h
+    an, ad, hn, hd = _interval_ratio(problem.a, problem.b)
     # x = (lo + hi·u)/g; _shift scales degree d by g^d
     g, lo, hi = ad * hd, an * hd, hn * ad
     rhs = n + 1

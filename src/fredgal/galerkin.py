@@ -28,6 +28,7 @@ from .basis import (
     BasisSpec,
     basis_row,
     check_degree,
+    check_interval,
     float_interval,
     legendre_row,
     legendre_to_bernstein,
@@ -37,7 +38,6 @@ from .errors import (
     DomainError,
     ExactPathUnavailable,
     IllConditionedWarning,
-    InvalidInterval,
     InvalidProblem,
     OrderOutOfRange,
     OutOfInterval,
@@ -79,15 +79,13 @@ class FredholmProblem:
     exact_expr: Node | None = None
 
     def __post_init__(self):
-        for label, value in (("lam", self.lam), ("a", self.a), ("b", self.b)):
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # a Fraction too large for a float
-                finite = False
-            if not finite:
-                raise InvalidProblem(f"{label} must be finite, got {number_text(value)}")
-        if not self.b > self.a:
-            raise InvalidInterval(f"need b > a, got [{number_text(self.a)}, {number_text(self.b)}]")
+        try:
+            finite = math.isfinite(self.lam)
+        except OverflowError:  # a Fraction too large for a float
+            finite = False
+        if not finite:
+            raise InvalidProblem(f"lam must be finite, got {number_text(self.lam)}")
+        check_interval(self.a, self.b)
         for label, node in (
             ("coefficient", self.a_expr),
             ("rhs", self.f_expr),
@@ -403,6 +401,8 @@ def error_table(solution: Solution, exact: Node, grid) -> list[ErrorRow]:
     The error is |(exact - approx)/exact| except where the exact value
     vanishes, where the absolute difference is reported and flagged.
     """
+    if exact is None:
+        raise InvalidProblem("error table requires an exact solution")
     xs = np.array(grid, dtype=float)
     approx = evaluate_solution(solution, xs)
     reference = _eval_grid(exact, "exact", xs)

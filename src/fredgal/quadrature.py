@@ -21,7 +21,6 @@ _MAX_NEWTON_STEPS = 100
 class QuadratureRule:
     """Nodes strictly increasing in (-1, 1); positive weights summing to 2."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -78,4 +77,4 @@ def gauss_legendre(q: int) -> QuadratureRule:
         nodes[mid] = 0.0
         weights[mid] = 2.0 / (dp * dp)
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(q, nodes, weights)
+    return QuadratureRule(nodes, weights)

@@ -71,6 +71,7 @@ EXPORTED = {
 # the stages behind solve: module-level helpers, not package API
 STAGES = [
     ("fredgal.basis", "check_degree"),
+    ("fredgal.basis", "check_interval"),
     ("fredgal.galerkin", "assemble"),
     ("fredgal.galerkin", "as_exact_problem"),
     ("fredgal.galerkin", "default_quadrature_order"),

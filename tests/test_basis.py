@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from fredgal.basis import (
     legendre_row,
     legendre_to_bernstein,
 )
-from fredgal.errors import InvalidDegree, InvalidInterval, OutOfInterval, _endpoint_text
+from fredgal.errors import (
+    InvalidDegree,
+    InvalidInterval,
+    OutOfInterval,
+    _endpoint_text,
+    number_text,
+)
 from fredgal.expr import evaluate, parse
 from fredgal.galerkin import (
     ZERO_REFERENCE_TOL,
@@ -52,6 +59,10 @@ def test_spec_validation():
     assert basis_row(BasisSpec(np.int64(3), 0.0, 1.0), 0.5).shape == (4,)
 
 
+# endpoints that are finite but fail b > a
+EMPTY_ENDS = [(1.0, 1.0), (2.0, -2.0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 10**5000), 0)]
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
@@ -60,11 +71,18 @@ def test_spec_validation():
         (math.nan, 1.0),
         (0.0, Fraction(10**400)),
         (-Fraction(10**5000), Fraction(1)),
+        *EMPTY_ENDS,
     ],
 )
 def test_spec_rejects_nonfinite_endpoints(a, b):
-    with pytest.raises(InvalidInterval):
-        BasisSpec(2, a, b)
+    # one rule, basis.check_interval, for a basis and for a problem
+    reason = "need b > a" if (a, b) in EMPTY_ENDS else "endpoints must be finite"
+    message = f"{reason}, got [{number_text(a)}, {number_text(b)}]"
+    problem = partial(FredholmProblem, parse("1"), 1.0, parse("x*t"), parse("x"))
+    for build in (partial(BasisSpec, 2), problem):
+        with pytest.raises(InvalidInterval) as info:
+            build(a, b)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,8 @@ def test_problem_validation():
     # rationals past the interpreter's int/str limit print in the message too
     with pytest.raises(InvalidInterval, match=r"^need b > a, got \[1/10{5000}, 0\]$"):
         FredholmProblem(one, 1, parse("x*t"), parse("x"), Fraction(1, 10**5000), Fraction(0))
-    with pytest.raises(InvalidProblem, match=r"^a must be finite, got 10{5000}$"):
+    # an endpoint that is not finite breaks the interval rule BasisSpec shares
+    with pytest.raises(InvalidInterval, match=r"^endpoints must be finite, got \[10{5000}, 0\]$"):
         FredholmProblem(one, 1, parse("x*t"), parse("x"), Fraction(10**5000), Fraction(0))
     with pytest.raises(InvalidProblem):
         FredholmProblem(parse("t"), -1.0, parse("x*t"), one, 0.0, 1.0)
@@ -87,7 +88,9 @@ def test_problem_validation():
     ],
 )
 def test_nonfinite_problem_numbers_are_invalid(lam, b, mode):
-    with pytest.raises(InvalidProblem):
+    # lambda has the problem's own rule; an endpoint has the interval rule
+    error = InvalidInterval if b == math.inf else InvalidProblem
+    with pytest.raises(error):
         solve(FredholmProblem(parse("1"), lam, parse("x*t"), parse("x"), 0.0, b), 2, mode=mode)
 
 
@@ -287,6 +290,15 @@ def test_error_table_flags_zeros_of_exact_solution():
     assert all(r.error <= 1e-12 for r in rows)
 
 
+def test_error_table_and_convergence_study_need_an_exact_solution():
+    problem = replace(builtin("example4"), exact_expr=None)
+    solution = solve(problem, 3)
+    with pytest.raises(InvalidProblem, match="^error table requires an exact solution$"):
+        error_table(solution, problem.exact_expr, grid_11(problem))
+    with pytest.raises(InvalidProblem, match="^convergence study requires an exact solution$"):
+        convergence_study(problem, [2, 3])
+
+
 def test_convergence_exponential_problem_decreases():
     rows = convergence_study(builtin("example4"), [3, 4, 5, 6])
     errors = [r.max_error for r in rows]
@@ -442,7 +454,7 @@ def test_non_integer_quadrature_order_is_refused_on_either_path(q):
 
 
 DEGREE_ERRORS = [
-    ("3", r"^degree must be an integer, got 3$"),
+    ("3", r"^degree must be an integer, got '3'$"),
     (None, r"^degree must be an integer, got None$"),
     (2.5, r"^degree must be an integer, got 2\.5$"),
     (-1, r"^degree must be nonnegative$"),
